@@ -1,19 +1,17 @@
-"""Engine ablation: naive vs semi-naive vs planned chase evaluation.
+"""Engine ablation: the planned chase against its naive oracle.
 
 Not a paper figure — an ablation of the reproduction's own substrate
 (DESIGN.md §5 spirit).  On recursive workloads (transitive-closure-style
-control chains and dense random ownership graphs) the semi-naive strategy
-performs the same derivations with markedly less join work, and the
-``planned`` strategy (compiled join plans + hash joins, DESIGN.md §9)
-beats both by replacing the tuple-at-a-time nested-loop walk with
-selectivity-ordered indexed joins.
+control chains and dense random ownership graphs) the ``planned`` engine
+(compiled join plans + hash joins over rolling delta windows, DESIGN.md
+§9) performs the same derivations as the oracle's tuple-at-a-time
+nested-loop walk (``engine/reference.py``) with markedly less join work.
 
 Emits ``BENCH_engine.json`` with per-strategy wall-clock at each workload
 size.  Runs standalone (``python benchmarks/bench_engine_scaling.py
-[--quick]``) for CI — where regression gates assert the planned
-strategy stays ≥ 2x faster than naive on the largest transitive-closure
-size and at least matches semi-naive on the ownership-network and
-control-chain workloads — or under pytest with the other benchmarks.
+[--quick]``) for CI — where a regression gate asserts the planned
+engine stays ≥ 2x faster than naive on the largest transitive-closure
+size — or under pytest with the other benchmarks.
 """
 
 from __future__ import annotations
@@ -25,11 +23,11 @@ import time
 from repro import obs
 from repro.apps import company_control, generators
 from repro.datalog import fact, parse_program
-from repro.engine import Database, chase
+from repro.engine import ChaseEngine, Database, chase
 
 from _harness import RESULTS_DIR, append_history, emit, emit_stats, once
 
-STRATEGIES = ("naive", "semi-naive", "planned")
+STRATEGIES = ChaseEngine.STRATEGIES
 
 TRANSITIVE = parse_program(
     "base: E(x, y) -> T(x, y). rec: T(x, y), E(y, z) -> T(x, z).",
@@ -63,9 +61,8 @@ def _compare(program, database, goal, repeats=1):
     """Time every strategy on one workload; assert identical results.
 
     With ``repeats`` > 1 each strategy runs that many times and the best
-    wall-clock is reported (the workloads feeding the planned-vs-semi-naive
-    CI gate use best-of-2 to keep the ratio stable against scheduler
-    noise).
+    wall-clock is reported (best-of-2 keeps the ratios of the short
+    workloads stable against scheduler noise).
     """
     timings = {}
     results = {}
@@ -75,24 +72,18 @@ def _compare(program, database, goal, repeats=1):
             seconds, result = _timed(program, database, strategy)
             best = min(best, seconds)
         timings[strategy], results[strategy] = best, result
-    baseline = set(results["naive"].database.facts(goal))
-    for strategy in STRATEGIES[1:]:
-        assert set(results[strategy].database.facts(goal)) == baseline, (
-            f"{strategy} diverged from naive on {goal}"
-        )
+    assert set(results["planned"].database.facts(goal)) == set(
+        results["naive"].database.facts(goal)
+    ), f"planned diverged from naive on {goal}"
     return timings, results["naive"]
 
 
 def _with_speedups(seconds):
-    """A workload payload entry: raw seconds plus the gated ratios."""
+    """A workload payload entry: raw seconds plus the speedup ratio."""
     return {
         "seconds": seconds,
         "planned_speedup_vs_naive": (
             seconds["naive"] / seconds["planned"]
-            if seconds["planned"] else None
-        ),
-        "planned_speedup_vs_seminaive": (
-            seconds["semi-naive"] / seconds["planned"]
             if seconds["planned"] else None
         ),
     }
@@ -163,7 +154,7 @@ def _measure_obs_overhead(repeats=5):
 
 
 def run(quick=False):
-    """Measure all strategies across the workloads; emit BENCH_engine.json."""
+    """Measure both strategies across the workloads; emit BENCH_engine.json."""
     sizes = TC_SIZES_QUICK if quick else TC_SIZES
     payload = {"quick": quick, "transitive_closure": [], "workloads": {}}
     tracer = obs.Tracer()
@@ -176,11 +167,7 @@ def run(quick=False):
                 "nodes": nodes,
                 "edges": edges,
                 "derivations": len(reference.records),
-                "seconds": timings,
-                "planned_speedup_vs_naive": (
-                    timings["naive"] / timings["planned"]
-                    if timings["planned"] else None
-                ),
+                **_with_speedups(timings),
             })
 
         application = company_control.build()
@@ -230,13 +217,8 @@ def run(quick=False):
 
 
 def check(payload):
-    """The regression gates.
-
-    * planned ≥ 2x naive on the largest transitive-closure size;
-    * planned ≥ 1.0x semi-naive on the ownership-network and
-      control-chain workloads — the compiled kernels must never lose to
-      the tuple-at-a-time semi-naive walk on any bundled workload.
-    """
+    """The regression gate: planned ≥ 2x naive on the largest
+    transitive-closure size, and never slower at any size."""
     largest = payload["transitive_closure"][-1]
     speedup = largest["planned_speedup_vs_naive"]
     assert speedup is not None and speedup >= 2.0, (
@@ -248,12 +230,6 @@ def check(payload):
         assert seconds["planned"] <= seconds["naive"], (
             f"planned slower than naive at {entry['nodes']} nodes"
         )
-    for name, workload in payload["workloads"].items():
-        ratio = workload["planned_speedup_vs_seminaive"]
-        assert ratio is not None and ratio >= 1.0, (
-            f"planned strategy lost to semi-naive on {name}: "
-            f"{ratio:.2f}x (need ≥ 1.0x)"
-        )
 
 
 def test_transitive_closure_scaling(benchmark):
@@ -263,7 +239,6 @@ def test_transitive_closure_scaling(benchmark):
         "engine_scaling_transitive_closure",
         f"random graph (50 nodes, 120 edges): "
         f"naive {timings['naive'] * 1000:.0f} ms, "
-        f"semi-naive {timings['semi-naive'] * 1000:.0f} ms, "
         f"planned {timings['planned'] * 1000:.0f} ms "
         f"({timings['naive'] / timings['planned']:.1f}x), "
         f"{len(reference.records)} derivations",
@@ -285,14 +260,13 @@ def test_ownership_network_scaling(benchmark):
         "engine_scaling_ownership",
         f"ownership network (30 entities, 90 stakes): "
         f"naive {timings['naive'] * 1000:.0f} ms, "
-        f"semi-naive {timings['semi-naive'] * 1000:.0f} ms, "
         f"planned {timings['planned'] * 1000:.0f} ms; "
         f"controls derived: {len(reference.database.facts('Control'))}",
     )
 
 
 def test_long_chain_scaling(benchmark):
-    """Control chains: the semi-naive delta shrinks to one fact per round,
+    """Control chains: the delta window shrinks to one fact per round,
     where naive re-joins the whole instance every round."""
     scenario = generators.control_chain(40, seed=3)
     timings, _reference = once(
@@ -302,7 +276,6 @@ def test_long_chain_scaling(benchmark):
     emit(
         "engine_scaling_chain",
         f"40-hop control chain: naive {timings['naive'] * 1000:.0f} ms, "
-        f"semi-naive {timings['semi-naive'] * 1000:.0f} ms, "
         f"planned {timings['planned'] * 1000:.0f} ms",
     )
 

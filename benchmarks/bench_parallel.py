@@ -1,28 +1,19 @@
-"""Multi-core scale-out: process-backed serving + shard-parallel chase.
+"""Multi-core scale-out: thread- vs process-backed serving.
 
-Two claims under measurement, both capped by the GIL before this PR:
+One claim under measurement: a CPU-bound request mix (distinct why-not
+probes, every one a memo miss doing real counterfactual search) is
+driven against the same snapshot twice: once on the ``thread`` backend
+(all sessions behind one GIL) and once on the ``process`` backend at
+1/2/4 workers.  On a ≥4-core machine the process backend is expected to
+clear **2x** the thread backend's throughput at 4 workers; on smaller
+machines the speedup key is omitted and the gate skips (``optional:
+true`` in ``gates.json``).
 
-1. **Serving throughput** — a CPU-bound request mix (distinct why-not
-   probes, every one a memo miss doing real counterfactual search) is
-   driven against the same snapshot twice: once on the ``thread``
-   backend (all sessions behind one GIL) and once on the ``process``
-   backend at 1/2/4 workers.  On a ≥4-core machine the process backend
-   must clear **2x** the thread backend's throughput at 4 workers; on
-   smaller machines the speedup keys are omitted and the gate skips
-   (``optional: true`` in ``gates.json``).
-2. **Chase wall time** — a multi-component ownership workload (disjoint
-   renamed copies of a recursive control chain) is chased with
-   ``strategy="planned"`` and ``strategy="parallel"`` at 1/2/4
-   processes, with a full result-signature parity check.
-
-A byte-parity sweep then proves determinism where it matters: for every
-bundled application instance (and the multi-component unions) the
-parallel chase must reproduce the planned chase **exactly** — records,
-order, rounds, delta sizes, stats, violations — with zero fallbacks on
-shardable programs.
+(The shard-parallel chase this file also used to measure was retired:
+DESIGN.md §14 records the negative result.)
 
 Emits ``BENCH_parallel.json`` + ``BENCH_parallel_stats.json``; CI gates
-parity/fallbacks (and throughput on big-enough runners) via the
+serve errors (and throughput on big-enough runners) via the
 ``parallel`` suite in ``benchmarks/gates.json``.
 
 Runs standalone (``python benchmarks/bench_parallel.py [--quick]``) or
@@ -38,81 +29,15 @@ import os
 import threading
 import time
 
-from repro import obs
-from repro.apps import figures, generators
-from repro.datalog.atoms import Atom
-from repro.datalog.terms import Constant
-from repro.engine import ChaseEngine, Database
+from repro.apps import generators
 from repro.io import dumps_database
-from repro.obs.metrics import MetricsRegistry, ServiceMetrics
+from repro.obs.metrics import ServiceMetrics
 from repro.serve import ExplanationServer, ServeConfig
 
 from _harness import RESULTS_DIR, Phases, append_history, emit_stats
 
 #: Worker counts swept on the process backend.
 WORKER_SWEEP = (1, 2, 4)
-
-#: Every bundled application instance, for the chase parity sweep.
-PARITY_SCENARIOS = (
-    lambda: figures.figure8_instance(),
-    lambda: figures.figure12_stress_instance(),
-    lambda: figures.figure12_control_instance(),
-    lambda: figures.figure15_instance(),
-    lambda: generators.close_links_common_control(seed=0),
-    lambda: generators.control_with_steps(6, seed=1),
-    lambda: generators.stress_with_steps(6, seed=1),
-)
-
-#: Multi-component workloads: disjoint renamed unions, so the EDB
-#: decomposes into as many weakly-connected components as copies.
-UNION_WORKLOADS = (
-    ("control_union", lambda: generators.control_with_steps(7, seed=2), 6),
-    ("stress_union", lambda: generators.stress_with_steps(5, seed=2), 4),
-)
-
-
-def _suffix(term, copy):
-    if isinstance(term, Constant) and isinstance(term.value, str):
-        return Constant(f"{term.value}@{copy}")
-    return term
-
-
-def _union_of(build, copies):
-    base = build()
-    facts = [
-        Atom(f.predicate, tuple(_suffix(t, copy) for t in f.terms))
-        for copy in range(copies)
-        for f in base.database.facts()
-    ]
-    return base.application.program, Database(facts)
-
-
-def _signature(result):
-    """The full determinism contract: records, order, stats, violations."""
-    return (
-        tuple(
-            (
-                record.index, record.round, record.rule.label,
-                str(record.fact),
-                tuple(str(parent) for parent in record.parents),
-                tuple(
-                    (str(c.value), tuple(str(f) for f in c.facts))
-                    for c in record.contributors
-                ),
-            )
-            for record in result.records
-        ),
-        tuple(str(f) for f in result.database.facts()),
-        result.stats.rounds,
-        tuple(result.stats.rounds_per_stratum),
-        tuple(result.stats.delta_sizes),
-        dict(result.stats.rule_firings),
-        tuple(
-            (v.constraint.label, tuple(str(w) for w in v.witnesses))
-            for v in result.violations
-        ),
-        tuple(sorted(str(f) for f in result.superseded)),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +97,7 @@ def _measure_backend(scenario, snapshot, backend, workers, duration_s,
     server = ExplanationServer(
         scenario.application, snapshot=snapshot,
         config=ServeConfig(
-            workers=workers, backend=backend, strategy="planned",
+            workers=workers, backend=backend,
             queue_limit=max(64, concurrency * 4), default_deadline_s=60.0,
             slo_period_s=60.0, slo_interval_requests=10_000,
         ),
@@ -255,85 +180,6 @@ def _serve_sweep(duration_s, concurrency, phases):
     return section
 
 
-# ----------------------------------------------------------------------
-# Chase wall time + parity
-# ----------------------------------------------------------------------
-
-def _chase_sweep(phases):
-    name, build, copies = UNION_WORKLOADS[0]
-    program, database = _union_of(build, copies)
-    with phases.phase("chase_planned"):
-        started = time.perf_counter()
-        planned = ChaseEngine(strategy="planned").run(
-            program, database.copy()
-        )
-        planned_s = time.perf_counter() - started
-    reference = _signature(planned)
-    times = {}
-    identical = True
-    cores = os.cpu_count() or 1
-    with phases.phase("chase_parallel"):
-        for processes in (1, 2, 4):
-            started = time.perf_counter()
-            result = ChaseEngine(
-                strategy="parallel", processes=processes
-            ).run(program, database.copy())
-            times[str(processes)] = round(time.perf_counter() - started, 6)
-            identical = identical and _signature(result) == reference
-    section = {
-        "workload": name,
-        "components": copies,
-        "facts": len(database.facts()),
-        "records": len(planned.records),
-        "planned_s": round(planned_s, 6),
-        "parallel_s": times,
-        "identical": identical,
-        "cores": cores,
-    }
-    if cores >= 4 and times["4"] > 0:
-        section["speedup_4p"] = round(planned_s / times["4"], 3)
-    return section
-
-
-def _parity_sweep(phases):
-    """Planned-vs-parallel signature parity over every bundled app and
-    the multi-component unions, counting unexpected fallbacks."""
-    scenarios = 0
-    fallbacks = 0
-    divergences = []
-    workloads = [
-        (getattr(build, "__name__", f"scenario_{i}"),
-         lambda build=build: (
-             (lambda s: (s.application.program, s.database))(build())
-         ))
-        for i, build in enumerate(PARITY_SCENARIOS)
-    ] + [
-        (name, lambda build=build, copies=copies: _union_of(build, copies))
-        for name, build, copies in UNION_WORKLOADS
-    ]
-    with phases.phase("parity"):
-        for name, load in workloads:
-            program, database = load()
-            planned = ChaseEngine(strategy="planned").run(
-                program, database.copy()
-            )
-            registry = MetricsRegistry()
-            with obs.observed(metrics=registry):
-                parallel = ChaseEngine(strategy="parallel").run(
-                    program, database.copy()
-                )
-            fallbacks += registry.counter_value("engine.parallel_fallback")
-            if _signature(planned) != _signature(parallel):
-                divergences.append(name)
-            scenarios += 1
-    return {
-        "scenarios": scenarios,
-        "identical": not divergences,
-        "divergences": divergences,
-        "unexpected_fallbacks": fallbacks,
-    }
-
-
 def run(quick=False):
     duration_s = 2.0 if quick else 6.0
     concurrency = 4 if quick else 8
@@ -341,8 +187,6 @@ def run(quick=False):
     phases = Phases()
     metrics = ServiceMetrics()
     payload["serve"] = _serve_sweep(duration_s, concurrency, phases)
-    payload["chase"] = _chase_sweep(phases)
-    payload["parity"] = _parity_sweep(phases)
 
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_parallel.json"
@@ -360,20 +204,11 @@ def run(quick=False):
 
 
 def check(payload):
-    """Determinism is unconditional; the speedups are core-gated."""
+    """Zero errors is unconditional; the speedup is core-gated."""
     serve = payload["serve"]
     assert serve["errors"] == 0, f"serve errors: {serve['failures']}"
     assert serve["thread_rps_4w"] > 0
     assert all(rps > 0 for rps in serve["process_rps"].values())
-    chase = payload["chase"]
-    assert chase["identical"], "parallel chase diverged from planned"
-    assert chase["records"] > 0
-    parity = payload["parity"]
-    assert parity["identical"], f"parity diverged: {parity['divergences']}"
-    assert parity["unexpected_fallbacks"] == 0, (
-        f"{parity['unexpected_fallbacks']} shardable programs fell back"
-    )
-    assert parity["scenarios"] == len(PARITY_SCENARIOS) + len(UNION_WORKLOADS)
     if serve["cores"] >= 4:
         assert "speedup_process_vs_thread_4w" in serve
 

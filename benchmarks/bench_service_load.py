@@ -173,7 +173,7 @@ def _run_load(duration_s, concurrency, workers, phases):
         scenario.application, snapshot=snapshot,
         config=ServeConfig(
             workers=workers, queue_limit=max(64, concurrency * 4),
-            default_deadline_s=30.0, strategy="planned",
+            default_deadline_s=30.0,
         ),
         llm=None,
     )
@@ -278,7 +278,7 @@ def _parity_sweep():
         ] or [scenario.target]
         server = ExplanationServer(
             scenario.application, snapshot=snapshot,
-            config=ServeConfig(workers=1, strategy="planned"),
+            config=ServeConfig(workers=1),
             llm=None,
         )
         handle = server.run_in_thread()

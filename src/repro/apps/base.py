@@ -49,7 +49,7 @@ class KGApplication:
     def reason(
         self,
         facts: Database | Iterable[Fact],
-        strategy: str = "naive",
+        strategy: str = "planned",
     ) -> ReasoningResult:
         """Materialize the application over an extensional database."""
         return reason(self.program, facts, strategy=strategy)

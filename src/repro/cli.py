@@ -53,6 +53,7 @@ from .apps.base import ScenarioInstance
 from .core.compiler import CompilationError
 from .core.service import ExplanationService, ServiceMetrics
 from .core.structural import StructuralAnalysis
+from .engine import ChaseEngine
 from .io import (
     load_facts, load_glossary, load_program, parse_fact,
     save_compiled_program,
@@ -220,13 +221,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics", action="store_true",
         help=(
             "print service hit/miss/latency counters after the run "
-            "(under --strategy planned this includes kernel telemetry: "
+            "(this includes kernel telemetry: "
             "chase.kernels_compiled / chase.kernel_execs counters, "
             "chase.kernel_compile_s latency and the chase.symbols "
             "symbol-table gauge)"
         ),
     )
     _add_resilience_arguments(parser)
+    _add_strategy_argument(parser)
     _add_obs_arguments(parser)
     return parser
 
@@ -240,17 +242,17 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
             "'slow:5:0.2,drop:2' (see README, Fault tolerance)"
         ),
     )
+
+
+def _add_strategy_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--strategy", choices=("naive", "semi-naive", "planned", "parallel"),
-        default="naive",
+        "--strategy", choices=ChaseEngine.STRATEGIES,
+        default=ChaseEngine.STRATEGIES[0],
         help=(
-            "chase evaluation strategy (semi-naive is faster on recursive "
-            "workloads; planned compiles selectivity-ordered join plans "
-            "into rule kernels over the interned columnar store and is "
-            "fastest on join-heavy programs; parallel partitions the EDB "
-            "by weakly-connected component and runs planned kernels per "
-            "shard, falling back to single-shard when rules join across "
-            "components; default: naive)"
+            "chase evaluation strategy: planned is the engine (compiled "
+            "join kernels over the interned columnar store); naive is "
+            "its reference oracle, byte-identical and slower "
+            "(default: %(default)s)"
         ),
     )
 
@@ -468,6 +470,7 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
         help="run a canonical workload and explain its derived facts",
     )
     add_workload_arguments(explain)
+    _add_strategy_argument(explain)
     explain.add_argument(
         "--query", metavar="FACT", help="explain one derived fact only"
     )
@@ -494,6 +497,7 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
         help="run a canonical workload and print its stats document",
     )
     add_workload_arguments(stats)
+    _add_strategy_argument(stats)
     stats.add_argument(
         "--format", choices=("json", "prometheus"), default="json",
         help="stats rendering (default: json stats document)",
@@ -539,9 +543,6 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
         help="default per-request budget in seconds when the request "
              "carries no deadline_s (default: %(default)s)",
     )
-    # Serving is the production path: default to the compiled-kernel
-    # strategy (like 'obs top') instead of the naive reference chase.
-    serve.set_defaults(strategy="planned")
     return parser
 
 
@@ -620,7 +621,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host, port=args.port, workers=args.workers,
         backend=args.backend,
         queue_limit=args.queue_limit, default_deadline_s=args.deadline_s,
-        strategy=args.strategy,
     )
     server = ExplanationServer(
         scenario.application, database=scenario.database,
@@ -632,7 +632,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {args.app} on http://{ready.host}:{ready.port} "
             f"({config.workers} {config.backend} workers, "
-            f"strategy={args.strategy}, "
             f"warm-start {warm:.3f}s; Ctrl-C or SIGTERM to stop)",
             flush=True,
         )
@@ -688,8 +687,7 @@ def _build_obs_parser() -> argparse.ArgumentParser:
         help="ranking column (default: wall_s)",
     )
     _add_resilience_arguments(top)
-    # Kernels only exist under the planned strategy; a live profile run
-    # defaults to it instead of naive.
+    # Kernels only exist in the planned engine, not in its oracle.
     top.set_defaults(strategy="planned", command="obs")
 
     diff = subparsers.add_parser(

@@ -41,14 +41,6 @@ from .validation import missing_tokens
 #: The paper's enhancement prompt (Section 4.2).
 ENHANCEMENT_PROMPT = "Rephrase the following text: "
 
-#: Deprecated alias (one release): callers that caught bare
-#: ``RuntimeError`` around enhancement should migrate to the typed
-#: taxonomy — ``ResilienceError`` and its subclasses ``TransientLLMError``
-#: / ``PermanentLLMError`` / ``DeadlineExceeded`` / ``CircuitOpen`` in
-#: :mod:`repro.resilience`.  The alias (and the ``RuntimeError`` base of
-#: the taxonomy) keeps old handlers working in the meantime.
-EnhancementError = ResilienceError
-
 
 class SupportsComplete(Protocol):
     """Anything that looks like an LLM client (see :mod:`repro.llm`)."""

@@ -479,7 +479,7 @@ class ExplanationSession:
             fingerprint=self.compiled.fingerprint,
             adds=len(adds), retracts=len(retracts),
         ) as flight, _Timed(self.service.metrics, "update"):
-            engine = ChaseEngine(strategy="planned", max_rounds=max_rounds)
+            engine = ChaseEngine(max_rounds=max_rounds)
             outcome = engine.update(
                 self.compiled.program, self.result.chase_result,
                 adds, retracts,
@@ -508,7 +508,7 @@ class ExplanationSession:
         self,
         database: Database | Iterable[Fact],
         max_rounds: int = 10_000,
-        strategy: str = "naive",
+        strategy: str = "planned",
     ) -> "ExplanationSession":
         """Re-materialize this session over new data, in place.
 
@@ -690,7 +690,7 @@ class ExplanationService:
         glossary: DomainGlossary | None = None,
         llm: SupportsComplete | None = _UNSET,  # type: ignore[assignment]
         max_rounds: int = 10_000,
-        strategy: str = "naive",
+        strategy: str = "planned",
     ) -> ExplanationSession:
         """Accept one (program, database) workload.
 
@@ -698,8 +698,8 @@ class ExplanationService:
         :class:`~repro.apps.base.KGApplication` (its glossary is used) or
         a bare :class:`~repro.datalog.program.Program` plus ``glossary``.
         Compiles (or reuses) the artifact, runs the chase over
-        ``database`` with the chosen evaluation ``strategy`` (naive,
-        semi-naive or planned) and returns the bound session.
+        ``database`` with the chosen evaluation ``strategy`` (the
+        planned engine, or its naive oracle) and returns the bound session.
         """
         program, chosen_glossary = _unpack_application(
             application_or_program, glossary

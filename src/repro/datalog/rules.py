@@ -18,6 +18,7 @@ throughout the structural analysis, the reasoning-path notation
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .aggregates import AggregateSpec
@@ -148,6 +149,37 @@ class Rule:
             if atom.predicate not in seen:
                 seen.append(atom.predicate)
         return tuple(seen)
+
+    @cached_property
+    def aggregate_split(
+        self,
+    ) -> tuple[
+        tuple[Comparison, ...], tuple[Comparison, ...], tuple[Variable, ...]
+    ]:
+        """``(pre, post, key_vars)``: how an aggregate rule is evaluated.
+
+        ``pre`` conditions filter body matches; ``post`` conditions read
+        the aggregate result and filter whole groups.  Groups are keyed
+        by the head variables plus any body variable a post-aggregation
+        condition needs (e.g. the creditor's capital p2 in σ7's
+        "l > p2") — those must be fixed within a group for the condition
+        to be evaluable.  A plain rule has only ``pre`` conditions.
+        """
+        aggregate = self.aggregate
+        if aggregate is None:
+            return self.conditions, (), ()
+        pre = tuple(
+            c for c in self.conditions if aggregate.result not in c.variables()
+        )
+        post = tuple(
+            c for c in self.conditions if aggregate.result in c.variables()
+        )
+        key_vars = list(aggregate.group_by)
+        for condition in post:
+            for variable in sorted(condition.variables(), key=lambda v: v.name):
+                if variable != aggregate.result and variable not in key_vars:
+                    key_vars.append(variable)
+        return pre, post, tuple(key_vars)
 
     @property
     def head_predicate(self) -> str:

@@ -17,16 +17,6 @@ from .chase import (
 )
 from .chase_graph import ChaseEdge, ChaseGraph
 from .database import Database
-from .partition import (
-    Partition,
-    PartitionAnalysis,
-    ShardOutcome,
-    analyze_program,
-    merge_shard_results,
-    partition_database,
-    run_shard,
-)
-from .join import execute_rule_plan
 from .kernels import RuleKernel, compile_rule_kernel
 from .planner import JoinPlan, JoinStep, RulePlan, plan_conjunction, plan_rule
 from .provenance import DerivationSpine, ProvenanceTracker, SpineStep
@@ -47,24 +37,16 @@ __all__ = [
     "DerivationSpine",
     "JoinPlan",
     "JoinStep",
-    "Partition",
-    "PartitionAnalysis",
     "ProvenanceIndex",
     "ProvenanceTracker",
     "ReasoningResult",
     "RuleKernel",
     "RulePlan",
-    "ShardOutcome",
     "SpineStep",
     "SymbolTable",
-    "analyze_program",
     "chase",
     "compile_rule_kernel",
-    "execute_rule_plan",
-    "merge_shard_results",
-    "partition_database",
     "plan_conjunction",
     "plan_rule",
     "reason",
-    "run_shard",
 ]

@@ -4,8 +4,11 @@ The chase enforces a rule set Σ over a database D, incrementally adding the
 facts entailed by rule applications until fixpoint (paper, Section 3).  Our
 implementation:
 
-* evaluates rules round-by-round (naive evaluation) in program order, which
-  makes runs fully deterministic;
+* evaluates rules round-by-round in program order over compiled join
+  kernels (:mod:`repro.engine.planner`, :mod:`repro.engine.kernels`), each
+  rule re-joining only the facts added since its own last turn; matches
+  fire in insertion-sequence order, which makes runs fully deterministic
+  and byte-identical to the naive oracle (:mod:`repro.engine.reference`);
 * supports **monotonic aggregations**: an aggregate rule is evaluated
   set-at-a-time per group; when recursion lets a group's aggregate grow, a
   new fact with the larger value is derived and the previous fact from the
@@ -26,15 +29,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .. import obs
-from ..datalog.atoms import Atom, Fact
-from ..datalog.conditions import (
-    Comparison,
-    evaluate_assignment,
-    evaluate_expression,
-)
+from ..datalog.atoms import Fact
+from ..datalog.conditions import evaluate_expression
 from ..datalog.errors import DatalogError, EvaluationError
 from ..datalog.program import Program
 from ..datalog.rules import Constraint, Rule
@@ -42,9 +41,9 @@ from ..datalog.stratification import stratify
 from ..datalog.terms import Constant, NullFactory, Term, Variable
 from ..datalog.unify import MutableSubstitution, apply_substitution
 from .database import Database
-from .join import execute_rule_plan, group_by_predicate
-from .kernels import RuleKernel, compile_rule_kernel
-from .planner import RulePlan, plan_rule
+from .kernels import Match, RuleKernel, compile_rule_kernel
+from .planner import plan_rule
+from .reference import match_conjunction, naive_stratum
 
 
 class ChaseError(DatalogError):
@@ -239,41 +238,22 @@ class ChaseEngine:
         considers programs whose termination is guaranteed, so hitting the
         limit raises :class:`ChaseError` rather than truncating silently.
     strategy:
-        ``"naive"`` re-evaluates every rule against the whole instance in
-        every round; ``"semi-naive"`` restricts plain-rule joins to
-        homomorphisms touching the previous round's delta — same facts and
-        provenance, less join work on recursive workloads;
-        ``"planned"`` additionally compiles each rule body into a
+        ``"planned"`` (the engine) compiles each rule body into a
         selectivity-ordered hash-join plan at stratum entry
-        (:mod:`repro.engine.planner`), then compiles the plan into a
-        specialized closure kernel (:mod:`repro.engine.kernels`) that
-        joins over the database's interned-id columns, firing matches in
-        naive enumeration order so derived facts and provenance stay
-        byte-identical to ``naive``;
-        ``"parallel"`` partitions the EDB into weakly-connected
-        components (:mod:`repro.engine.partition`) and chases each shard
-        with the planned strategy — serially in-process or, with
-        ``processes`` > 1, across a spawn-based process pool — then
-        merges the shards deterministically so records, provenance and
-        explanations stay byte-identical to ``planned``.  Programs
-        outside the shard-safe fragment fall back to single-shard
-        planned, counted by the ``engine.parallel_fallback`` metric.
-    processes:
-        Process-pool width for the ``parallel`` strategy.  ``None`` or
-        ``1`` chases shards serially in-process (no pickling, no spawn
-        cost — still useful for parity testing and on one core);
-        larger values fan shards out over ``concurrent.futures``.
+        (:mod:`repro.engine.planner`), lowers the plan to a specialized
+        closure kernel (:mod:`repro.engine.kernels`) that joins over the
+        database's interned-id columns, and fires matches in naive
+        enumeration order.  ``"naive"`` (the oracle,
+        :mod:`repro.engine.reference`) re-evaluates every rule against the
+        whole instance in every round with a generic conjunction walk; it
+        exists so tests and parity benchmarks have ground truth, and must
+        produce byte-identical facts and provenance.
     """
 
-    #: Supported evaluation strategies.
-    STRATEGIES = ("naive", "semi-naive", "planned", "parallel")
+    #: Supported evaluation strategies: the engine, then its oracle.
+    STRATEGIES = ("planned", "naive")
 
-    def __init__(
-        self,
-        max_rounds: int = 10_000,
-        strategy: str = "naive",
-        processes: int | None = None,
-    ):
+    def __init__(self, max_rounds: int = 10_000, strategy: str = "planned"):
         if strategy not in self.STRATEGIES:
             raise ValueError(
                 f"unknown chase strategy {strategy!r}; "
@@ -281,7 +261,6 @@ class ChaseEngine:
             )
         self.max_rounds = max_rounds
         self.strategy = strategy
-        self.processes = processes
 
     # ------------------------------------------------------------------
     # Public API
@@ -295,8 +274,6 @@ class ChaseEngine:
         are checked against the final instance and reported as
         ``result.violations``.
         """
-        if self.strategy == "parallel":
-            return self._run_parallel(program, database)
         working = database.copy()
         result = ChaseResult(program=program, database=working)
         nulls = NullFactory()
@@ -336,7 +313,7 @@ class ChaseEngine:
                 with obs.span(
                     "chase.constraints", constraints=len(program.constraints)
                 ):
-                    self._check_constraints(program, result)
+                    check_constraints(program, result)
             finally:
                 if chase_phase is not None:
                     chase_phase.__exit__(None, None, None)
@@ -410,112 +387,6 @@ class ChaseEngine:
             flush_update_metrics(outcome)
             return outcome
 
-    def _run_parallel(self, program: Program, database: Database) -> ChaseResult:
-        """Shard-parallel chase: partition, chase per shard, merge.
-
-        Falls back to single-shard ``planned`` (same engine settings)
-        when the program is outside the shard-safe fragment or the EDB
-        forms a single component — the fallback is a correctness choice,
-        never an error, and is visible through the
-        ``engine.parallel_fallback`` / ``engine.parallel_single_shard``
-        counters and a flight event.
-        """
-        from .partition import (
-            analyze_program,
-            merge_shard_results,
-            partition_database,
-            run_shard,
-            _run_shard_payload,
-        )
-
-        flight = obs.current_flight()
-        analysis = analyze_program(program, database)
-        if not analysis.shardable:
-            obs.incr("engine.parallel_fallback")
-            if flight is not None:
-                flight.event(
-                    "parallel_fallback",
-                    program=program.name,
-                    reasons=list(analysis.reasons[:4]),
-                )
-            return self._single_shard_engine().run(program, database)
-        partition = partition_database(database, analysis)
-        if partition.count <= 1:
-            obs.incr("engine.parallel_single_shard")
-            return self._single_shard_engine().run(program, database)
-
-        stats: ChaseStats
-        with obs.span(
-            "chase.run",
-            program=program.name,
-            strategy=self.strategy,
-            shards=partition.count,
-        ) as run_span:
-            chase_phase = (
-                flight.phase("chase") if flight is not None else None
-            )
-            if chase_phase is not None:
-                chase_phase.__enter__()
-            try:
-                width = min(self.processes or 1, partition.count)
-                with obs.span(
-                    "chase.shards", shards=partition.count, processes=width
-                ):
-                    if width > 1:
-                        import multiprocessing
-                        from concurrent.futures import ProcessPoolExecutor
-
-                        payloads = [
-                            (program, facts, self.max_rounds)
-                            for facts in partition.shards
-                        ]
-                        with ProcessPoolExecutor(
-                            max_workers=width,
-                            mp_context=multiprocessing.get_context("spawn"),
-                        ) as pool:
-                            outcomes = list(
-                                pool.map(_run_shard_payload, payloads)
-                            )
-                    else:
-                        outcomes = [
-                            run_shard(program, facts, self.max_rounds)
-                            for facts in partition.shards
-                        ]
-                with obs.span("chase.merge", shards=partition.count):
-                    result = merge_shard_results(program, database, outcomes)
-                stats = result.stats
-                with obs.span(
-                    "chase.constraints", constraints=len(program.constraints)
-                ):
-                    self._check_constraints(program, result)
-            finally:
-                if chase_phase is not None:
-                    chase_phase.__exit__(None, None, None)
-            stats.violations = len(result.violations)
-            stats.symbols = len(result.database.symbols)
-            run_span.set(
-                rounds=result.rounds,
-                facts_derived=stats.facts_derived,
-                violations=stats.violations,
-            )
-        obs.incr("engine.parallel_runs")
-        obs.set_gauge("engine.parallel_shards", partition.count)
-        if flight is not None:
-            flight.count("chase_runs")
-            flight.count("chase_rounds", stats.rounds)
-            flight.count("chase_facts_derived", stats.facts_derived)
-            if stats.violations:
-                flight.event(
-                    "constraint_violations",
-                    program=program.name,
-                    violations=stats.violations,
-                )
-        self._flush_metrics(stats)
-        return result
-
-    def _single_shard_engine(self) -> "ChaseEngine":
-        return ChaseEngine(max_rounds=self.max_rounds, strategy="planned")
-
     @staticmethod
     def _flush_metrics(stats: ChaseStats) -> None:
         """Publish one run's aggregate counts to the ambient registry.
@@ -565,85 +436,6 @@ class ChaseEngine:
         aggregate_state: dict[tuple[str, tuple[Term, ...]], Fact],
         rounds_so_far: int,
     ) -> int:
-        if self.strategy == "semi-naive":
-            return self._run_stratum_semi_naive(
-                rules, result, nulls, aggregate_state, rounds_so_far
-            )
-        if self.strategy == "planned":
-            return self._run_stratum_planned(
-                rules, result, nulls, aggregate_state, rounds_so_far
-            )
-        for round_number in range(1, self.max_rounds + 1):
-            changed = False
-            for rule in rules:
-                if rule.has_aggregate:
-                    changed |= self._apply_aggregate_rule(
-                        rule, result, aggregate_state,
-                        rounds_so_far + round_number,
-                    )
-                else:
-                    changed |= self._apply_plain_rule(
-                        rule, result, nulls, rounds_so_far + round_number
-                    )
-            if not changed:
-                return round_number
-        raise ChaseError(
-            f"chase did not reach fixpoint within {self.max_rounds} rounds "
-            f"for program {result.program.name!r}"
-        )
-
-    def _run_stratum_semi_naive(
-        self,
-        rules,
-        result: ChaseResult,
-        nulls: NullFactory,
-        aggregate_state: dict[tuple[str, tuple[Term, ...]], Fact],
-        rounds_so_far: int,
-    ) -> int:
-        """Semi-naive evaluation: after the first round, a plain rule only
-        re-joins homomorphisms that touch at least one fact derived in the
-        previous round (the delta).  Aggregate rules are re-evaluated only
-        when the delta intersects their body predicates (their set-at-a-
-        time semantics needs the whole group anyway)."""
-        delta: frozenset[Fact] = frozenset(result.database.facts())
-        for round_number in range(1, self.max_rounds + 1):
-            before = len(result.records)
-            delta_predicates = {current.predicate for current in delta}
-            for rule in rules:
-                touched = any(
-                    predicate in delta_predicates
-                    for predicate in rule.body_predicates()
-                )
-                if not touched and round_number > 1:
-                    continue
-                if rule.has_aggregate:
-                    self._apply_aggregate_rule(
-                        rule, result, aggregate_state,
-                        rounds_so_far + round_number,
-                    )
-                else:
-                    self._apply_plain_rule(
-                        rule, result, nulls, rounds_so_far + round_number,
-                        delta=None if round_number == 1 else delta,
-                    )
-            new_records = result.records[before:]
-            result.stats.delta_sizes.append(len(new_records))
-            if not new_records:
-                return round_number
-            delta = frozenset(record.fact for record in new_records)
-        raise ChaseError(
-            f"chase did not reach fixpoint within {self.max_rounds} rounds "
-            f"for program {result.program.name!r}"
-        )
-
-    def _run_stratum_planned(
-        self,
-        rules,
-        result: ChaseResult,
-        nulls: NullFactory,
-        aggregate_state: dict[tuple[str, tuple[Term, ...]], Fact],
-        rounds_so_far: int,
-    ) -> int:
         """Delta-driven evaluation over compiled join plans.
 
         Each rule body is compiled once at stratum entry
@@ -660,14 +452,20 @@ class ChaseEngine:
         reproduces naive's visibility — and hence round numbers, firing
         order and provenance — exactly, while still never re-joining old
         facts against old facts.
+
+        ``strategy="naive"`` hands the stratum to the oracle's round loop
+        (:func:`repro.engine.reference.naive_stratum`) instead.
         """
+        if self.strategy == "naive":
+            return naive_stratum(
+                rules, result, nulls, aggregate_state, rounds_so_far,
+                self.max_rounds,
+            )
         stats = result.stats
-        plans: list[RulePlan] = []
         kernels: list[RuleKernel] = []
         with obs.span("chase.plan", rules=len(rules)):
             for rule in rules:
                 compiled = plan_rule(rule, result.database)
-                plans.append(compiled)
                 stats.plans_compiled += 1
                 entry = stats.plans.setdefault(rule.label, {})
                 entry.update(compiled.snapshot())
@@ -683,9 +481,7 @@ class ChaseEngine:
         body_predicates = [frozenset(rule.body_predicates()) for rule in rules]
         for round_number in range(1, self.max_rounds + 1):
             before_round = len(result.records)
-            for index, (rule, compiled, kernel) in enumerate(
-                zip(rules, plans, kernels)
-            ):
+            for index, (rule, kernel) in enumerate(zip(rules, kernels)):
                 seen_at_start = len(timeline)
                 window = timeline[last_seen[index]:]
                 last_seen[index] = seen_at_start
@@ -700,19 +496,25 @@ class ChaseEngine:
                     ):
                         continue
                 before_rule = len(result.records)
+                # Materialized before firing (firing must not see this
+                # turn's output).  Aggregates are re-evaluated whole —
+                # their set-at-a-time semantics needs every group member
+                # — but only when the window touches their body.
+                matches = kernel.execute(
+                    result.database,
+                    frozenset(result.superseded),
+                    None if rule.has_aggregate else delta_map,
+                    stats.plans.get(rule.label),
+                )
                 if rule.has_aggregate:
-                    # Aggregates are always re-evaluated whole (their
-                    # set-at-a-time semantics needs every group member),
-                    # but only when the window touches their body.
-                    self._apply_aggregate_rule(
-                        rule, result, aggregate_state,
-                        rounds_so_far + round_number, plan=compiled,
-                        kernel=kernel,
+                    fire_aggregate(
+                        rule, matches, result, aggregate_state,
+                        rounds_so_far + round_number,
                     )
                 else:
-                    self._apply_plain_rule(
-                        rule, result, nulls, rounds_so_far + round_number,
-                        plan=compiled, delta_map=delta_map, kernel=kernel,
+                    fire_plain(
+                        rule, matches, result, nulls,
+                        rounds_so_far + round_number,
                     )
                 timeline.extend(
                     record.fact for record in result.records[before_rule:]
@@ -726,264 +528,176 @@ class ChaseEngine:
             f"for program {result.program.name!r}"
         )
 
-    # ------------------------------------------------------------------
-    # Negative constraints
-    # ------------------------------------------------------------------
-    def _check_constraints(self, program: Program, result: ChaseResult) -> None:
-        exclude = frozenset(result.superseded)
-        for constraint in program.constraints:
-            result.stats.constraint_checks += 1
-            for binding, used in self._match_conjunction(
-                constraint.body, constraint.conditions, constraint.negated,
-                result, exclude,
-            ):
-                result.violations.append(
-                    ConstraintViolation(
-                        constraint=constraint,
-                        binding=dict(binding),
-                        witnesses=used,
-                    )
-                )
 
-    # ------------------------------------------------------------------
-    # Body matching
-    # ------------------------------------------------------------------
-    def _body_matches(
-        self,
-        rule: Rule,
-        result: ChaseResult,
-        conditions: tuple[Comparison, ...],
-        delta: frozenset[Fact] | None = None,
-        plan: RulePlan | None = None,
-        delta_map: dict[str, list[Fact]] | None = None,
-        kernel: RuleKernel | None = None,
-    ) -> Iterator[tuple[MutableSubstitution, tuple[Fact, ...]]]:
-        """Enumerate homomorphisms of the rule body into the active facts,
-        filtered by the given (pre-aggregation) conditions and by the
-        rule's negated atoms (no matching active fact may exist).
+def group_by_predicate(facts: Iterable[Fact]) -> dict[str, list[Fact]]:
+    """Group a delta by predicate, the form :meth:`RuleKernel.execute`
+    takes it in (one pass per rule turn)."""
+    grouped: dict[str, list[Fact]] = {}
+    for current in facts:
+        grouped.setdefault(current.predicate, []).append(current)
+    return grouped
 
-        With ``delta``, only homomorphisms using at least one delta fact
-        are produced (semi-naive evaluation), each exactly once.  With a
-        compiled ``plan``, the kernel executor replaces the
-        tuple-at-a-time walk (conditions and delta restriction are baked
-        into the compiled closures; ``delta_map`` carries the delta
-        grouped by predicate; ``kernel`` reuses the stratum's compiled
-        kernel) — matches come back in naive enumeration order.
-        """
-        exclude = frozenset(result.superseded)
-        if plan is not None:
-            yield from execute_rule_plan(
-                plan, result.database, exclude, delta_map,
-                stats=result.stats.plans.get(rule.label),
-                kernel=kernel,
-            )
-            return
-        if delta is None:
-            yield from self._match_conjunction(
-                rule.body, conditions, rule.negated, result, exclude,
-                assignments=rule.assignments,
-            )
-            return
-        seen: set[tuple[Fact, ...]] = set()
-        for pivot in range(len(rule.body)):
-            if not any(f.predicate == rule.body[pivot].predicate for f in delta):
-                continue
-            for binding, used in self._match_conjunction(
-                rule.body, conditions, rule.negated, result, exclude,
-                delta=delta, pivot=pivot, assignments=rule.assignments,
-            ):
-                if used not in seen:
-                    seen.add(used)
-                    yield binding, used
 
-    def _match_conjunction(
-        self,
-        atoms: tuple[Atom, ...],
-        conditions: tuple[Comparison, ...],
-        negated: tuple[Atom, ...],
-        result: ChaseResult,
-        exclude: frozenset[Fact],
-        delta: frozenset[Fact] | None = None,
-        pivot: int | None = None,
-        assignments: tuple = (),
-    ) -> Iterator[tuple[MutableSubstitution, tuple[Fact, ...]]]:
-        database = result.database
-
-        def negation_holds(binding: MutableSubstitution) -> bool:
-            for pattern in negated:
-                if next(database.match(pattern, binding, exclude), None) is not None:
-                    return False
-            return True
-
-        def recurse(
-            index: int, binding: MutableSubstitution, used: tuple[Fact, ...]
-        ) -> Iterator[tuple[MutableSubstitution, tuple[Fact, ...]]]:
-            if index == len(atoms):
-                for variable, expression in assignments:
-                    binding[variable] = evaluate_assignment(
-                        expression, binding
-                    )
-                if all(condition.holds(binding) for condition in conditions):
-                    if negation_holds(binding):
-                        yield binding, used
-                return
-            pattern = atoms[index]
-            for matched, extended in database.match(pattern, binding, exclude):
-                if index == pivot and delta is not None and matched not in delta:
-                    continue
-                yield from recurse(index + 1, extended, used + (matched,))
-
-        yield from recurse(0, {}, ())
-
-    # ------------------------------------------------------------------
-    # Plain (non-aggregate) rules
-    # ------------------------------------------------------------------
-    def _apply_plain_rule(
-        self,
-        rule: Rule,
-        result: ChaseResult,
-        nulls: NullFactory,
-        round_number: int,
-        delta: frozenset[Fact] | None = None,
-        plan: RulePlan | None = None,
-        delta_map: dict[str, list[Fact]] | None = None,
-        kernel: RuleKernel | None = None,
-    ) -> bool:
-        changed = False
-        # Materialize matches first: firing must not see this round's output.
-        matches = list(
-            self._body_matches(
-                rule, result, rule.conditions, delta,
-                plan=plan, delta_map=delta_map, kernel=kernel,
-            )
-        )
-        for binding, used in matches:
-            if rule.is_existential:
-                # Restricted chase: skip when the head is already satisfied
-                # (indexed lookup; pattern variables are the existentials).
-                head_pattern = apply_substitution(rule.head, binding)
-                if next(result.database.match(head_pattern), None) is not None:
-                    continue
-                for variable in rule.existentials:
-                    binding[variable] = nulls.fresh()
-            derived = apply_substitution(rule.head, binding)
-            if not derived.is_fact():
-                raise EvaluationError(
-                    f"rule {rule.label} produced non-ground head {derived}"
-                )
-            if result.database.add(derived):
-                changed = True
-                record = ChaseStepRecord(
-                    index=len(result.records),
-                    round=round_number,
-                    rule=rule,
-                    fact=derived,
-                    parents=used,
-                    binding=dict(binding),
-                )
-                result.records.append(record)
-                result.derivation[derived] = record
-                result.stats.record_firing(rule.label, derived.predicate)
-            else:
-                result.stats.facts_deduplicated += 1
-        return changed
-
-    # ------------------------------------------------------------------
-    # Aggregate rules
-    # ------------------------------------------------------------------
-    def _apply_aggregate_rule(
-        self,
-        rule: Rule,
-        result: ChaseResult,
-        aggregate_state: dict[tuple[str, tuple[Term, ...]], Fact],
-        round_number: int,
-        plan: RulePlan | None = None,
-        kernel: RuleKernel | None = None,
-    ) -> bool:
-        aggregate = rule.aggregate
-        assert aggregate is not None
-        pre = tuple(
-            c for c in rule.conditions if aggregate.result not in c.variables()
-        )
-        post = tuple(
-            c for c in rule.conditions if aggregate.result in c.variables()
-        )
-        # Group by the head variables plus any body variable a
-        # post-aggregation condition needs (e.g. the creditor's capital p2
-        # in σ7's "l > p2") — those must be fixed within a group for the
-        # condition to be evaluable.
-        key_vars = list(aggregate.group_by)
-        for condition in post:
-            for variable in sorted(condition.variables(), key=lambda v: v.name):
-                if variable != aggregate.result and variable not in key_vars:
-                    key_vars.append(variable)
-
-        groups: dict[tuple[Term, ...], list[Contribution]] = {}
-        for binding, used in self._body_matches(
-            rule, result, pre, plan=plan, kernel=kernel
+# ----------------------------------------------------------------------
+# Negative constraints
+# ----------------------------------------------------------------------
+def check_constraints(program: Program, result: ChaseResult) -> None:
+    """Append one violation per match of a constraint body in the final
+    instance (superseded aggregate values excluded)."""
+    exclude = frozenset(result.superseded)
+    for constraint in program.constraints:
+        result.stats.constraint_checks += 1
+        for binding, used in match_conjunction(
+            result.database, constraint.body, constraint.conditions,
+            constraint.negated, exclude,
         ):
-            key = tuple(binding[v] for v in key_vars)
-            value = evaluate_expression(aggregate.argument, binding)
-            groups.setdefault(key, []).append(
-                Contribution(facts=used, value=value, binding=dict(binding))
+            result.violations.append(
+                ConstraintViolation(
+                    constraint=constraint,
+                    binding=dict(binding),
+                    witnesses=used,
+                )
             )
 
-        changed = False
-        for key, contributions in groups.items():
-            value = aggregate.evaluate(c.value for c in contributions)
-            group_binding: MutableSubstitution = dict(zip(key_vars, key))
-            group_binding[aggregate.result] = Constant(value)
-            if not all(condition.holds(group_binding) for condition in post):
-                continue
-            derived = apply_substitution(rule.head, group_binding)
-            if not derived.is_fact():
-                raise EvaluationError(
-                    f"aggregate rule {rule.label} produced non-ground head "
-                    f"{derived}; check that all head variables are grouped"
-                )
-            state_key = (rule.label, key)
-            previous = aggregate_state.get(state_key)
-            if derived == previous:
-                continue
-            if result.database.add(derived):
-                changed = True
-                parents = self._dedupe_parents(contributions)
-                record = ChaseStepRecord(
-                    index=len(result.records),
-                    round=round_number,
-                    rule=rule,
-                    fact=derived,
-                    parents=parents,
-                    binding=group_binding,
-                    contributors=tuple(contributions),
-                    aggregate_value=value,
-                )
-                result.records.append(record)
-                result.derivation[derived] = record
-                result.stats.record_firing(rule.label, derived.predicate)
-                # Monotonic supersession: the refreshed aggregate replaces
-                # the stale value for future rule applications.
-                if previous is not None and previous != derived:
-                    result.superseded.add(previous)
-                aggregate_state[state_key] = derived
-            else:
-                result.stats.facts_deduplicated += 1
-        return changed
 
-    @staticmethod
-    def _dedupe_parents(contributions: list[Contribution]) -> tuple[Fact, ...]:
-        seen: dict[Fact, None] = {}
-        for contribution in contributions:
-            for parent in contribution.facts:
-                seen.setdefault(parent, None)
-        return tuple(seen)
+# ----------------------------------------------------------------------
+# Firing: body matches in, facts and provenance records out
+# ----------------------------------------------------------------------
+def fire_plain(
+    rule: Rule,
+    matches: Iterable[Match],
+    result: ChaseResult,
+    nulls: NullFactory,
+    round_number: int,
+) -> bool:
+    """Fire a plain rule on already-materialized body matches."""
+    changed = False
+    for binding, used in matches:
+        if rule.is_existential:
+            # Restricted chase: skip when the head is already satisfied
+            # (indexed lookup; pattern variables are the existentials).
+            head_pattern = apply_substitution(rule.head, binding)
+            if next(result.database.match(head_pattern), None) is not None:
+                continue
+            for variable in rule.existentials:
+                binding[variable] = nulls.fresh()
+        derived = apply_substitution(rule.head, binding)
+        if not derived.is_fact():
+            raise EvaluationError(
+                f"rule {rule.label} produced non-ground head {derived}"
+            )
+        if result.database.add(derived):
+            changed = True
+            record = ChaseStepRecord(
+                index=len(result.records),
+                round=round_number,
+                rule=rule,
+                fact=derived,
+                parents=used,
+                binding=dict(binding),
+            )
+            result.records.append(record)
+            result.derivation[derived] = record
+            result.stats.record_firing(rule.label, derived.predicate)
+        else:
+            result.stats.facts_deduplicated += 1
+    return changed
+
+
+def aggregate_group_head(
+    rule: Rule, key: tuple[Term, ...], contributions: Iterable[Contribution]
+) -> tuple[Fact, object, MutableSubstitution] | None:
+    """Evaluate one aggregate group set-at-a-time.
+
+    Returns ``(derived fact, aggregate value, group binding)``, or
+    ``None`` when a post-aggregation condition rejects the group.
+    """
+    aggregate = rule.aggregate
+    assert aggregate is not None
+    _pre, post, key_vars = rule.aggregate_split
+    value = aggregate.evaluate(c.value for c in contributions)
+    group_binding: MutableSubstitution = dict(zip(key_vars, key))
+    group_binding[aggregate.result] = Constant(value)
+    if not all(condition.holds(group_binding) for condition in post):
+        return None
+    derived = apply_substitution(rule.head, group_binding)
+    if not derived.is_fact():
+        raise EvaluationError(
+            f"aggregate rule {rule.label} produced non-ground head "
+            f"{derived}; check that all head variables are grouped"
+        )
+    return derived, value, group_binding
+
+
+def fire_aggregate(
+    rule: Rule,
+    matches: Iterable[Match],
+    result: ChaseResult,
+    aggregate_state: dict[tuple[str, tuple[Term, ...]], Fact],
+    round_number: int,
+) -> bool:
+    """Fire an aggregate rule on the body matches of its whole instance
+    (filtered by the pre-aggregation conditions only)."""
+    aggregate = rule.aggregate
+    assert aggregate is not None
+    key_vars = rule.aggregate_split[2]
+    groups: dict[tuple[Term, ...], list[Contribution]] = {}
+    for binding, used in matches:
+        key = tuple(binding[v] for v in key_vars)
+        value = evaluate_expression(aggregate.argument, binding)
+        groups.setdefault(key, []).append(
+            Contribution(facts=used, value=value, binding=dict(binding))
+        )
+
+    changed = False
+    for key, contributions in groups.items():
+        evaluated = aggregate_group_head(rule, key, contributions)
+        if evaluated is None:
+            continue
+        derived, value, group_binding = evaluated
+        state_key = (rule.label, key)
+        previous = aggregate_state.get(state_key)
+        if derived == previous:
+            continue
+        if result.database.add(derived):
+            changed = True
+            record = ChaseStepRecord(
+                index=len(result.records),
+                round=round_number,
+                rule=rule,
+                fact=derived,
+                parents=dedupe_parents(contributions),
+                binding=group_binding,
+                contributors=tuple(contributions),
+                aggregate_value=value,
+            )
+            result.records.append(record)
+            result.derivation[derived] = record
+            result.stats.record_firing(rule.label, derived.predicate)
+            # Monotonic supersession: the refreshed aggregate replaces
+            # the stale value for future rule applications.
+            if previous is not None:
+                result.superseded.add(previous)
+            aggregate_state[state_key] = derived
+        else:
+            result.stats.facts_deduplicated += 1
+    return changed
+
+
+def dedupe_parents(contributions: Iterable[Contribution]) -> tuple[Fact, ...]:
+    """The union of the contributions' body facts, first occurrence first."""
+    seen: dict[Fact, None] = {}
+    for contribution in contributions:
+        for parent in contribution.facts:
+            seen.setdefault(parent, None)
+    return tuple(seen)
 
 
 def chase(
     program: Program,
     database: Database,
     max_rounds: int = 10_000,
-    strategy: str = "naive",
+    strategy: str = "planned",
 ) -> ChaseResult:
     """Convenience wrapper: run the chase with a fresh engine."""
     return ChaseEngine(max_rounds=max_rounds, strategy=strategy).run(

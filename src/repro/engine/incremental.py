@@ -53,19 +53,22 @@ from ..datalog.errors import EvaluationError
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.stratification import stratify
-from ..datalog.terms import Constant, Term, Variable
+from ..datalog.terms import Term, Variable
 from ..datalog.unify import MutableSubstitution, apply_substitution, match_atom
 from .chase import (
-    ChaseEngine,
     ChaseError,
     ChaseResult,
     ChaseStepRecord,
     Contribution,
+    aggregate_group_head,
+    check_constraints,
+    dedupe_parents,
+    group_by_predicate,
 )
 from .database import Database
-from .join import group_by_predicate
 from .kernels import RuleKernel, compile_rule_kernel
 from .planner import RulePlan, plan_conjunction, plan_rule
+from .reference import match_conjunction
 
 #: A (stratum, local round, rule position) coordinate in the replay grid.
 Slot = tuple[int, int, int]
@@ -262,7 +265,6 @@ class _Replay:
         self.intensional = program.intensional_predicates()
 
         # --- static index of the old run ------------------------------
-        self.agg_meta: dict[str, tuple] = {}
         self.body_vars: dict[str, frozenset[Variable]] = {}
         #: fact -> the slot where the old run first derived it.
         self.old_slot_of: dict[Fact, Slot] = {}
@@ -299,7 +301,7 @@ class _Replay:
                 (local_round, position), []
             ).append(record)
             if record.contributors:
-                _, _, key_vars = self._aggregate_meta(record.rule)
+                key_vars = record.rule.aggregate_split[2]
                 key = tuple(record.binding[v] for v in key_vars)
                 group: GroupKey = (record.rule.label, key)
                 for contribution in record.contributors:
@@ -355,7 +357,7 @@ class _Replay:
         self.result.rounds = total_rounds
         self.stats.rounds = total_rounds
         self.stats.strata = len(self.rule_groups)
-        ChaseEngine()._check_constraints(self.program, self.result)
+        check_constraints(self.program, self.result)
         self.stats.violations = len(self.result.violations)
         self.stats.symbols = len(self.db.symbols)
         return self.result
@@ -531,7 +533,7 @@ class _Replay:
     ) -> int:
         aggregate = rule.aggregate
         assert aggregate is not None
-        pre, post, key_vars = self._aggregate_meta(rule)
+        pre, _post, key_vars = rule.aggregate_split
         label = rule.label
 
         def mark_dirty(binding: MutableSubstitution) -> None:
@@ -635,17 +637,10 @@ class _Replay:
                 )
             if not contributions:
                 continue
-            value = aggregate.evaluate(c.value for c in contributions)
-            group_binding: MutableSubstitution = dict(zip(key_vars, key))
-            group_binding[aggregate.result] = Constant(value)
-            if not all(condition.holds(group_binding) for condition in post):
+            evaluated = aggregate_group_head(rule, key, contributions)
+            if evaluated is None:
                 continue
-            derived = apply_substitution(rule.head, group_binding)
-            if not derived.is_fact():
-                raise EvaluationError(
-                    f"aggregate rule {rule.label} produced non-ground head "
-                    f"{derived}; check that all head variables are grouped"
-                )
+            derived, value, group_binding = evaluated
             if derived == self.aggregate_state.get(group):
                 continue
             sort_key = min(
@@ -686,9 +681,7 @@ class _Replay:
                             round=global_round,
                             rule=rule,
                             fact=derived,
-                            parents=ChaseEngine._dedupe_parents(
-                                list(contributions)
-                            ),
+                            parents=dedupe_parents(contributions),
                             binding=group_binding,
                             contributors=contributions,
                             aggregate_value=value,
@@ -751,7 +744,7 @@ class _Replay:
         if kernel is None:
             started = time.perf_counter()
             if rule.has_aggregate:
-                pre, _, _ = self._aggregate_meta(rule)
+                pre = rule.aggregate_split[0]
                 compiled = RulePlan(
                     rule=rule,
                     full=plan_conjunction(rule, self.db, pre),
@@ -778,48 +771,22 @@ class _Replay:
         initial: MutableSubstitution,
         exclude: frozenset[Fact],
     ):
-        """Enumerate body homomorphisms extending ``initial``.
-
-        Mirrors the naive engine's conjunction walk (written atom order,
-        assignments then conditions then negation at the end) with a
-        seed binding for selectivity.  Restricting candidate lists by
-        bound constants preserves insertion order, so matches come out
-        in the naive enumeration order.  Seed entries that are not body
-        variables (assignment targets, the aggregate result) are
-        dropped: the walk re-derives them.
+        """Enumerate body homomorphisms extending ``initial``: the
+        reference walk with a seed binding for selectivity, so matches
+        come out in the naive enumeration order.  Seed entries that are
+        not body variables (assignment targets, the aggregate result)
+        are dropped: the walk re-derives them.
         """
-        db = self.db
-        atoms = rule.body
-        negated = rule.negated
-        assignments = rule.assignments
         body_vars = self._body_variables(rule)
         seed = {
             variable: term
             for variable, term in initial.items()
             if variable in body_vars
         }
-
-        def negation_holds(binding: MutableSubstitution) -> bool:
-            for pattern in negated:
-                if next(db.match(pattern, binding, exclude), None) is not None:
-                    return False
-            return True
-
-        def recurse(index, binding, used):
-            if index == len(atoms):
-                binding = dict(binding)
-                for variable, expression in assignments:
-                    binding[variable] = evaluate_assignment(
-                        expression, binding
-                    )
-                if all(condition.holds(binding) for condition in conditions):
-                    if negation_holds(binding):
-                        yield binding, used
-                return
-            for matched, extended in db.match(atoms[index], binding, exclude):
-                yield from recurse(index + 1, extended, used + (matched,))
-
-        yield from recurse(0, seed, ())
+        return match_conjunction(
+            self.db, rule.body, conditions, rule.negated, exclude,
+            rule.assignments, seed,
+        )
 
     def _negation_seeds(
         self, stratum_index: int, rules: tuple[Rule, ...]
@@ -970,29 +937,3 @@ class _Replay:
             )
             self.body_vars[rule.label] = cached
         return cached
-
-    def _aggregate_meta(self, rule: Rule):
-        meta = self.agg_meta.get(rule.label)
-        if meta is None:
-            aggregate = rule.aggregate
-            assert aggregate is not None
-            pre = tuple(
-                c
-                for c in rule.conditions
-                if aggregate.result not in c.variables()
-            )
-            post = tuple(
-                c
-                for c in rule.conditions
-                if aggregate.result in c.variables()
-            )
-            key_vars = list(aggregate.group_by)
-            for condition in post:
-                for variable in sorted(
-                    condition.variables(), key=lambda v: v.name
-                ):
-                    if variable != aggregate.result and variable not in key_vars:
-                        key_vars.append(variable)
-            meta = (pre, post, tuple(key_vars))
-            self.agg_meta[rule.label] = meta
-        return meta

@@ -34,10 +34,22 @@ bindings are therefore reconstructed from the matched facts' **actual
 stored terms** (each variable from its first occurrence in written body
 order, exactly where naive matching binds it) and assignment targets are
 recomputed with :func:`evaluate_assignment` on those terms, then
-serialized in canonical binding order.  Together with the
-sort-by-insertion-sequence step this makes kernel output byte-identical
-to naive enumeration — same facts, same nulls, same
-:class:`ChaseStepRecord` bytes (see :mod:`repro.engine.join`).
+serialized in canonical binding order.  The reference walk
+(:func:`repro.engine.reference.match_conjunction`) enumerates
+homomorphisms depth-first over body atoms in written order with
+candidates in fact insertion order — i.e. in lexicographic order of the
+matched facts' insertion-sequence tuple — so kernel output is re-sorted
+by exactly that key.  Together the two steps make kernel output
+byte-identical to naive enumeration: same facts, same nulls, same
+:class:`ChaseStepRecord` bytes.
+
+**Hoisting and evaluation errors.**  A hoisted condition or assignment
+may be evaluated on a partial binding that naive evaluation would have
+discarded before ever evaluating it.  When such an evaluation raises
+:class:`EvaluationError` the partial is pruned (and counted in the plan
+stats): on any program where naive evaluation succeeds, a partial that
+errors can never extend to a full match — otherwise naive evaluation
+would have raised on that same match.
 """
 
 from __future__ import annotations
@@ -524,12 +536,12 @@ class RuleKernel:
     ) -> list[Match]:
         """The rule's full matches in naive enumeration order.
 
-        Same contract as :func:`repro.engine.join.execute_rule_plan`:
-        without a delta the full plan runs; with one, every delta variant
-        whose pivot predicate intersects the delta runs and the union is
-        deduplicated by parent sequence tuple.  Either way the entries
-        are sorted by that tuple and each binding is rebuilt from the
-        matched facts (see class docstring).  ``profile_label`` overrides
+        Without a delta the full plan runs; with one (grouped by
+        predicate), every delta variant whose pivot predicate intersects
+        the delta runs and the union is deduplicated by parent sequence
+        tuple (a homomorphism touching two delta facts is found once per
+        pivot).  Either way the entries are sorted by that tuple and each
+        binding is rebuilt from the matched facts (see module docstring).  ``profile_label`` overrides
         the profiler attribution row (incremental updates label their
         delta executions ``<rule>+delta`` so hot spots stay separable
         from full-run kernels in ``repro obs top``).

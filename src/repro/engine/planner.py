@@ -1,7 +1,7 @@
-"""Per-rule join planning for the chase's ``planned`` strategy.
+"""Per-rule join planning for the chase.
 
-The tuple-at-a-time engine (:mod:`repro.engine.chase`) matches body atoms
-in written order, re-probing single-constant indexes per candidate.  This
+The reference walk (:mod:`repro.engine.reference`) matches body atoms in
+written order, re-probing single-constant indexes per candidate.  This
 module compiles each rule body into a :class:`JoinPlan` instead:
 
 * **atom ordering** — atoms are reordered greedily by estimated
@@ -18,17 +18,17 @@ module compiles each rule body into a :class:`JoinPlan` instead:
   form the hash-join key (constants plus bound variables), which
   positions bind new variables, and which repeat a variable bound earlier
   in the same atom (equality checks), so the executor
-  (:mod:`repro.engine.join`) never calls the generic matcher.
+  (:mod:`repro.engine.kernels`) never calls the generic matcher.
 
 Plans are compiled at stratum entry (cardinalities are read from the live
 :class:`~repro.engine.database.Database`) and each plain rule also gets
-one **delta variant** per body atom for semi-naive evaluation: the pivot
-atom is forced to the front of the order (the delta is small) and
+one **delta variant** per body atom for delta-driven evaluation: the
+pivot atom is forced to the front of the order (the delta is small) and
 restricted to delta facts at execution time.
 
 Planning is pure computation over the rule structure — execution,
 ordering guarantees and provenance parity live in
-:mod:`repro.engine.join`.
+:mod:`repro.engine.kernels`.
 """
 
 from __future__ import annotations
@@ -133,16 +133,6 @@ class RulePlan:
         }
 
 
-def _pre_aggregate_conditions(rule: Rule) -> tuple[Comparison, ...]:
-    """The conditions evaluable on body bindings (aggregate result excluded)."""
-    aggregate = rule.aggregate
-    if aggregate is None:
-        return rule.conditions
-    return tuple(
-        c for c in rule.conditions if aggregate.result not in c.variables()
-    )
-
-
 def _choose_order(
     atoms: tuple[Atom, ...], database: Database, pivot: int | None
 ) -> tuple[int, ...]:
@@ -151,7 +141,7 @@ def _choose_order(
     Rank at each step: bound-position score descending (constants weighted
     2, bound variables 1), predicate cardinality ascending, original body
     position ascending.  A ``pivot`` atom is forced to the front: under
-    semi-naive evaluation it enumerates only the (small) delta.
+    delta-driven evaluation it enumerates only the (small) delta.
     """
     remaining = list(range(len(atoms)))
     order: list[int] = []
@@ -284,7 +274,7 @@ def plan_rule(rule: Rule, database: Database) -> RulePlan:
     post-aggregation conditions need the aggregate result and stay with
     the engine's group evaluation.
     """
-    conditions = _pre_aggregate_conditions(rule)
+    conditions = rule.aggregate_split[0]
     full = plan_conjunction(rule, database, conditions)
     if rule.has_aggregate:
         return RulePlan(rule=rule, full=full)

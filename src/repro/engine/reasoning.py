@@ -120,14 +120,14 @@ def reason(
     program: Program,
     database: Database | Iterable[Fact],
     max_rounds: int = 10_000,
-    strategy: str = "naive",
+    strategy: str = "planned",
 ) -> ReasoningResult:
     """Run the reasoning task (Σ, goal) over ``database``.
 
     Accepts either a :class:`Database` or any iterable of facts.
-    ``strategy`` selects naive, semi-naive or planned (compiled join
-    plans) chase evaluation — same result and provenance, different join
-    work; see :class:`~repro.engine.chase.ChaseEngine`.
+    ``strategy`` selects the planned engine (compiled join plans) or
+    its naive oracle — same result and provenance, different join work;
+    see :class:`~repro.engine.chase.ChaseEngine`.
     """
     if not isinstance(database, Database):
         database = Database(database)

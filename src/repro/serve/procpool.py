@@ -65,14 +65,14 @@ def _worker_main(conn, spec: tuple) -> None:
     """The worker process body: boot one warm session, answer the pipe.
 
     ``spec`` is the picklable boot tuple shipped through the spawn
-    boundary: (application, snapshot, strategy, worker index, default
-    deadline, llm).  The child reuses :class:`WorkerPool` with a single
+    boundary: (application, snapshot, worker index, default deadline,
+    llm).  The child reuses :class:`WorkerPool` with a single
     worker, which buys boot timing, route serving and incremental
     updates without a second implementation.
     """
     from .. import obs  # local import keeps the spawn preamble minimal
 
-    application, snapshot, strategy, index, default_deadline_s, llm = spec
+    application, snapshot, index, default_deadline_s, llm = spec
     metrics = ServiceMetrics()
     metrics.enable_delta()
     flight = FlightRecorder(
@@ -82,8 +82,7 @@ def _worker_main(conn, spec: tuple) -> None:
     try:
         with obs.observed(metrics=metrics, flight=flight):
             pool = WorkerPool(
-                application, snapshot, workers=1, strategy=strategy,
-                llm=llm, metrics=metrics,
+                application, snapshot, workers=1, llm=llm, metrics=metrics,
                 default_deadline_s=default_deadline_s,
             )
             conn.send((
@@ -183,7 +182,6 @@ class ProcessWorkerPool:
         application: KGApplication,
         snapshot: str,
         workers: int = 2,
-        strategy: str = "planned",
         llm: object | None = None,
         metrics: ServiceMetrics | None = None,
         default_deadline_s: float = 10.0,
@@ -194,7 +192,6 @@ class ProcessWorkerPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.application = application
         self.snapshot = snapshot
-        self.strategy = strategy
         self.default_deadline_s = default_deadline_s
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.flight = flight
@@ -211,8 +208,7 @@ class ProcessWorkerPool:
             for index in range(workers):
                 parent_conn, child_conn = context.Pipe()
                 spec = (
-                    application, snapshot, strategy, index,
-                    default_deadline_s, llm,
+                    application, snapshot, index, default_deadline_s, llm,
                 )
                 process = context.Process(
                     target=_worker_main,
@@ -390,7 +386,6 @@ class ProcessWorkerPool:
     def snapshot_stats(self) -> dict:
         return {
             "workers": len(self._handles),
-            "strategy": self.strategy,
             "backend": self.backend,
             "warm_start_s": [round(s, 6) for s in self.warm_start_s],
             "warm_start_max_s": (

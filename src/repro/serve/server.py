@@ -105,7 +105,6 @@ class ServeConfig:
     queue_limit: int = 64              # admitted (in-flight + queued) bound
     default_deadline_s: float = 10.0   # per-request budget when unspecified
     retry_after_s: float = 1.0         # hint on queue sheds
-    strategy: str = "planned"
     slo_config: Sequence[dict] = field(
         default_factory=lambda: list(DEFAULT_SLO_CONFIG)
     )
@@ -179,7 +178,6 @@ class ExplanationServer:
                 self.pool = ProcessWorkerPool(
                     self.application, self.snapshot,
                     workers=self.config.workers,
-                    strategy=self.config.strategy,
                     llm=self.llm, metrics=self.metrics,
                     default_deadline_s=self.config.default_deadline_s,
                     flight=self.flight,
@@ -188,7 +186,6 @@ class ExplanationServer:
                 self.pool = WorkerPool(
                     self.application, self.snapshot,
                     workers=self.config.workers,
-                    strategy=self.config.strategy,
                     llm=self.llm, metrics=self.metrics,
                     default_deadline_s=self.config.default_deadline_s,
                 )
@@ -477,7 +474,6 @@ class ExplanationServer:
             "format": SERVE_FORMAT,
             "status": "shedding" if breaker["state"] == OPEN else "ok",
             "app": self.application.name,
-            "strategy": self.config.strategy,
             "backend": self.config.backend,
             "breaker_cooldown_remaining_s": breaker["cooldown_remaining_s"],
             "workers": len(self.pool) if self.pool is not None else 0,

@@ -60,7 +60,6 @@ class WorkerPool:
         application: KGApplication,
         snapshot: str,
         workers: int = 2,
-        strategy: str = "planned",
         llm: object | None = None,
         metrics: ServiceMetrics | None = None,
         default_deadline_s: float = 10.0,
@@ -69,7 +68,6 @@ class WorkerPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.application = application
         self.snapshot = snapshot
-        self.strategy = strategy
         self.default_deadline_s = default_deadline_s
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.service = ExplanationService(
@@ -105,9 +103,7 @@ class WorkerPool:
         started = time.perf_counter()
         database = loads_database(self.snapshot)
         loaded = time.perf_counter()
-        session = self.service.session(
-            self.application, database, strategy=self.strategy
-        )
+        session = self.service.session(self.application, database)
         session.result.index  # materialize before taking traffic
         done = time.perf_counter()
         # Two phases behind the historical warm-start total: rehydrating
@@ -267,7 +263,6 @@ class WorkerPool:
     def snapshot_stats(self) -> dict:
         return {
             "workers": len(self._workers),
-            "strategy": self.strategy,
             "warm_start_s": [round(s, 6) for s in self.warm_start_s],
             "warm_start_max_s": round(max(self.warm_start_s), 6),
             "boot_rows": [dict(row) for row in self.boot_rows],

@@ -190,42 +190,36 @@ class TestResilienceFlags:
 
 
 class TestStrategyFlag:
-    def test_semi_naive_on_explain_subcommand(self, capsys):
+    def test_naive_on_explain_subcommand(self, capsys):
         assert main([
             "explain", "--app", "company_control",
-            "--strategy", "semi-naive",
+            "--strategy", "naive",
         ]) == 0
         assert "Q_e" in capsys.readouterr().out
 
-    def test_semi_naive_on_legacy_demo(self, capsys):
+    @pytest.mark.parametrize("strategy", ["naive", "planned"])
+    def test_strategy_on_legacy_demo(self, capsys, strategy):
         assert main([
             "--demo", "figure8", "--deterministic",
-            "--strategy", "semi-naive",
+            "--strategy", strategy,
         ]) == 0
         assert "Q_e" in capsys.readouterr().out
 
     def test_strategies_agree_on_output(self, capsys):
         assert main(["explain", "--app", "company_control",
                      "--query-all"]) == 0
-        naive = capsys.readouterr().out
-        for strategy in ("semi-naive", "planned"):
+        default = capsys.readouterr().out
+        for strategy in ("naive", "planned"):
             assert main(["explain", "--app", "company_control",
                          "--query-all", "--strategy", strategy]) == 0
-            assert capsys.readouterr().out == naive
+            assert capsys.readouterr().out == default
 
-    def test_planned_on_explain_subcommand(self, capsys):
+    def test_default_strategy_is_planned(self, capsys):
         assert main([
-            "explain", "--app", "company_control",
-            "--strategy", "planned",
+            "explain", "--app", "company_control", "--metrics",
         ]) == 0
-        assert "Q_e" in capsys.readouterr().out
-
-    def test_planned_on_legacy_demo(self, capsys):
-        assert main([
-            "--demo", "figure8", "--deterministic",
-            "--strategy", "planned",
-        ]) == 0
-        assert "Q_e" in capsys.readouterr().out
+        snapshot = json.loads(capsys.readouterr().err)
+        assert snapshot["counters"]["chase.kernels_compiled"] >= 1
 
     def test_planned_metrics_expose_planner_counters(self, capsys):
         assert main([
@@ -273,6 +267,11 @@ class TestStrategyFlag:
             for entry in chase_section["plans"].values()
         )
 
-    def test_unknown_strategy_rejected(self):
+    @pytest.mark.parametrize("retired", ["magic", "semi-naive", "parallel"])
+    def test_unknown_strategy_rejected(self, retired):
         with pytest.raises(SystemExit):
-            main(["explain", "--app", "figure8", "--strategy", "magic"])
+            main(["explain", "--app", "figure8", "--strategy", retired])
+
+    def test_serve_takes_no_strategy(self):
+        with pytest.raises(SystemExit):
+            main(["serve", "--app", "figure8", "--strategy", "planned"])

@@ -4,12 +4,7 @@ import pytest
 
 from repro.datalog import fact, parse_program
 from repro.datalog.terms import Constant, Variable
-from repro.engine import (
-    Database,
-    compile_rule_kernel,
-    execute_rule_plan,
-    plan_rule,
-)
+from repro.engine import Database, compile_rule_kernel, plan_rule
 
 
 def v(name):
@@ -22,19 +17,19 @@ def _rule(text, **kwargs):
 
 
 class TestKernelExecution:
-    def test_kernel_matches_fresh_compile_path(self):
-        """A reused kernel returns exactly what per-call compilation does."""
+    def test_reused_kernel_matches_fresh_compile(self):
+        """A reused kernel returns exactly what a fresh compilation does."""
         rule = _rule("r: E(x, y), E(y, z) -> T(x, z).", goal="T")
         database = Database([
             fact("E", "A", "B"), fact("E", "B", "C"), fact("E", "B", "D"),
         ])
         rule_plan = plan_rule(rule, database)
         kernel = compile_rule_kernel(rule_plan, database)
-        fresh = execute_rule_plan(rule_plan, database, frozenset())
-        reused = execute_rule_plan(
-            rule_plan, database, frozenset(), kernel=kernel
+        kernel.execute(database, frozenset())
+        fresh = compile_rule_kernel(rule_plan, database).execute(
+            database, frozenset()
         )
-        assert reused == fresh
+        assert kernel.execute(database, frozenset()) == fresh
 
     def test_kernel_survives_database_growth(self):
         """Closures capture live column/symbol views, so a kernel compiled
@@ -66,10 +61,6 @@ class TestKernelExecution:
         kernel = compile_rule_kernel(plan_rule(rule, ours), ours)
         with pytest.raises(ValueError):
             kernel.execute(theirs, frozenset())
-        with pytest.raises(ValueError):
-            execute_rule_plan(
-                plan_rule(rule, ours), theirs, frozenset(), kernel=kernel
-            )
 
     def test_bindings_carry_actual_stored_terms(self):
         """Rendered bindings must hold the matched facts' own term

@@ -411,13 +411,12 @@ class TestChaseStats:
         assert stats["strata"] >= 1
         assert stats["rule_firings"]
 
-    def test_semi_naive_records_delta_sizes(self):
+    def test_chase_records_delta_sizes(self):
         from repro.engine.reasoning import reason
 
         scenario = figures.figure15_instance()
         result = reason(
-            scenario.application.program, scenario.database,
-            strategy="semi-naive",
+            scenario.application.program, scenario.database
         ).chase_result
         assert result.stats.delta_sizes
         assert result.stats.delta_sizes[-1] == 0  # fixpoint round

@@ -8,8 +8,14 @@ from repro.datalog.analysis import (
     canonical_binding_order,
 )
 from repro.datalog.terms import Variable
-from repro.engine import Database, execute_rule_plan, plan_rule
+from repro.engine import Database, compile_rule_kernel, plan_rule
 from repro.engine.planner import plan_conjunction
+
+
+def execute_rule_plan(rule_plan, database, exclude, delta=None, stats=None):
+    return compile_rule_kernel(rule_plan, database).execute(
+        database, exclude, delta, stats
+    )
 
 
 def v(name):

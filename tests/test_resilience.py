@@ -7,7 +7,6 @@ import pytest
 
 from repro import obs
 from repro.core.compiler import compile_program
-from repro.core.enhancer import EnhancementError
 from repro.llm import SimulatedLLM
 from repro.resilience import (
     CircuitBreaker,
@@ -66,10 +65,8 @@ class TestTaxonomy:
             assert issubclass(error, ResilienceError)
 
     def test_taxonomy_keeps_runtimeerror_compatibility(self):
-        # Callers that caught bare RuntimeError keep working for one
-        # release; EnhancementError is the documented migration alias.
+        # Callers that caught bare RuntimeError keep working.
         assert issubclass(ResilienceError, RuntimeError)
-        assert EnhancementError is ResilienceError
         with pytest.raises(RuntimeError):
             raise TransientLLMError("legacy handlers still catch this")
 

@@ -191,7 +191,7 @@ def server(scenario, snapshot):
     instance = ExplanationServer(
         scenario.application, snapshot=snapshot,
         config=ServeConfig(
-            workers=1, strategy="planned",
+            workers=1,
             slo_period_s=60.0, slo_interval_requests=10_000,
         ),
         llm=None,
@@ -220,6 +220,11 @@ class TestEndpoints:
         assert payload["workers"] == 1
         assert payload["admission"]["limit"] == server.config.queue_limit
         assert payload["warm_start"]["warm_start_max_s"] >= 0
+        # Serving has one engine: no strategy to report or to set.
+        assert "strategy" not in payload
+        assert "strategy" not in payload["warm_start"]
+        with pytest.raises(TypeError):
+            ServeConfig(strategy="planned")
 
     def test_explain_and_flight_lookup(self, server, scenario):
         status, headers, data = _request(
@@ -367,7 +372,6 @@ class TestAdmission:
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
                 workers=1, queue_limit=0, retry_after_s=2.0,
-                strategy="planned",
                 slo_period_s=60.0, slo_interval_requests=10_000,
             ),
             llm=None,
@@ -388,7 +392,7 @@ class TestAdmission:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=1, strategy="planned",
+                workers=1,
                 breaker_window=4, breaker_min_calls=2,
                 breaker_cooldown_s=60.0,
                 slo_period_s=60.0, slo_interval_requests=10_000,
@@ -450,7 +454,7 @@ class TestByteParity:
         )
         instance = ExplanationServer(
             parity_scenario.application, snapshot=parity_snapshot,
-            config=ServeConfig(workers=1, strategy="planned"),
+            config=ServeConfig(workers=1),
             llm=None,
         )
         try:
@@ -513,7 +517,7 @@ class TestUpdateEndpoint:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=1, strategy="planned",
+                workers=1,
                 breaker_window=4, breaker_min_calls=2,
                 breaker_cooldown_s=60.0,
                 slo_period_s=60.0, slo_interval_requests=10_000,
@@ -628,7 +632,7 @@ class TestRetryAfterAndCooldown:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=1, strategy="planned",
+                workers=1,
                 breaker_window=4, breaker_min_calls=2,
                 breaker_cooldown_s=45.5,
                 slo_period_s=60.0, slo_interval_requests=10_000,
@@ -703,7 +707,7 @@ class TestProcessBackend:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=2, backend="process", strategy="planned",
+                workers=2, backend="process",
                 slo_period_s=60.0, slo_interval_requests=10_000,
             ),
             llm=None,
@@ -792,7 +796,7 @@ class TestProcessUpdateBroadcast:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=2, backend="process", strategy="planned",
+                workers=2, backend="process",
                 slo_period_s=60.0, slo_interval_requests=10_000,
             ),
             llm=None,
@@ -866,7 +870,7 @@ class TestUpdateRacesKeepAlive:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=2, strategy="planned",
+                workers=2,
                 slo_period_s=60.0, slo_interval_requests=10_000,
             ),
             llm=None,

@@ -5,13 +5,17 @@ Not a paper figure — an ablation of the reproduction's own substrate
 control chains and dense random ownership graphs) the ``planned`` engine
 (compiled join plans + hash joins over rolling delta windows, DESIGN.md
 §9) performs the same derivations as the oracle's tuple-at-a-time
-nested-loop walk (``engine/reference.py``) with markedly less join work.
+nested-loop walk (``engine/reference.py``) with markedly less join work —
+on the aggregation-heavy control workloads because it evaluates only the
+sigma3 groups a round touched, where the oracle rebuilds every group in
+every round.
 
 Emits ``BENCH_engine.json`` with per-strategy wall-clock at each workload
 size.  Runs standalone (``python benchmarks/bench_engine_scaling.py
-[--quick]``) for CI — where a regression gate asserts the planned
-engine stays ≥ 2x faster than naive on the largest transitive-closure
-size — or under pytest with the other benchmarks.
+[--quick]``) for CI — where the ``engine`` suite of ``gates.json`` holds
+the planned engine ≥ 2x faster than naive on the largest
+transitive-closure size, ≥ 5x on the 40-hop control chain and ≥ 2x on
+the ownership network — or under pytest with the other benchmarks.
 """
 
 from __future__ import annotations
@@ -60,18 +64,17 @@ def _timed(program, database, strategy):
 def _compare(program, database, goal, repeats=1):
     """Time every strategy on one workload; assert identical results.
 
-    With ``repeats`` > 1 each strategy runs that many times and the best
+    With ``repeats`` > 1 each strategy runs that many times, the
+    strategies taking turns so host drift lands on both, and the best
     wall-clock is reported (best-of-2 keeps the ratios of the short
     workloads stable against scheduler noise).
     """
     timings = {}
     results = {}
-    for strategy in STRATEGIES:
-        best, result = _timed(program, database, strategy)
-        for _ in range(repeats - 1):
-            seconds, result = _timed(program, database, strategy)
-            best = min(best, seconds)
-        timings[strategy], results[strategy] = best, result
+    for _ in range(repeats):
+        for strategy in STRATEGIES:
+            seconds, results[strategy] = _timed(program, database, strategy)
+            timings[strategy] = min(seconds, timings.get(strategy, seconds))
     assert set(results["planned"].database.facts(goal)) == set(
         results["naive"].database.facts(goal)
     ), f"planned diverged from naive on {goal}"
@@ -260,14 +263,16 @@ def test_ownership_network_scaling(benchmark):
         "engine_scaling_ownership",
         f"ownership network (30 entities, 90 stakes): "
         f"naive {timings['naive'] * 1000:.0f} ms, "
-        f"planned {timings['planned'] * 1000:.0f} ms; "
+        f"planned {timings['planned'] * 1000:.0f} ms "
+        f"({timings['naive'] / timings['planned']:.1f}x); "
         f"controls derived: {len(reference.database.facts('Control'))}",
     )
 
 
 def test_long_chain_scaling(benchmark):
-    """Control chains: the delta window shrinks to one fact per round,
-    where naive re-joins the whole instance every round."""
+    """Control chains: the delta window shrinks to one fact per round
+    and sigma3 evaluates only the groups it reaches, where naive re-joins
+    the whole instance and rebuilds every group every round."""
     scenario = generators.control_chain(40, seed=3)
     timings, _reference = once(
         benchmark, _compare,
@@ -276,7 +281,8 @@ def test_long_chain_scaling(benchmark):
     emit(
         "engine_scaling_chain",
         f"40-hop control chain: naive {timings['naive'] * 1000:.0f} ms, "
-        f"planned {timings['planned'] * 1000:.0f} ms",
+        f"planned {timings['planned'] * 1000:.0f} ms "
+        f"({timings['naive'] / timings['planned']:.1f}x)",
     )
 
 

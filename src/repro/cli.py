@@ -683,7 +683,7 @@ def _build_obs_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--key", default="wall_s",
         choices=("wall_s", "execs", "probes", "rows_scanned",
-                 "rows_emitted", "pruned"),
+                 "rows_emitted", "pruned", "groups_evaluated"),
         help="ranking column (default: wall_s)",
     )
     _add_resilience_arguments(top)

@@ -15,7 +15,11 @@ implementation:
   same rule and group is *superseded* — it remains part of the chase graph
   (monotonicity: derived knowledge is never retracted) but no longer feeds
   further rule applications, mirroring the final-value semantics of
-  Vadalog's monotonic aggregations;
+  Vadalog's monotonic aggregations.  Evaluation is incremental as
+  Vadalog's is: a rule's contributions stand in a :class:`GroupTable`
+  for its stratum, a turn joins only the rule's delta window, and only
+  groups that gained or lost a contribution are evaluated again — the
+  rest are those whole re-evaluation (the oracle) finds unchanged;
 * handles existential head variables with fresh labelled nulls under the
   **restricted chase**: a rule is not fired when its head is already
   satisfied by a homomorphism extending the body match, which guarantees
@@ -28,8 +32,9 @@ implementation:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from bisect import insort
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .. import obs
 from ..datalog.atoms import Fact
@@ -62,6 +67,11 @@ class Contribution:
     facts: tuple[Fact, ...]
     value: object
     binding: Mapping[Variable, Term]
+
+
+#: An aggregate group as :func:`fire_groups` takes it: its key (the
+#: terms of the group-by variables) and its contributions, in order.
+Group = tuple[tuple[Term, ...], tuple[Contribution, ...]]
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,8 @@ class ChaseStats:
     delta_sizes: list[int] = field(default_factory=list)
     #: Per-rule join-plan facts and runtime counters (planned strategy
     #: only): atom order, hoisted conditions, probes/scanned/matches,
-    #: kernel_execs.
+    #: kernel_execs, and for aggregate rules groups_evaluated (summed
+    #: over turns) and groups_standing (in the table at stratum end).
     plans: dict[str, dict] = field(default_factory=dict)
     plans_compiled: int = 0
     #: Compiled rule kernels (planned strategy): how many closures were
@@ -427,6 +438,13 @@ class ChaseEngine:
                     for entry in stats.plans.values()
                 ),
             )
+            obs.incr(
+                "chase.aggregate_groups_evaluated",
+                sum(
+                    entry.get("groups_evaluated", 0)
+                    for entry in stats.plans.values()
+                ),
+            )
 
     def _run_stratum(
         self,
@@ -453,6 +471,13 @@ class ChaseEngine:
         order and provenance — exactly, while still never re-joining old
         facts against old facts.
 
+        Aggregate rules run off the same window.  Their matches are
+        contributions, kept in a :class:`GroupTable` for the stratum:
+        round 1 fills it from the full kernel, every later turn adds the
+        delta matches, drops the contributions of facts superseded since
+        the rule's last turn, and evaluates only the groups touched
+        either way (:func:`fire_groups`).
+
         ``strategy="naive"`` hands the stratum to the oracle's round loop
         (:func:`repro.engine.reference.naive_stratum`) instead.
         """
@@ -462,23 +487,29 @@ class ChaseEngine:
                 self.max_rounds,
             )
         stats = result.stats
+        database = result.database
         kernels: list[RuleKernel] = []
         with obs.span("chase.plan", rules=len(rules)):
             for rule in rules:
-                compiled = plan_rule(rule, result.database)
+                compiled = plan_rule(rule, database)
                 stats.plans_compiled += 1
                 entry = stats.plans.setdefault(rule.label, {})
                 entry.update(compiled.snapshot())
                 started = time.perf_counter()
-                kernels.append(
-                    compile_rule_kernel(compiled, result.database)
-                )
+                kernels.append(compile_rule_kernel(compiled, database))
                 stats.kernel_compile_s += time.perf_counter() - started
                 stats.kernels_compiled += 1
         # Insertion-ordered view of the instance; windows are slices of it.
-        timeline: list[Fact] = list(result.database.facts())
+        timeline: list[Fact] = list(database.facts())
         last_seen = [0] * len(rules)
         body_predicates = [frozenset(rule.body_predicates()) for rule in rules]
+        tables = [
+            GroupTable(rule) if rule.has_aggregate else None for rule in rules
+        ]
+        # What this stratum superseded, in order: a table reads the tail
+        # it has not seen, and the exclude set is rebuilt only on growth.
+        superseded_log: list[Fact] = []
+        exclude = frozenset(result.superseded)
         for round_number in range(1, self.max_rounds + 1):
             before_round = len(result.records)
             for index, (rule, kernel) in enumerate(zip(rules, kernels)):
@@ -496,26 +527,36 @@ class ChaseEngine:
                     ):
                         continue
                 before_rule = len(result.records)
+                if len(exclude) != len(result.superseded):
+                    exclude = frozenset(result.superseded)
+                plan_stats = stats.plans[rule.label]
                 # Materialized before firing (firing must not see this
-                # turn's output).  Aggregates are re-evaluated whole —
-                # their set-at-a-time semantics needs every group member
-                # — but only when the window touches their body.
+                # turn's output).
                 matches = kernel.execute(
-                    result.database,
-                    frozenset(result.superseded),
-                    None if rule.has_aggregate else delta_map,
-                    stats.plans.get(rule.label),
+                    database, exclude, delta_map, plan_stats
                 )
-                if rule.has_aggregate:
-                    fire_aggregate(
-                        rule, matches, result, aggregate_state,
-                        rounds_so_far + round_number,
-                    )
-                else:
+                table = tables[index]
+                if table is None:
                     fire_plain(
                         rule, matches, result, nulls,
                         rounds_so_far + round_number,
                     )
+                else:
+                    touched = table.update(
+                        matches, superseded_log, database.sequence
+                    )
+                    fired, _ = fire_groups(
+                        rule, touched, result, aggregate_state,
+                        rounds_so_far + round_number,
+                    )
+                    superseded_log.extend(
+                        old for _, _, old in fired if old is not None
+                    )
+                    plan_stats["groups_evaluated"] = (
+                        plan_stats.get("groups_evaluated", 0) + len(touched)
+                    )
+                    plan_stats["groups_standing"] = len(table.groups)
+                    obs.get_profiler().record_groups(rule.label, len(touched))
                 timeline.extend(
                     record.fact for record in result.records[before_rule:]
                 )
@@ -629,59 +670,149 @@ def aggregate_group_head(
     return derived, value, group_binding
 
 
-def fire_aggregate(
+def group_contribution(
+    rule: Rule, binding: MutableSubstitution, used: tuple[Fact, ...]
+) -> tuple[tuple[Term, ...], Contribution]:
+    """One body match of an aggregate rule as ``(group key, contribution)``.
+    The binding is kept, not copied: every matcher builds one per match."""
+    aggregate = rule.aggregate
+    assert aggregate is not None
+    key = tuple(binding[v] for v in rule.aggregate_split[2])
+    value = evaluate_expression(aggregate.argument, binding)
+    return key, Contribution(facts=used, value=value, binding=binding)
+
+
+class GroupTable:
+    """An aggregate rule's standing contributions, for one stratum.
+
+    ``groups`` maps a group key to the group's contributions in ascending
+    parent-sequence order — the order whole re-evaluation lists them in —
+    each paired with that sequence tuple.  ``groups_of`` maps a body fact
+    to the keys of the groups it feeds, so dropping a superseded fact's
+    contributions never scans the table.
+    """
+
+    __slots__ = ("rule", "groups", "groups_of", "superseded_seen")
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.groups: dict[
+            tuple[Term, ...], list[tuple[tuple[int, ...], Contribution]]
+        ] = {}
+        self.groups_of: dict[Fact, set[tuple[Term, ...]]] = {}
+        #: How much of the stratum's supersession log is accounted for.
+        self.superseded_seen = 0
+
+    def update(
+        self,
+        matches: Iterable[Match],
+        superseded_log: list[Fact],
+        sequence: Callable[[Fact], int],
+    ) -> list[Group]:
+        """Drop the contributions of facts superseded since the last
+        call, insert the new ``matches``, and return the groups touched
+        either way in first-contribution order — the order whole
+        re-evaluation meets them in."""
+        groups = self.groups
+        touched: set[tuple[Term, ...]] = set()
+        for stale in superseded_log[self.superseded_seen:]:
+            for key in self.groups_of.pop(stale, ()):
+                # A group emptied earlier is gone while the reverse map
+                # of its other parents still names it.
+                entries = groups.get(key, ())
+                kept = [e for e in entries if stale not in e[1].facts]
+                if len(kept) != len(entries):
+                    touched.add(key)
+                    if kept:
+                        groups[key] = kept
+                    else:
+                        del groups[key]
+        self.superseded_seen = len(superseded_log)
+        for binding, used in matches:
+            key, contribution = group_contribution(self.rule, binding, used)
+            entry = (tuple(map(sequence, used)), contribution)
+            entries = groups.setdefault(key, [])
+            if entries and entry[0] < entries[-1][0]:
+                # A body atom derived late in the stratum sorts its new
+                # matches before standing ones.
+                insort(entries, entry)
+            else:
+                entries.append(entry)
+            for parent in used:
+                self.groups_of.setdefault(parent, set()).add(key)
+            touched.add(key)
+        return [
+            (key, tuple(contribution for _, contribution in groups[key]))
+            for key in sorted(
+                touched & groups.keys(), key=lambda key: groups[key][0][0]
+            )
+        ]
+
+
+def fire_groups(
     rule: Rule,
-    matches: Iterable[Match],
+    groups: Iterable[Group],
     result: ChaseResult,
     aggregate_state: dict[tuple[str, tuple[Term, ...]], Fact],
     round_number: int,
-) -> bool:
-    """Fire an aggregate rule on the body matches of its whole instance
-    (filtered by the pre-aggregation conditions only)."""
-    aggregate = rule.aggregate
-    assert aggregate is not None
-    key_vars = rule.aggregate_split[2]
-    groups: dict[tuple[Term, ...], list[Contribution]] = {}
-    for binding, used in matches:
-        key = tuple(binding[v] for v in key_vars)
-        value = evaluate_expression(aggregate.argument, binding)
-        groups.setdefault(key, []).append(
-            Contribution(facts=used, value=value, binding=dict(binding))
-        )
+    recorded: Mapping[tuple[Term, ...], ChaseStepRecord] | None = None,
+) -> tuple[
+    list[tuple[tuple[Term, ...], Fact, Fact | None]], list[tuple[Term, ...]]
+]:
+    """Evaluate aggregate groups, given in first-contribution order, and
+    fire those whose head changed: the one emission step of the engine,
+    the oracle and incremental replay.  Replay passes in ``recorded`` the
+    old run's record of every group whose trajectory it found intact;
+    such a record fires again (re-indexed) instead of being evaluated.
 
-    changed = False
-    for key, contributions in groups.items():
-        evaluated = aggregate_group_head(rule, key, contributions)
-        if evaluated is None:
+    Returns ``(fired, deduplicated)``: per fired group its key, the
+    derived fact and the fact it superseded (``None`` for a first
+    value), and the keys of groups whose head was in the instance
+    already — those neither update the group state nor supersede.
+    """
+    label = rule.label
+    fired: list[tuple[tuple[Term, ...], Fact, Fact | None]] = []
+    deduplicated: list[tuple[Term, ...]] = []
+    for key, contributions in groups:
+        previous = aggregate_state.get((label, key))
+        record = recorded.get(key) if recorded else None
+        if record is None:
+            evaluated = aggregate_group_head(rule, key, contributions)
+            if evaluated is None:
+                continue
+            derived, value, group_binding = evaluated
+            if derived == previous:
+                continue
+        else:
+            derived = record.fact
+        if not result.database.add(derived):
+            result.stats.facts_deduplicated += 1
+            deduplicated.append(key)
             continue
-        derived, value, group_binding = evaluated
-        state_key = (rule.label, key)
-        previous = aggregate_state.get(state_key)
-        if derived == previous:
-            continue
-        if result.database.add(derived):
-            changed = True
+        index = len(result.records)
+        if record is None:
             record = ChaseStepRecord(
-                index=len(result.records),
+                index=index,
                 round=round_number,
                 rule=rule,
                 fact=derived,
                 parents=dedupe_parents(contributions),
                 binding=group_binding,
-                contributors=tuple(contributions),
+                contributors=contributions,
                 aggregate_value=value,
             )
-            result.records.append(record)
-            result.derivation[derived] = record
-            result.stats.record_firing(rule.label, derived.predicate)
-            # Monotonic supersession: the refreshed aggregate replaces
-            # the stale value for future rule applications.
-            if previous is not None:
-                result.superseded.add(previous)
-            aggregate_state[state_key] = derived
-        else:
-            result.stats.facts_deduplicated += 1
-    return changed
+        elif record.index != index or record.round != round_number:
+            record = replace(record, index=index, round=round_number)
+        result.records.append(record)
+        result.derivation[derived] = record
+        result.stats.record_firing(label, derived.predicate)
+        # Monotonic supersession: the refreshed aggregate replaces the
+        # stale value for future rule applications.
+        if previous is not None:
+            result.superseded.add(previous)
+        aggregate_state[(label, key)] = derived
+        fired.append((key, derived, previous))
+    return fired, deduplicated
 
 
 def dedupe_parents(contributions: Iterable[Contribution]) -> tuple[Fact, ...]:

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 from .. import obs
 from ..datalog.atoms import Fact
-from ..datalog.conditions import evaluate_assignment, evaluate_expression
+from ..datalog.conditions import evaluate_assignment
 from ..datalog.errors import EvaluationError
 from ..datalog.program import Program
 from ..datalog.rules import Rule
@@ -60,14 +60,14 @@ from .chase import (
     ChaseResult,
     ChaseStepRecord,
     Contribution,
-    aggregate_group_head,
     check_constraints,
-    dedupe_parents,
+    fire_groups,
     group_by_predicate,
+    group_contribution,
 )
 from .database import Database
 from .kernels import RuleKernel, compile_rule_kernel
-from .planner import RulePlan, plan_conjunction, plan_rule
+from .planner import plan_rule
 from .reference import match_conjunction
 
 #: A (stratum, local round, rule position) coordinate in the replay grid.
@@ -531,8 +531,6 @@ class _Replay:
         exclude: frozenset[Fact],
         seeds: tuple[MutableSubstitution, ...] | list[MutableSubstitution],
     ) -> int:
-        aggregate = rule.aggregate
-        assert aggregate is not None
         pre, _post, key_vars = rule.aggregate_split
         label = rule.label
 
@@ -570,10 +568,11 @@ class _Replay:
                 mark_dirty(self._rebuild_binding(rule, used))
 
         dirty = self.dirty_groups.get(label, set())
-        # (sort key, old record, group, derived, contributions, value,
-        #  group binding); sorted into the fresh engine's emission order
-        # (groups appear in first-contribution order).
-        emissions: list[tuple] = []
+        # (first-contribution sort key, group key, contributions): the
+        # fresh engine's emission order.  Groups whose old trajectory is
+        # intact re-fire their record instead of being evaluated.
+        pending: list[tuple] = []
+        recorded: dict[tuple[Term, ...], ChaseStepRecord] = {}
         for record in due:
             key = tuple(record.binding[v] for v in key_vars)
             group: GroupKey = (label, key)
@@ -619,90 +618,51 @@ class _Replay:
                 dirty = self.dirty_groups[label]
                 self._record_missed(record.fact)
                 continue
-            emissions.append(
-                (keys[0], record, group, record.fact, None, None, None)
-            )
+            recorded[key] = record
+            pending.append((keys[0], key, record.contributors))
 
         for key in dirty:
-            group = (label, key)
             seed = dict(zip(key_vars, key))
             contributions: list[Contribution] = []
             for _, used in self._bound_matches(rule, pre, seed, exclude):
-                rebuilt = self._rebuild_binding(rule, used)
-                if tuple(rebuilt[v] for v in key_vars) != key:
-                    continue
-                value = evaluate_expression(aggregate.argument, rebuilt)
-                contributions.append(
-                    Contribution(facts=used, value=value, binding=rebuilt)
+                found, contribution = group_contribution(
+                    rule, self._rebuild_binding(rule, used), used
                 )
-            if not contributions:
-                continue
-            evaluated = aggregate_group_head(rule, key, contributions)
-            if evaluated is None:
-                continue
-            derived, value, group_binding = evaluated
-            if derived == self.aggregate_state.get(group):
-                continue
-            sort_key = min(
-                self._sequence_key(c.facts) for c in contributions
-            )
-            emissions.append(
-                (
-                    sort_key,
-                    None,
-                    group,
-                    derived,
-                    tuple(contributions),
-                    value,
-                    group_binding,
-                )
-            )
-
-        emissions.sort(key=lambda emission: emission[0])
-        fired = 0
-        for (
-            _,
-            record,
-            group,
-            derived,
-            contributions,
-            value,
-            group_binding,
-        ) in emissions:
-            previous = self.aggregate_state.get(group)
-            if self.db.add(derived):
-                fired += 1
-                if record is not None:
-                    self._emit_replayed(record, global_round)
-                else:
-                    self._emit(
-                        ChaseStepRecord(
-                            index=len(self.records),
-                            round=global_round,
-                            rule=rule,
-                            fact=derived,
-                            parents=dedupe_parents(contributions),
-                            binding=group_binding,
-                            contributors=contributions,
-                            aggregate_value=value,
-                        )
+                if found == key:
+                    contributions.append(contribution)
+            if contributions:
+                pending.append(
+                    (
+                        self._sequence_key(contributions[0].facts),
+                        key,
+                        tuple(contributions),
                     )
-                    self.recomputed += 1
-                if previous is not None and previous != derived:
-                    self.superseded.add(previous)
-                    if self.old_supersede_slot.get(previous) != slot:
-                        # Availability shrank relative to the old run;
-                        # groups fed by the dying fact must recompute.
-                        self._flag_groups(previous)
-                self.aggregate_state[group] = derived
-                self._after_fire(derived, slot)
+                )
+
+        pending.sort(key=lambda item: item[0])
+        fired, deduplicated = fire_groups(
+            rule, [item[1:] for item in pending], self.result,
+            self.aggregate_state, global_round, recorded,
+        )
+        for key, derived, previous in fired:
+            if key in recorded:
+                self.replayed += 1
             else:
-                # The fresh engine neither updates the group state nor
-                # supersedes on a deduplicated emission; mirror that and
-                # keep recomputing the group until the trajectory syncs.
-                self.stats.facts_deduplicated += 1
-                self.dirty_groups.setdefault(label, set()).add(group[1])
-        return fired
+                self.recomputed += 1
+            if (
+                previous is not None
+                and self.old_supersede_slot.get(previous) != slot
+            ):
+                # Availability shrank relative to the old run; groups
+                # fed by the dying fact must recompute.
+                self._flag_groups(previous)
+            self._after_fire(derived, slot)
+        if deduplicated:
+            # The fresh engine neither updates the group state nor
+            # supersedes on a deduplicated emission; keep recomputing
+            # those groups until the trajectory syncs.
+            self.dirty_groups.setdefault(label, set()).update(deduplicated)
+        return len(fired)
 
     # ------------------------------------------------------------------
     # Discovery helpers
@@ -735,26 +695,14 @@ class _Replay:
         """The rule's compiled kernel, built on first use.
 
         Fresh runs compile every rule at stratum entry; an update only
-        pays for the rules its delta actually touches.  Aggregate rules
-        get delta variants here even though the fresh planner skips them
-        (it re-evaluates aggregates whole): the variants drive dirty-
-        group *discovery*, never direct firing.
+        pays for the rules its delta actually touches.  An aggregate
+        rule's delta variants drive dirty-group *discovery* here, never
+        direct firing.
         """
         kernel = self.kernels.get(rule.label)
         if kernel is None:
             started = time.perf_counter()
-            if rule.has_aggregate:
-                pre = rule.aggregate_split[0]
-                compiled = RulePlan(
-                    rule=rule,
-                    full=plan_conjunction(rule, self.db, pre),
-                    delta_variants=tuple(
-                        plan_conjunction(rule, self.db, pre, pivot=index)
-                        for index in range(len(rule.body))
-                    ),
-                )
-            else:
-                compiled = plan_rule(rule, self.db)
+            compiled = plan_rule(rule, self.db)
             self.stats.plans_compiled += 1
             entry = self.stats.plans.setdefault(rule.label, {})
             entry.update(compiled.snapshot())

@@ -21,9 +21,9 @@ module compiles each rule body into a :class:`JoinPlan` instead:
   (:mod:`repro.engine.kernels`) never calls the generic matcher.
 
 Plans are compiled at stratum entry (cardinalities are read from the live
-:class:`~repro.engine.database.Database`) and each plain rule also gets
-one **delta variant** per body atom for delta-driven evaluation: the
-pivot atom is forced to the front of the order (the delta is small) and
+:class:`~repro.engine.database.Database`) and each rule also gets one
+**delta variant** per body atom for delta-driven evaluation: the pivot
+atom is forced to the front of the order (the delta is small) and
 restricted to delta facts at execution time.
 
 Planning is pure computation over the rule structure — execution,
@@ -117,8 +117,7 @@ class RulePlan:
 
     rule: Rule
     full: JoinPlan
-    #: One variant per body atom (same length as the body); aggregates,
-    #: whose groups are always re-evaluated whole, carry no variants.
+    #: One variant per body atom (same length as the body).
     delta_variants: tuple[JoinPlan, ...] = ()
 
     def snapshot(self) -> dict:
@@ -268,16 +267,14 @@ def plan_conjunction(
 
 
 def plan_rule(rule: Rule, database: Database) -> RulePlan:
-    """Compile a rule's full plan and (for plain rules) its delta variants.
+    """Compile a rule's full plan and its delta variants.
 
-    Aggregate plans are built over the *pre-aggregation* conditions only;
-    post-aggregation conditions need the aggregate result and stay with
-    the engine's group evaluation.
+    Aggregate plans, variants included, are built over the
+    *pre-aggregation* conditions only; post-aggregation conditions need
+    the aggregate result and stay with the engine's group evaluation.
     """
     conditions = rule.aggregate_split[0]
     full = plan_conjunction(rule, database, conditions)
-    if rule.has_aggregate:
-        return RulePlan(rule=rule, full=full)
     variants = tuple(
         plan_conjunction(rule, database, conditions, pivot=index)
         for index in range(len(rule.body))

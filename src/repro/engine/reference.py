@@ -4,8 +4,9 @@ naive round loop (``strategy="naive"``).
 This is the oracle the compiled engine (:mod:`repro.engine.chase`) is
 held byte-identical to: tests and parity benchmarks compare facts,
 rounds and :class:`~repro.engine.chase.ChaseStepRecord` contents against
-it.  It is not a production path — every rule is re-evaluated against
-the whole instance in every round.
+it.  It is not a production path — every rule, and every group of every
+aggregate rule, is re-evaluated against the whole instance in every
+round.
 
 The walk itself *is* production code where no compiled plan exists:
 negative constraints are checked with it once per run, and incremental
@@ -19,6 +20,7 @@ from typing import Iterator
 
 from ..datalog.atoms import Atom, Fact
 from ..datalog.conditions import Comparison, evaluate_assignment
+from ..datalog.rules import Rule
 from ..datalog.terms import NullFactory, Term
 from ..datalog.unify import MutableSubstitution
 from .database import Database
@@ -81,7 +83,7 @@ def naive_stratum(
     Returns the number of rounds run (the last, empty one included).
     """
     # The firing functions live with the record types they build.
-    from .chase import ChaseError, fire_aggregate, fire_plain
+    from .chase import ChaseError, fire_plain
 
     database = result.database
     for round_number in range(1, max_rounds + 1):
@@ -112,3 +114,29 @@ def naive_stratum(
         f"chase did not reach fixpoint within {max_rounds} rounds "
         f"for program {result.program.name!r}"
     )
+
+
+def fire_aggregate(
+    rule: Rule,
+    matches,
+    result,
+    aggregate_state: dict[tuple[str, tuple[Term, ...]], Fact],
+    round_number: int,
+) -> bool:
+    """Fire an aggregate rule on the body matches of its whole instance
+    (filtered by the pre-aggregation conditions only): every group is
+    rebuilt and evaluated, whether or not anything reached it."""
+    from .chase import fire_groups, group_contribution
+
+    # Matches arrive in ascending parent-sequence order, so the dict
+    # meets groups in first-contribution order.
+    groups: dict[tuple[Term, ...], list] = {}
+    for binding, used in matches:
+        key, contribution = group_contribution(rule, binding, used)
+        groups.setdefault(key, []).append(contribution)
+    fired, _ = fire_groups(
+        rule,
+        ((key, tuple(members)) for key, members in groups.items()),
+        result, aggregate_state, round_number,
+    )
+    return bool(fired)

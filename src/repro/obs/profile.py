@@ -5,7 +5,8 @@ closure kernel and executes it every round — fast, and opaque.  A
 :class:`KernelProfiler` re-opens the box without giving the speed back:
 each :meth:`record` call attributes one kernel execution's wall time,
 index probes, rows scanned, rows emitted and pruned partials to the
-rule's label.  The aggregate view feeds ``--metrics``, the stats
+rule's label (:meth:`record_groups` adds an aggregate rule's evaluated
+groups).  The aggregate view feeds ``--metrics``, the stats
 document (``profile`` key) and the ``repro-explain obs top`` table.
 
 Like the tracer and flight recorder, a disabled profiler is a shared
@@ -20,6 +21,7 @@ import threading
 #: The per-kernel fields every profile entry carries.
 PROFILE_FIELDS = (
     "execs", "wall_s", "probes", "rows_scanned", "rows_emitted", "pruned",
+    "groups_evaluated",
 )
 
 
@@ -44,17 +46,28 @@ class KernelProfiler:
         if not self.enabled:
             return
         with self._lock:
-            entry = self._kernels.get(label)
-            if entry is None:
-                entry = dict.fromkeys(PROFILE_FIELDS, 0)
-                entry["wall_s"] = 0.0
-                self._kernels[label] = entry
+            entry = self._entry(label)
             entry["execs"] += 1
             entry["wall_s"] += wall_s
             entry["probes"] += probes
             entry["rows_scanned"] += rows_scanned
             entry["rows_emitted"] += rows_emitted
             entry["pruned"] += pruned
+
+    def record_groups(self, label: str, evaluated: int) -> None:
+        """Attribute one aggregate rule turn's group evaluations."""
+        if not self.enabled:
+            return
+        with self._lock:
+            self._entry(label)["groups_evaluated"] += evaluated
+
+    def _entry(self, label: str) -> dict:
+        entry = self._kernels.get(label)
+        if entry is None:
+            entry = dict.fromkeys(PROFILE_FIELDS, 0)
+            entry["wall_s"] = 0.0
+            self._kernels[label] = entry
+        return entry
 
     # ------------------------------------------------------------------
     # Reading
@@ -105,7 +118,8 @@ def render_top(
     )[:limit]
     header = (
         f"{'kernel':<28} {'execs':>7} {'wall_ms':>9} {'probes':>9} "
-        f"{'scanned':>9} {'emitted':>9} {'pruned':>8} {'rows/s':>10}"
+        f"{'scanned':>9} {'emitted':>9} {'pruned':>8} {'groups':>8} "
+        f"{'rows/s':>10}"
     )
     lines = [header, "-" * len(header)]
     for label, entry in ranked:
@@ -116,6 +130,7 @@ def render_top(
             f"{entry.get('rows_scanned', 0):>9} "
             f"{entry.get('rows_emitted', 0):>9} "
             f"{entry.get('pruned', 0):>8} "
+            f"{entry.get('groups_evaluated', 0):>8} "
             f"{entry.get('rows_per_s', 0):>10}"
         )
     if not ranked:

@@ -229,6 +229,7 @@ class TestStrategyFlag:
         snapshot = json.loads(capsys.readouterr().err)
         assert snapshot["counters"]["chase.plan_compiled"] >= 1
         assert snapshot["counters"]["chase.plan_matches"] >= 1
+        assert snapshot["counters"]["chase.aggregate_groups_evaluated"] >= 1
 
     def test_planned_metrics_expose_kernel_telemetry(self, capsys):
         assert main([

@@ -297,6 +297,27 @@ class TestKernelProfiler:
             assert entry["execs"] >= 1
             assert entry["wall_s"] >= 0.0
 
+    def test_aggregate_rules_report_groups_evaluated(self):
+        """``obs top``'s groups column: how many aggregate groups a rule
+        evaluated, beside the kernel executions that found them."""
+        from repro.apps import generators
+
+        scenario = generators.control_chain(6, seed=1)
+        profiler = obs.KernelProfiler()
+        with obs.observed(profile=profiler):
+            result = chase(scenario.application.program, scenario.database)
+        snapshot = profiler.snapshot()
+        plan = result.stats.plans["sigma3"]
+        assert snapshot["sigma3"]["groups_evaluated"] == (
+            plan["groups_evaluated"]
+        ) > 0
+        assert snapshot["sigma3"]["execs"] == plan["kernel_execs"]
+        assert snapshot["sigma1"]["groups_evaluated"] == 0
+        header, _, *rows = obs.render_top(snapshot).splitlines()
+        column = header.split().index("groups")
+        sigma3_row = next(row for row in rows if row.startswith("sigma3"))
+        assert sigma3_row.split()[column] == str(plan["groups_evaluated"])
+
 
 class TestFlightIntegration:
     def test_chase_fills_phases_and_counts(self):

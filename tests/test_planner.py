@@ -100,13 +100,27 @@ class TestAtomOrdering:
             assert variant.pivot == pivot
             assert variant.order[0] == pivot
 
-    def test_aggregate_rules_have_no_delta_variants(self):
+    def test_aggregate_rules_have_one_delta_variant_per_body_atom(self):
+        """Aggregates are delta-driven like plain rules; their variants
+        are planned over the pre-aggregation conditions only (the
+        post-aggregation ``t > 0.5`` needs the aggregate result)."""
         rule = _rule(
-            "r: Own(x, y, s), t = sum(s) -> IntOwn(x, y, t).",
-            goal="IntOwn",
+            "r: Control(x, z), Own(z, y, s), s > 0.1, t = sum(s), t > 0.5 "
+            "-> Control(x, y).",
+            goal="Control",
         )
         rule_plan = plan_rule(rule, Database([]))
-        assert rule_plan.delta_variants == ()
+        assert len(rule_plan.delta_variants) == len(rule.body) == 2
+        for pivot, variant in enumerate(rule_plan.delta_variants):
+            assert variant.pivot == pivot
+            assert variant.order[0] == pivot
+            conditions = [
+                condition
+                for step in variant.steps
+                for condition in step.conditions
+            ]
+            assert conditions == list(rule.aggregate_split[0])
+            assert len(conditions) == 1
 
 
 class TestHoisting:

@@ -45,6 +45,64 @@ OWNERSHIP = parse_program(
 
 shares = st.sampled_from([0.2, 0.3, 0.6])
 
+# The four shapes where delta-driven aggregation (engine/chase.py's
+# GroupTable) could part from whole re-evaluation (the oracle).
+
+# (a) Aggregate over aggregate in one stratum: sigma7 sums the Risk facts
+# sigma5/sigma6 keep superseding, so standing contributions must leave
+# through the reverse map.
+STRESS = parse_program(
+    """
+    sigma4: Shock(f, s), HasCapital(f, p1), s > p1 -> Default(f).
+    sigma5: Default(d), LongTermDebts(d, c, v), el = sum(v) -> Risk(c, el, "long").
+    sigma6: Default(d), ShortTermDebts(d, c, v), es = sum(v) -> Risk(c, es, "short").
+    sigma7: Risk(c, e, t), HasCapital(c, p2), l = sum(e), l > p2 -> Default(c).
+    """,
+    name="stress", goal="Default",
+)
+
+# (b) The aggregate rule's *second* body atom is derived in its own
+# stratum (and partly extensional, so groups stand from round 1): new
+# contributions pair old A facts with new B facts and sort before
+# standing ones.
+LATE_SECOND_ATOM = parse_program(
+    """
+    agg:  A(x, z), B(z, y, s), t = sum(s) -> C(x, y, t).
+    mk:   Raw(z, y, s) -> B(z, y, s).
+    grow: C(x, y, t), t > 0.5, Late(y, w, s) -> B(y, w, s).
+    """,
+    name="late_second_atom", goal="C",
+)
+
+# (c) A post-aggregation threshold rejects a group until joint stakes
+# arrive rounds later (company control, sigma1-sigma3).
+CONTROL = parse_program(
+    """
+    sigma1: Own(x, y, s), s > 0.5 -> Control(x, y).
+    sigma2: Company(x) -> Control(x, x).
+    sigma3: Control(x, z), Own(z, y, s), ts = sum(s), ts > 0.5 -> Control(x, y).
+    """,
+    name="control", goal="Control",
+)
+
+# (d) A plain rule derives the very head a group evaluates to, so the
+# group stands deduplicated (no state, nothing to supersede) until its
+# sum moves on.
+SHARED_HEAD = parse_program(
+    """
+    self:   Company(x) -> Control(x, x).
+    direct: Own(x, y, s) -> Stake(x, y, s).
+    joint:  Control(x, z), Own(z, y, s), ts = sum(s) -> Stake(x, y, ts).
+    ctl:    Stake(x, y, ts), ts > 0.5 -> Control(x, y).
+    """,
+    name="shared_head", goal="Control",
+)
+
+amounts = st.lists(st.sampled_from([2, 3, 5]), min_size=10, max_size=10)
+minority_shares = st.lists(
+    st.sampled_from([0.2, 0.3, 0.4]), min_size=10, max_size=10
+)
+
 
 def _edge_database(edge_list):
     return Database([fact("E", a, b) for a, b in edge_list])
@@ -66,6 +124,26 @@ def _ownership_database(edge_list, share_list):
             fact("Own", a, b, share)
             for (a, b), share in zip(edge_list, share_list)
         ]
+    )
+
+
+def _weighted(predicate, edge_list, weights):
+    return [
+        fact(predicate, a, b, weight)
+        for (a, b), weight in zip(edge_list, weights)
+    ]
+
+
+def _stress_database(long_edges, short_edges, long_amounts, short_amounts,
+                     capitals, shocked):
+    return Database(
+        [fact("Shock", name, 10) for name in shocked]
+        + [
+            fact("HasCapital", name, capital)
+            for name, capital in zip("ABCDEF", capitals)
+        ]
+        + _weighted("LongTermDebts", long_edges, long_amounts)
+        + _weighted("ShortTermDebts", short_edges, short_amounts)
     )
 
 
@@ -130,6 +208,60 @@ class TestEngineAgainstOracleProperty:
         # The program is only a useful probe if sums really do grow.
         assert all(
             planned.record_for(f).is_aggregate for f in planned.superseded
+        )
+
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        edges, edges, amounts, amounts,
+        st.lists(st.sampled_from([1, 4, 6]), min_size=6, max_size=6),
+        st.lists(entity_names, min_size=1, max_size=2, unique=True),
+    )
+    def test_aggregate_over_superseding_aggregate(
+        self, long_edges, short_edges, long_amounts, short_amounts,
+        capitals, shocked,
+    ):
+        _assert_engine_matches_oracle(
+            STRESS,
+            _stress_database(
+                long_edges, short_edges, long_amounts, short_amounts,
+                capitals, shocked,
+            ),
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        edges, edges, edges, edges,
+        minority_shares, minority_shares, minority_shares,
+    )
+    def test_second_body_atom_derived_in_stratum(
+        self, a_edges, b_edges, raw_edges, late_edges,
+        b_shares, raw_shares, late_shares,
+    ):
+        _assert_engine_matches_oracle(
+            LATE_SECOND_ATOM,
+            Database(
+                [fact("A", x, z) for x, z in a_edges]
+                + _weighted("B", b_edges, b_shares)
+                + _weighted("Raw", raw_edges, raw_shares)
+                + _weighted("Late", late_edges, late_shares)
+            ),
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(edges, st.lists(shares, min_size=10, max_size=10))
+    def test_threshold_met_rounds_later(self, edge_list, share_list):
+        _assert_engine_matches_oracle(
+            CONTROL, _ownership_database(edge_list, share_list)
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(edges, st.lists(shares, min_size=10, max_size=10))
+    def test_group_head_already_derived_by_plain_rule(
+        self, edge_list, share_list
+    ):
+        _assert_engine_matches_oracle(
+            SHARED_HEAD, _ownership_database(edge_list, share_list)
         )
 
 

@@ -70,6 +70,10 @@ def _record_fingerprint(result):
             tuple(repr(parent) for parent in record.parents),
             repr(record.binding),
             repr(record.aggregate_value),
+            tuple(
+                (repr(c.facts), repr(c.value), repr(c.binding))
+                for c in record.contributors
+            ),
         )
         for record in result.records
     ]
@@ -370,3 +374,166 @@ class TestDeltaCorrectness:
         planned = chase(program, database, strategy="planned")
         assert fact("C", "X") in planned.database
         assert _record_fingerprint(naive) == _record_fingerprint(planned)
+
+    def test_superseded_upstream_sum_leaves_downstream_group(self):
+        """Aggregate over aggregate in one stratum (the stress test's
+        sigma5-sigma7): when B's default grows C's long-term risk from 3
+        to 6, sigma7's group for C must lose the superseded Risk(C, 3)
+        contribution it has been holding, not sum it with the new one."""
+        program = stress_test.build().program
+        database = Database([
+            fact("Shock", "A", 10),
+            fact("HasCapital", "A", 1),
+            fact("HasCapital", "B", 4),
+            fact("HasCapital", "C", 6),
+            fact("LongTermDebts", "A", "C", 3),
+            fact("ShortTermDebts", "A", "C", 2),
+            fact("LongTermDebts", "A", "B", 5),
+            fact("LongTermDebts", "B", "C", 3),
+        ])
+        naive = chase(program, database, strategy="naive")
+        planned = chase(program, database, strategy="planned")
+        assert fact("Risk", "C", 3, "long") in planned.superseded
+        default_c = planned.record_for(fact("Default", "C"))
+        assert default_c.round == 2
+        assert default_c.aggregate_value == 8
+        assert [c.facts[0] for c in default_c.contributors] == [
+            fact("Risk", "C", 2, "short"), fact("Risk", "C", 6, "long"),
+        ]
+        assert planned.superseded == naive.superseded
+        assert _record_fingerprint(naive) == _record_fingerprint(planned)
+
+    def test_late_second_atom_sorts_before_standing_contribution(self):
+        """The aggregate's second body atom arrives in round 2 and pairs
+        with an *earlier* first atom than the standing contribution's:
+        it must be listed first, as whole re-evaluation lists it."""
+        program = parse_program(
+            """
+            agg: A(x, z), B(z, y, s), t = sum(s) -> C(x, y, t).
+            mk:  Raw(z, y, s) -> B(z, y, s).
+            """,
+            name="late", goal="C",
+        )
+        database = Database([
+            fact("A", "X", "Z0"), fact("A", "X", "Z1"),
+            fact("B", "Z1", "Y", 0.3), fact("Raw", "Z0", "Y", 0.4),
+        ])
+        naive = chase(program, database, strategy="naive")
+        planned = chase(program, database, strategy="planned")
+        grown = planned.records[-1]
+        assert grown.round == 2 and grown.rule.label == "agg"
+        assert [c.facts for c in grown.contributors] == [
+            (fact("A", "X", "Z0"), fact("B", "Z0", "Y", 0.4)),
+            (fact("A", "X", "Z1"), fact("B", "Z1", "Y", 0.3)),
+        ]
+        assert planned.superseded == {fact("C", "X", "Y", 0.3)}
+        assert _record_fingerprint(naive) == _record_fingerprint(planned)
+
+    def test_late_join_partner_never_meets_a_superseded_sum(self):
+        """Mark(A) arrives a round after Total(A, 2) was superseded; the
+        delta join Total x Mark must exclude the stale total (the
+        stratum's exclude set is rebuilt when supersession grows)."""
+        program = parse_program(
+            """
+            flag:  Total(x, t), Mark(x) -> Flagged(x, t).
+            total: Pay(x, v), t = sum(v) -> Total(x, t).
+            more:  Total(x, t), Bonus(x, v), t >= 2 -> Pay(x, v).
+            mark:  Total(x, t), t > 4 -> Mark(x).
+            """,
+            name="stale", goal="Flagged",
+        )
+        database = Database([fact("Pay", "A", 2), fact("Bonus", "A", 3)])
+        naive = chase(program, database, strategy="naive")
+        planned = chase(program, database, strategy="planned")
+        assert planned.superseded == {fact("Total", "A", 2)}
+        assert planned.facts("Flagged") == (fact("Flagged", "A", 5),)
+        assert _record_fingerprint(naive) == _record_fingerprint(planned)
+
+
+    def test_emptied_group_survives_its_other_parent_being_superseded(self):
+        """Both body atoms are superseding sums.  R(X, 2) is superseded
+        by R(X, 7), which fails ``a < 5``: group X loses its only
+        contribution and is gone.  When S(X, 1) is superseded two rounds
+        later, the reverse map still names the vanished group."""
+        program = parse_program(
+            """
+            pair:  R(x, a), S(x, b), a < 5, t = sum(b) -> P(x, t).
+            r:     A(x, v), a = sum(v) -> R(x, a).
+            s:     B(x, v), b = sum(v) -> S(x, b).
+            growA: R(x, a), StepA(x, v) -> A(x, v).
+            growB: R(x, a), a > 5, StepB(x, v) -> B(x, v).
+            """,
+            name="emptied", goal="P",
+        )
+        database = Database([
+            fact("A", "X", 2), fact("B", "X", 1),
+            fact("StepA", "X", 5), fact("StepB", "X", 3),
+        ])
+        naive = chase(program, database, strategy="naive")
+        planned = chase(program, database, strategy="planned")
+        assert planned.superseded == {fact("R", "X", 2), fact("S", "X", 1)}
+        assert planned.facts("P") == (fact("P", "X", 1),)
+        assert _record_fingerprint(naive) == _record_fingerprint(planned)
+        assert planned.rounds == naive.rounds
+
+
+def _joint_ladder(hops):
+    """A control ladder L0 -> ... -> L<hops> whose every third hop is
+    joint: 30 % held directly plus 30 % through a wholly owned vehicle,
+    so sigma3's threshold is met one round after the vehicle's stake
+    arrives."""
+    facts = [company_control.company(f"L{i}") for i in range(hops + 1)]
+    for hop in range(hops):
+        lower, upper = f"L{hop}", f"L{hop + 1}"
+        if hop % 3 == 2:
+            vehicle = f"V{hop}"
+            facts += [
+                company_control.company(vehicle),
+                company_control.own(lower, vehicle, 1.0),
+                company_control.own(lower, upper, 0.3),
+                company_control.own(vehicle, upper, 0.3),
+            ]
+        else:
+            facts.append(company_control.own(lower, upper, 0.6))
+    return Database(facts)
+
+
+class TestAggregateGroupWork:
+    """Delta-driven aggregation pinned without a clock: sigma3 evaluates
+    a group only when a contribution reached it, so the evaluations are
+    bounded by its matches — whole re-evaluation pays rounds x groups —
+    while every record stays byte-equal to the oracle's."""
+
+    DATABASES = {
+        "control_chain_40": lambda: generators.control_chain(
+            40, seed=3
+        ).database,
+        "joint_ladder_12": lambda: _joint_ladder(12),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DATABASES))
+    def test_groups_evaluated_bounded_by_matches(self, name):
+        program = company_control.build().program
+        database = self.DATABASES[name]()
+        naive = chase(program, database, strategy="naive")
+        planned = chase(program, database, strategy="planned")
+        assert _record_fingerprint(naive) == _record_fingerprint(planned)
+        assert planned.rounds == naive.rounds >= 12
+        sigma3 = planned.stats.plans["sigma3"]
+        assert sigma3["groups_standing"] > 0
+        assert sigma3["groups_evaluated"] <= (
+            sigma3["matches"] + sigma3["groups_standing"]
+        )
+        # Whole re-evaluation pays for every standing group in (nearly)
+        # every round.
+        assert sigma3["groups_evaluated"] < (
+            planned.rounds * sigma3["groups_standing"] / 4
+        )
+
+    def test_joint_hops_are_joint(self):
+        """The ladder really exercises the threshold: a joint hop's
+        control record sums two stakes, neither a majority."""
+        result = chase(company_control.build().program, _joint_ladder(12))
+        joint = result.record_for(fact("Control", "L2", "L3"))
+        assert [c.value for c in joint.contributors] == [0.3, 0.3]
+        assert fact("Control", "L0", "L12") in result.database

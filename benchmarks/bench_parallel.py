@@ -9,6 +9,14 @@ clear **2x** the thread backend's throughput at 4 workers; on smaller
 machines the speedup key is omitted and the gate skips (``optional:
 true`` in ``gates.json``).
 
+The mix is no longer CPU-bound.  Why-not probes now go through the chase
+database's position indexes (DESIGN.md §10): the constants these probes
+ask about were never stored, so the indexes answer without a scan, and
+even on the larger bench/ graphs a why-not costs about 0.15 ms where it
+cost 10–18 ms.  Transport dominates every request here, so the
+thread/process comparison measures the HTTP path, not counterfactual
+search.  A CPU-bound workload for this comparison is still to be chosen.
+
 (The shard-parallel chase this file also used to measure was retired:
 DESIGN.md §14 records the negative result.)
 

@@ -32,10 +32,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import count
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .. import obs
 from ..datalog.atoms import Fact
+from ..engine.chase import ChaseStepRecord
 from ..engine.provenance import DerivationSpine
 from ..engine.provenance_index import ProvenanceIndex
 from ..engine.reasoning import ReasoningResult
@@ -45,7 +46,7 @@ from .enhancer import EnhancementReport, SupportsComplete
 from .glossary import DomainGlossary
 from .mapping import SegmentMatch, TemplateMapper
 from .structural import StructuralAnalysis
-from .templates import InstantiatedExplanation, TemplateStore
+from .templates import ExplanationTemplate, InstantiatedExplanation, TemplateStore
 from .verbalizer import Verbalizer
 
 #: Distinguishes cache entries of different runtime bindings inside a
@@ -182,6 +183,14 @@ class Explainer:
         # the compile fingerprint, so a key says exactly which program
         # artifact and which materialized instance produced the text.
         self._memo_scope = (self._binding_id, compiled.fingerprint)
+        # Record-keyed memos below the explanation LRU, living exactly as
+        # long as this binding: one mapping memo per mapper (see
+        # TemplateMapper.map_spine) and the rendered segments, keyed by
+        # everything a segment's text is a function of.  Neither evicts;
+        # both are bounded by the chase records times the mapper's
+        # horizon (times the presentation options for segments).
+        self._mapping_memos: dict[TemplateMapper, dict] = {}
+        self._segment_memo: dict[tuple, InstantiatedExplanation] = {}
 
     # ------------------------------------------------------------------
     # Compiled-artifact views (stable public surface)
@@ -307,7 +316,8 @@ class Explainer:
         store, mapper = self._pipeline_for(query.predicate)
         spine = self.result.spine(query)
         segments = mapper.map_spine(
-            spine, self.result.chase_result.derivation
+            spine, self.result.chase_result.derivation,
+            self._mapping_memos.setdefault(mapper, {}),
         )
         side_explanations: tuple[Explanation, ...] = ()
         if include_side_branches:
@@ -315,8 +325,9 @@ class Explainer:
                 segments, prefer_enhanced, variant_index, visited
             )
         instantiations = tuple(
-            store.get(segment.path).instantiate(
-                segment.assignments, prefer_enhanced, variant_index
+            self._instantiate(
+                store.get(segment.path), segment.assignments,
+                prefer_enhanced, variant_index,
             )
             for segment in segments
         )
@@ -330,6 +341,34 @@ class Explainer:
             instantiations=instantiations,
             side_explanations=side_explanations,
         )
+
+    def _instantiate(
+        self,
+        template: ExplanationTemplate,
+        assignments: Mapping[str, tuple[ChaseStepRecord, ...]],
+        prefer_enhanced: bool,
+        variant_index: int,
+    ) -> InstantiatedExplanation:
+        """``template.instantiate``, memoized per binding.
+
+        The text reads only the template, the two presentation options and
+        the assigned records, so those are the key.  ``id(template)`` is
+        safe: the memoized value holds the template alive.
+        """
+        key = (
+            id(template), prefer_enhanced, variant_index,
+            tuple(
+                (label, tuple(record.index for record in records))
+                for label, records in assignments.items()
+            ),
+        )
+        rendered = self._segment_memo.get(key)
+        if rendered is None:
+            rendered = template.instantiate(
+                assignments, prefer_enhanced, variant_index
+            )
+            self._segment_memo[key] = rendered
+        return rendered
 
     def _explain_side_branches(
         self,

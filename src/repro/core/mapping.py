@@ -20,7 +20,7 @@ the path's rules — which is exactly what selects Γ4 = {σ5, σ6, σ7} over
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from ..datalog.atoms import Fact
@@ -73,6 +73,12 @@ class TemplateMapper:
         # order, and `_prefer` breaks every tie deterministically anyway.
         self._simple_buckets: Mapping[str, tuple[ReasoningPath, ...]] | None = None
         self._cycle_buckets: Mapping[str, tuple[ReasoningPath, ...]] | None = None
+        # A variant consumes at most one spine step per distinct rule, so
+        # no decision at a position reads further ahead than this.
+        self._horizon = max(
+            (len(set(variant.labels)) for variant in analysis.all_variants),
+            default=1,
+        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -81,37 +87,66 @@ class TemplateMapper:
         self,
         spine: DerivationSpine,
         derivation: Mapping[Fact, ChaseStepRecord],
+        memo: dict | None = None,
     ) -> list[SegmentMatch]:
-        """Decompose the spine into adjacent reasoning-path segments."""
+        """Decompose the spine into adjacent reasoning-path segments.
+
+        ``memo`` is a dict owned by one runtime binding (one fixed
+        ``derivation``).  The decision at a position reads only the steps
+        within the mapper's horizon and whether the position is the first
+        — which its record says too: only a first step has no intensional
+        parent.  So the record indices of the window are the key, and a
+        spine sharing a window with one mapped before reuses the decision
+        at its own offset.
+        """
         steps = spine.steps
+        memo = {} if memo is None else memo
         segments: list[SegmentMatch] = []
         position = 0
         while position < len(steps):
-            first = position == 0
-            match = self._best_match(steps, position, derivation, simple=first)
+            key = tuple(
+                step.record.index
+                for step in steps[position:position + self._horizon]
+            )
+            match = memo.get(key)
             if match is None:
-                # A fact's derivation may start from an intensional fact
-                # seeded directly in the EDB: then no simple path grounds
-                # it, but a cycle does — its anchor is "given".
-                match = self._best_match(
-                    steps, position, derivation, simple=not first
-                )
-            if match is None:
-                match = self._best_match(
-                    steps, position, derivation, simple=first, ignore_sides=True
-                ) or self._best_match(
-                    steps, position, derivation, simple=not first,
-                    ignore_sides=True,
-                )
-            if match is None:
-                label = steps[position].rule_label
-                raise MappingError(
-                    f"no reasoning path of {self.analysis.program.name!r} "
-                    f"covers spine step {position + 1} (rule {label!r})"
-                )
+                match = memo[key] = self._decide(steps, position, derivation)
+            elif match.start != position:
+                match = replace(match, start=position, end=position + match.coverage)
             segments.append(match)
             position = match.end
         return segments
+
+    def _decide(
+        self,
+        steps: Sequence[SpineStep],
+        position: int,
+        derivation: Mapping[Fact, ChaseStepRecord],
+    ) -> SegmentMatch:
+        """The longest-prefix segment starting at ``position``."""
+        first = position == 0
+        match = self._best_match(steps, position, derivation, simple=first)
+        if match is None:
+            # A fact's derivation may start from an intensional fact
+            # seeded directly in the EDB: then no simple path grounds
+            # it, but a cycle does — its anchor is "given".
+            match = self._best_match(
+                steps, position, derivation, simple=not first
+            )
+        if match is None:
+            match = self._best_match(
+                steps, position, derivation, simple=first, ignore_sides=True
+            ) or self._best_match(
+                steps, position, derivation, simple=not first,
+                ignore_sides=True,
+            )
+        if match is None:
+            label = steps[position].rule_label
+            raise MappingError(
+                f"no reasoning path of {self.analysis.program.name!r} "
+                f"covers spine step {position + 1} (rule {label!r})"
+            )
+        return match
 
     # ------------------------------------------------------------------
     # Candidate selection

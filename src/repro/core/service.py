@@ -8,7 +8,6 @@ of the explanation stack.  It owns
   compiled once for the service lifetime (warm starts can pre-seed the
   cache from disk via :meth:`ExplanationService.warm_start`);
 * a shared bounded LRU of generated explanations spanning all sessions;
-* a thread pool serving :meth:`ExplanationSession.explain_batch`;
 * per-service hit/miss/latency counters (:class:`ServiceMetrics`).
 
 A *session* binds one compiled program to one database instance: the
@@ -26,10 +25,7 @@ Typical use::
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -156,9 +152,8 @@ class ExplanationSession:
         self.explainer = Explainer(
             result, compiled=compiled, cache=service.explanation_cache
         )
-        # The why-not prober is built lazily and kept for the session: it
-        # shares the session's provenance index, and its answers are
-        # memoized in their own region of the shared LRU.
+        # The why-not prober is built lazily and kept for the session; its
+        # answers are memoized in their own region of the shared LRU.
         self._whynot: WhyNotExplainer | None = None
         self._whynot_region = service.explanation_cache.region("whynot")
 
@@ -185,221 +180,54 @@ class ExplanationSession:
         deadline: Deadline | float | None = None,
         **options,
     ) -> list[Explanation] | list[BatchOutcome]:
-        """Explain many queries, preserving input order.
+        """Explain many queries, one after another, in input order.
 
-        Queries fan out over the service thread pool; the pipeline is
-        pure over the frozen result, segments share the compiled
-        artifact, and the explanation cache is a thread-safe LRU, so
-        concurrent generation is safe.  Provenance is forced up front —
-        it is shared state all workers would otherwise race to build.
+        The batch runs on the calling thread: a served batch already has
+        a worker thread to itself, generation is pure Python, and queries
+        sharing a derivation subtree find it in the binding's memos.
 
         With ``deadline`` (a :class:`~repro.resilience.policy.Deadline`
         or a budget in seconds) the batch degrades instead of blocking:
         the return value becomes a list of :class:`BatchOutcome`, one per
-        query in input order, where queries the budget could not cover
-        carry ``status="deadline_exceeded"`` and queued work is abandoned
-        rather than left hanging the pool.  Without a deadline the
-        historical ``list[Explanation]`` contract is unchanged.
+        query in input order.  The budget is checked before each query; a
+        query that began within it finishes (computed work is never
+        discarded), the ones after it carry
+        ``status="deadline_exceeded"``, and a failing query carries
+        ``status="error"``.  Without a deadline the historical
+        ``list[Explanation]`` contract is unchanged.
         """
         chosen: Sequence[Fact] = list(queries)
         bounded = Deadline.coerce(deadline)
-        if bounded is not None:
-            return self._explain_batch_bounded(chosen, bounded, options)
         if not chosen:
             return []
-        self.result.index  # materialize the shared provenance index once
+        budget = {} if bounded is None else {"deadline_s": bounded.budget_s}
         metrics = self.service.metrics
-        recorder = obs.get_flight()
-        with recorder.record(
+        with obs.get_flight().record(
             "explain_batch", fingerprint=self.compiled.fingerprint,
-            queries=len(chosen),
+            queries=len(chosen), **budget,
         ) as batch_record, _Timed(metrics, "explain_batch"):
-            if len(chosen) == 1 or self.service.max_workers <= 1:
-                explanations = [
-                    self.explainer.explain(query, **options)
-                    for query in chosen
+            if bounded is None:
+                served: list = [
+                    self.explainer.explain(query, **options) for query in chosen
                 ]
+                metrics.incr("explanations", len(chosen))
             else:
-                tracer = obs.get_tracer()
-                batch_span = tracer.current()
-
-                def run_one(query: Fact, submitted: float) -> Explanation:
-                    # Queue wait (submit -> worker pickup) vs. execution
-                    # time, per worker task: the two numbers that say
-                    # whether a slow batch is under-provisioned (wait
-                    # dominates) or generation-bound (execute dominates).
-                    # The submitting request's span and flight record are
-                    # adopted for the task's lifetime, so worker-side
-                    # spans parent to the batch (not the ambient root)
-                    # and kernel/cache counters land on the right flight.
-                    started = time.perf_counter()
-                    metrics.observe("explain_queue_wait", started - submitted)
-                    with tracer.attach(batch_span), recorder.attach(
-                        batch_record
-                    ):
-                        with tracer.span(
-                            "service.explain_task", query=str(query)
-                        ):
-                            with recorder.record(
-                                "explain_task", query=str(query),
-                                fingerprint=self.compiled.fingerprint,
-                            ) as task_record:
-                                explanation = self.explainer.explain(
-                                    query, **options
-                                )
-                        metrics.observe(
-                            "explain_execute",
-                            time.perf_counter() - started,
-                            exemplar=task_record.query_id,
-                        )
-                    return explanation
-
-                pool = self.service._thread_pool()
-                slots: list[Explanation | None] = [None] * len(chosen)
-                first, rest = self._subtree_waves(chosen)
-                metrics.observe("explain_batch_groups", len(first))
-                for wave in (first, rest):
-                    futures = {
-                        position: pool.submit(
-                            run_one, chosen[position], time.perf_counter()
-                        )
-                        for position in wave
-                    }
-                    for position, future in futures.items():
-                        slots[position] = future.result()
-                explanations = [
-                    slot for slot in slots if slot is not None
-                ]
-        metrics.incr("explanations", len(chosen))
-        metrics.observe("explain_batch_size", len(chosen))
-        return explanations
-
-    def _subtree_waves(
-        self, chosen: Sequence[Fact]
-    ) -> tuple[list[int], list[int]]:
-        """Schedule a batch in two waves grouped by shared derivation
-        subtrees.
-
-        Queries whose derivation spines share a root share the bulk of
-        their proof subtree, so serving one *representative* per root
-        first pays the subtree's mapping/verbalization once; the rest of
-        the group then lands on warm memo entries instead of parking on
-        the in-flight latch behind it.  Returns (representatives,
-        followers) as input positions — callers place results back by
-        position, so input order is preserved.  Queries the index cannot
-        root (not derived — the error must surface from the worker, not
-        here) are scheduled as their own representatives.
-        """
-        index = self.result.index
-        seen: set[str] = set()
-        first: list[int] = []
-        rest: list[int] = []
-        for position, query in enumerate(chosen):
-            try:
-                spine = index.spine(query)
-                root = index.fact_key(spine.steps[0].record.fact)
-            except KeyError:
-                root = None
-            if root is None or root not in seen:
-                if root is not None:
-                    seen.add(root)
-                first.append(position)
-            else:
-                rest.append(position)
-        return first, rest
-
-    def _explain_batch_bounded(
-        self,
-        chosen: Sequence[Fact],
-        deadline: Deadline,
-        options: dict,
-    ) -> list[BatchOutcome]:
-        """Deadline-bounded batch: partial results, never a hung pool.
-
-        Workers check the deadline before starting, so queued tasks whose
-        budget is already spent fail fast instead of occupying threads; a
-        task that *began* within budget is allowed to finish and its
-        result is returned (computed work is never discarded).
-        """
-        if not chosen:
-            return []
-        metrics = self.service.metrics
-        recorder = obs.get_flight()
-        outcomes: list[BatchOutcome | None] = [None] * len(chosen)
-        with recorder.record(
-            "explain_batch", fingerprint=self.compiled.fingerprint,
-            queries=len(chosen), deadline_s=deadline.budget_s,
-        ) as batch_record, _Timed(metrics, "explain_batch"):
-            try:
-                deadline.check("explain_batch provenance")
-                self.result.index  # materialize the shared index once
-            except DeadlineExceeded:
-                outcomes = [BatchOutcome.missed(query) for query in chosen]
-                metrics.incr("explain_deadline_exceeded", len(chosen))
-                metrics.observe("explain_batch_size", len(chosen))
-                batch_record.event(
-                    "deadline_exceeded", where="provenance", missed=len(chosen)
+                served = [self._bounded_one(query, bounded, options) for query in chosen]
+                metrics.incr("explanations", sum(outcome.ok for outcome in served))
+                missed = sum(
+                    outcome.status == BatchOutcome.STATUS_DEADLINE for outcome in served
                 )
-                return outcomes
-            if len(chosen) == 1 or self.service.max_workers <= 1:
-                for index, query in enumerate(chosen):
-                    if deadline.expired:
-                        outcomes[index] = BatchOutcome.missed(query)
-                        continue
-                    outcomes[index] = self._bounded_one(query, options)
-            else:
-                tracer = obs.get_tracer()
-                batch_span = tracer.current()
-                pool = self.service._thread_pool()
-
-                def run_one(query: Fact) -> Explanation:
-                    deadline.check("explain_batch task")
-                    with tracer.attach(batch_span), recorder.attach(
-                        batch_record
-                    ):
-                        with tracer.span(
-                            "service.explain_task", query=str(query)
-                        ):
-                            with recorder.record(
-                                "explain_task", query=str(query),
-                                fingerprint=self.compiled.fingerprint,
-                            ):
-                                return self.explainer.explain(
-                                    query, **options
-                                )
-
-                futures = [pool.submit(run_one, query) for query in chosen]
-                for index, (query, future) in enumerate(zip(chosen, futures)):
-                    try:
-                        explanation = future.result(
-                            timeout=deadline.remaining()
-                        )
-                        outcomes[index] = BatchOutcome.success(
-                            query, explanation
-                        )
-                    except FuturesTimeout:
-                        future.cancel()
-                        outcomes[index] = BatchOutcome.missed(query)
-                    except DeadlineExceeded as error:
-                        outcomes[index] = BatchOutcome.missed(query, error)
-                    except Exception as error:
-                        outcomes[index] = BatchOutcome.failed(query, error)
-        final = [outcome for outcome in outcomes if outcome is not None]
-        served = sum(1 for outcome in final if outcome.ok)
-        missed = sum(
-            1 for outcome in final
-            if outcome.status == BatchOutcome.STATUS_DEADLINE
-        )
-        metrics.incr("explanations", served)
-        if missed:
-            metrics.incr("explain_deadline_exceeded", missed)
-            batch_record.event(
-                "deadline_exceeded", where="tasks", missed=missed
-            )
+                if missed:
+                    metrics.incr("explain_deadline_exceeded", missed)
+                    batch_record.event("deadline_exceeded", missed=missed)
         metrics.observe("explain_batch_size", len(chosen))
-        return final
+        return served
 
-    def _bounded_one(self, query: Fact, options: dict) -> BatchOutcome:
+    def _bounded_one(
+        self, query: Fact, deadline: Deadline, options: dict
+    ) -> BatchOutcome:
+        if deadline.expired:
+            return BatchOutcome.missed(query)
         try:
             return BatchOutcome.success(
                 query, self.explainer.explain(query, **options)
@@ -422,10 +250,9 @@ class ExplanationSession:
     def why_not(self, query: Fact) -> WhyNotAnswer:
         """Why ``query`` is *not* derived, memoized per session.
 
-        The prober is kept for the session (it shares the provenance
-        index's active-fact view) and its answers live in the shared
-        LRU's ``whynot`` region, scoped by the explainer's memo scope so
-        a re-reasoned session never serves stale reports.
+        The prober is kept for the session and its answers live in the
+        shared LRU's ``whynot`` region, scoped by the explainer's memo
+        scope so a re-reasoned session never serves stale reports.
         """
         recorder = obs.get_flight()
         with recorder.record(
@@ -444,9 +271,7 @@ class ExplanationSession:
 
     def _whynot_explainer(self) -> WhyNotExplainer:
         if self._whynot is None:
-            self._whynot = WhyNotExplainer(
-                self.result, self.compiled.glossary, index=self.result.index
-            )
+            self._whynot = WhyNotExplainer(self.result, self.compiled.glossary)
         return self._whynot
 
     # ------------------------------------------------------------------
@@ -586,7 +411,8 @@ class ExplanationService:
     explanation_cache_size:
         Bound of the shared cross-session explanation LRU.
     max_workers:
-        Thread-pool width for ``explain_batch`` (1 disables threading).
+        Ignored: ``explain_batch`` runs on the calling thread.  Still
+        accepted because existing callers pass it.
     metrics:
         The :class:`~repro.obs.metrics.ServiceMetrics` registry to report
         into; pass one to pool service telemetry with ambient chase and
@@ -604,21 +430,18 @@ class ExplanationService:
         enhanced_versions: int = 1,
         max_compiled_programs: int = 32,
         explanation_cache_size: int = DEFAULT_EXPLANATION_CACHE_SIZE,
-        max_workers: int = 4,
+        max_workers: int | None = None,
         metrics: ServiceMetrics | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
         self.llm = llm
         self.enhanced_versions = enhanced_versions
         self.retry_policy = retry_policy
-        self.max_workers = max_workers
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.compiled_cache = LRUCache(max_compiled_programs)
         self.explanation_cache = LRUCache(explanation_cache_size)
         self.metrics.register_cache("compiled_cache", self.compiled_cache)
         self.metrics.register_cache("explanation_cache", self.explanation_cache)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Compile layer access
@@ -731,20 +554,8 @@ class ExplanationService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-explain",
-                )
-            return self._pool
-
     def shutdown(self) -> None:
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        """Nothing to release; kept so services stay context managers."""
 
     def __enter__(self) -> "ExplanationService":
         return self

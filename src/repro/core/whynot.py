@@ -23,8 +23,8 @@ from ..datalog.errors import EvaluationError
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Variable
 from ..datalog.unify import MutableSubstitution, apply_substitution, match_atom
-from ..engine.provenance_index import ProvenanceIndex
 from ..engine.reasoning import ReasoningResult
+from ..engine.reference import match_conjunction
 from .glossary import DomainGlossary
 from .verbalizer import OPERATOR_PHRASES, Verbalizer
 
@@ -58,22 +58,15 @@ class WhyNotExplainer:
     """Explains non-answers against a materialized reasoning result.
 
     Probing replays rule bodies against the *active* (non-superseded)
-    instance; that list is served by the session's
-    :class:`~repro.engine.provenance_index.ProvenanceIndex` instead of
-    being rebuilt per query (pass ``index=`` to share one, otherwise the
-    result's own index is used).
+    instance through the chase database's position indexes, with the
+    binding so far restricting each candidate list; candidates arrive in
+    insertion order, as a scan of the whole instance would meet them.
     """
 
-    def __init__(
-        self,
-        result: ReasoningResult,
-        glossary: DomainGlossary,
-        index: ProvenanceIndex | None = None,
-    ):
+    def __init__(self, result: ReasoningResult, glossary: DomainGlossary):
         self.result = result
         self.glossary = glossary
         self.verbalizer = Verbalizer(glossary)
-        self.index = index if index is not None else result.index
 
     # ------------------------------------------------------------------
     # Public API
@@ -131,7 +124,8 @@ class WhyNotExplainer:
         Returns (atoms satisfied, binding, failing atom index, failing
         condition, blocking negated atom) for the best attempt.
         """
-        active = self.index.active_facts()
+        database = self.result.database
+        superseded = self.result.chase_result.superseded
         best: tuple = (-1, dict(head_binding), 0, None, None)
 
         def consider(candidate: tuple) -> None:
@@ -143,23 +137,18 @@ class WhyNotExplainer:
             if index == len(rule.body):
                 # All atoms satisfied: check negation, then conditions.
                 for negated in rule.negated:
-                    grounded = apply_substitution(negated, binding)
-                    blockers = [
-                        f for f in active if match_atom(grounded, f) is not None
-                    ]
-                    if blockers:
+                    blocker = next(database.match(negated, binding, superseded), None)
+                    if blocker is not None:
+                        grounded = apply_substitution(negated, binding)
                         consider((index, dict(binding), None, None, grounded))
                         return
                 failing, augmented = self._failing_condition(rule, binding)
                 consider((index, augmented, None, failing, None))
                 return
-            pattern = rule.body[index]
             matched_any = False
-            for candidate in active:
-                extended = match_atom(pattern, candidate, binding)
-                if extended is not None:
-                    matched_any = True
-                    recurse(index + 1, extended)
+            for _, extended in database.match(rule.body[index], binding, superseded):
+                matched_any = True
+                recurse(index + 1, extended)
             if not matched_any:
                 consider((index, dict(binding), index, None, None))
 
@@ -204,18 +193,18 @@ class WhyNotExplainer:
         """All aggregate contributions of the match's group — the value an
         analyst is told must be compared against the full group total, not
         a single contribution."""
-        from ..datalog.unify import find_homomorphisms
-
         aggregate = rule.aggregate
         assert aggregate is not None
-        active = self.index.active_facts()
         group_binding = {
             variable: binding[variable]
             for variable in aggregate.group_by
             if variable in binding
         }
         values = []
-        for match in find_homomorphisms(list(rule.body), active, group_binding):
+        for match, _ in match_conjunction(
+            self.result.database, rule.body, (), (),
+            self.result.chase_result.superseded, seed=group_binding,
+        ):
             values.append(evaluate_expression(aggregate.argument, match))
         if not values:
             values.append(evaluate_expression(aggregate.argument, binding))

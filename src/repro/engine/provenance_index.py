@@ -3,8 +3,7 @@
 With compilation and the chase both fast, repeated ``explain()`` calls
 spend their time re-walking the chase graph: every query re-extracts its
 derivation spine fact by fact, re-filters intensional parents, re-walks
-the proof DAG for constants, and the why-not prober re-materializes the
-active-fact list.  The provenance-graph literature (Lee et al.,
+the proof DAG for constants.  The provenance-graph literature (Lee et al.,
 "Efficiently Computing Provenance Graphs for Queries with Negation") and
 the Vadalog system paper both arrive at the same shape: *materialize an
 indexed provenance structure once per chase, then answer many queries
@@ -25,9 +24,8 @@ provides O(1) access to
   memoization layers so cache keys compare by identity;
 
 plus per-fact memoized views shared by all queries of a session:
-derivation spines (``spine``), proof DAGs (``proof_records``,
-``proof_constants``, ``derived_proof_facts``) and the active
-(non-superseded) instance (``active_facts``).
+derivation spines (``spine``) and proof DAGs (``proof_records``,
+``proof_constants``, ``derived_proof_facts``).
 
 The index is a pure acceleration layer: every answer is byte-identical
 to the unindexed walks it replaces (``tests/test_explain_serving.py``
@@ -110,7 +108,6 @@ class ProvenanceIndex:
         self._proofs: dict[Fact, tuple[ChaseStepRecord, ...]] = {}
         self._proof_constants: dict[Fact, tuple[str, ...]] = {}
         self._proof_facts: dict[Fact, frozenset[Fact]] = {}
-        self._active: tuple[Fact, ...] | None = None
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -244,19 +241,6 @@ class ProvenanceIndex:
             with self._lock:
                 key = self._keys.setdefault(current, key)
         return key
-
-    def active_facts(self) -> tuple[Fact, ...]:
-        """The non-superseded instance, materialized once per session
-        (the list the why-not prober rebuilt on every query)."""
-        active = self._active
-        if active is None:
-            superseded = self.result.superseded
-            active = tuple(
-                fact for fact in self.result.database.facts()
-                if fact not in superseded
-            )
-            self._active = active
-        return active
 
     # ------------------------------------------------------------------
     # Memoized derivation spines

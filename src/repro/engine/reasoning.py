@@ -41,8 +41,8 @@ class ReasoningResult:
         """The indexed provenance structure, built once per result.
 
         Everything the explanation stack asks repeatedly — derivation
-        records, intensional parents, depths, spines, proof DAGs, the
-        active instance — is answered from this index; a re-reasoned
+        records, intensional parents, depths, spines, proof DAGs — is
+        answered from this index; a re-reasoned
         session gets a fresh result and therefore a fresh index.
         """
         return ProvenanceIndex(self.chase_result)

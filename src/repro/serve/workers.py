@@ -70,9 +70,7 @@ class WorkerPool:
         self.snapshot = snapshot
         self.default_deadline_s = default_deadline_s
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.service = ExplanationService(
-            llm=llm, metrics=self.metrics, max_workers=workers,
-        )
+        self.service = ExplanationService(llm=llm, metrics=self.metrics)
         self.warm_start_s: list[float] = []
         self.boot_rows: list[dict] = []
         self._workers: list[ExplanationSession] = []

@@ -13,7 +13,7 @@ from repro.llm import SimulatedLLM
 
 @pytest.fixture()
 def service():
-    with ExplanationService(max_workers=2) as svc:
+    with ExplanationService() as svc:
         yield svc
 
 
@@ -233,7 +233,7 @@ class TestBatchDeadlines:
         assert counters["explain_deadline_exceeded"] == len(queries)
 
     def test_sequential_batch_returns_partial_results(self, control_app):
-        with ExplanationService(max_workers=1) as svc:
+        with ExplanationService() as svc:
             session, queries = self.make_session(svc, control_app)
             queries = (queries * 3)[:4]
             self.slow_down(session, 0.05)
@@ -246,30 +246,3 @@ class TestBatchDeadlines:
             counters = svc.metrics_snapshot()["counters"]
             assert counters["explain_deadline_exceeded"] >= 1
             assert counters["explanations"] == sum(o.ok for o in outcomes)
-
-    def test_pool_batch_returns_partial_results_without_hanging(
-        self, control_app
-    ):
-        import time as _time
-
-        with ExplanationService(max_workers=2) as svc:
-            session, queries = self.make_session(svc, control_app)
-            queries = (queries * 6)[:6]
-            self.slow_down(session, 0.1)
-            started = _time.perf_counter()
-            outcomes = session.explain_batch(queries, deadline=0.15)
-            elapsed = _time.perf_counter() - started
-            assert len(outcomes) == 6
-            assert [o.query for o in outcomes] == queries
-            # The first wave fits the budget; the tail is abandoned.
-            assert outcomes[0].ok and outcomes[1].ok
-            missed = [
-                o for o in outcomes
-                if o.status == BatchOutcome.STATUS_DEADLINE
-            ]
-            assert len(missed) >= 2
-            for outcome in missed:
-                assert outcome.explanation is None
-            # Partial collection, not a drained queue: six 100ms tasks on
-            # two workers would take ~300ms; the deadline cuts that short.
-            assert elapsed < 1.0

@@ -137,7 +137,7 @@ def test_batch_matches_seed_explainer():
     ]
     expected = [seed.explain(query).text for query in queries]
     with ExplanationService(
-        llm=SimulatedLLM(seed=_SEED, faithful=True), max_workers=4
+        llm=SimulatedLLM(seed=_SEED, faithful=True)
     ) as service:
         session = service.bind(application, result)
         produced = [e.text for e in session.explain_batch(queries)]

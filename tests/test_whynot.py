@@ -162,21 +162,6 @@ class TestExplainViolation:
         )
 
 
-class TestIndexSharing:
-    def test_prober_reuses_a_shared_index(self, surviving_creditor):
-        """Passing index= shares the session's active-fact view instead
-        of rebuilding the filtered instance per query."""
-        result = surviving_creditor.result
-        shared = WhyNotExplainer(
-            result, surviving_creditor.glossary, index=result.index
-        )
-        assert shared.index is result.index
-        assert surviving_creditor.index is result.index  # default wiring
-        first = shared.explain_why_not(fact("Default", "B"))
-        again = surviving_creditor.explain_why_not(fact("Default", "B"))
-        assert first.text == again.text
-
-
 class TestValueMismatch:
     def test_actual_aggregate_total_reported(self):
         """Querying the wrong integrated stake reports the real total."""

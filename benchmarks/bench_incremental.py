@@ -59,14 +59,14 @@ def _measure_single_edge(repeats: int) -> dict:
     Each trial adds one new ownership edge then retracts it again, so
     every repetition starts from the same materialized base state; the
     incremental side times :meth:`ChaseEngine.update` *plus*
-    :meth:`ReasoningResult.apply_update` (the provenance index is part
+    :meth:`ReasoningResult.updated` (the provenance index is part
     of what must stay fresh), and the full side times the chase plus the
     index build it would replace.
     """
     application, database = _largest_workload()
     engine = ChaseEngine(strategy="planned")
     result = reason(application.program, database, strategy="planned")
-    result.index  # materialize: updates maintain it in place
+    result.index  # materialize: updates carry it over, rebound
     edge = company_control.own("Invest0", "Gruppo1", 0.55)
 
     def timed(action) -> float:
@@ -81,11 +81,12 @@ def _measure_single_edge(repeats: int) -> dict:
     modes: dict[str, int] = {}
     for _ in range(repeats):
         def apply_add() -> None:
+            nonlocal result
             outcome = engine.update(
                 application.program, result.chase_result, adds=[edge]
             )
             modes[outcome.mode] = modes.get(outcome.mode, 0) + 1
-            result.apply_update(outcome.result)
+            result = result.updated(outcome.result)
 
         samples["add_incremental"].append(timed(apply_add))
         post_add = extensional_facts(result.chase_result)
@@ -97,11 +98,12 @@ def _measure_single_edge(repeats: int) -> dict:
         samples["add_full"].append(timed(full_add))
 
         def apply_retract() -> None:
+            nonlocal result
             outcome = engine.update(
                 application.program, result.chase_result, retracts=[edge]
             )
             modes[outcome.mode] = modes.get(outcome.mode, 0) + 1
-            result.apply_update(outcome.result)
+            result = result.updated(outcome.result)
 
         samples["retract_incremental"].append(timed(apply_retract))
         post_retract = extensional_facts(result.chase_result)

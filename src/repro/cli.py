@@ -524,12 +524,12 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="warm worker sessions / executor threads (default: %(default)s)",
+        help="requests served at once (default: %(default)s)",
     )
     serve.add_argument(
         "--backend", choices=("thread", "process"), default="thread",
-        help="worker backend: 'thread' keeps all sessions in-process "
-             "(GIL-bound); 'process' boots one worker process per "
+        help="worker backend: 'thread' serves every request from one "
+             "in-process session (GIL-bound); 'process' boots one worker process per "
              "worker from the shared snapshot and scales across cores "
              "(default: %(default)s)",
     )

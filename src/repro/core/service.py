@@ -287,11 +287,13 @@ class ExplanationSession:
 
         The chase result is maintained incrementally
         (:mod:`repro.engine.incremental`) at a cost proportional to the
-        delta's consequences, the provenance index is rebound in place
-        (memoized spines/proofs for untouched subtrees survive), and the
-        explainer is rebound under a fresh memo scope so stale
-        explanation and why-not entries are scoped out exactly as
-        :meth:`re_reason` does.  The returned
+        delta's consequences, a copy of the provenance index is rebound
+        (memoized spines/proofs for untouched subtrees survive), and a
+        fresh explainer takes a fresh memo scope so stale explanation and
+        why-not entries are scoped out exactly as :meth:`re_reason` does.
+        The session's attributes are reassigned, never mutated: a
+        shallow copy of a session can be updated while readers keep
+        serving from the original.  The returned
         :class:`~repro.engine.incremental.UpdateOutcome` reports the
         effective delta and whether the replay ran or fell back to a
         full re-chase.
@@ -311,7 +313,7 @@ class ExplanationSession:
             )
             flight.set(mode=outcome.mode)
             if outcome.mode != "noop":
-                self.result.apply_update(outcome.result)
+                self.result = self.result.updated(outcome.result)
                 self.explainer = Explainer(
                     self.result, compiled=self.compiled,
                     cache=self.service.explanation_cache,

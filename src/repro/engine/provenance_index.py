@@ -125,6 +125,11 @@ class ProvenanceIndex:
         removed, or when any ancestor was; the touched set is the
         forward closure of the changed records over the new reverse
         adjacency.  Returns invalidation figures for stats documents.
+
+        Readers keep inserting into the old memo dicts, so they are read
+        under the old lock.  Rebinding a ``copy.copy`` of an index leaves
+        the original whole for the readers still holding it (see
+        :meth:`~repro.engine.reasoning.ReasoningResult.updated`).
         """
         started = time.perf_counter()
         with obs.span(
@@ -132,6 +137,7 @@ class ProvenanceIndex:
             records=len(new_result.records),
         ) as span:
             old_derivation = self._derivation
+            old_lock = self._lock
             old_keys = self._keys
             old_spines = self._spines
             old_proofs = self._proofs
@@ -157,27 +163,28 @@ class ProvenanceIndex:
                         touched.add(child)
                         frontier.append(child)
             live = self._derivation
-            self._keys = {
-                fact: key for fact, key in old_keys.items()
-                if fact not in touched
-            }
-            self._spines = {
-                fact: spine for fact, spine in old_spines.items()
-                if fact in live and fact not in touched
-            }
-            self._proofs = {
-                fact: proof for fact, proof in old_proofs.items()
-                if fact in live and fact not in touched
-            }
-            self._proof_constants = {
-                fact: constants
-                for fact, constants in old_proof_constants.items()
-                if fact in live and fact not in touched
-            }
-            self._proof_facts = {
-                fact: facts for fact, facts in old_proof_facts.items()
-                if fact in live and fact not in touched
-            }
+            with old_lock:
+                self._keys = {
+                    fact: key for fact, key in old_keys.items()
+                    if fact not in touched
+                }
+                self._spines = {
+                    fact: spine for fact, spine in old_spines.items()
+                    if fact in live and fact not in touched
+                }
+                self._proofs = {
+                    fact: proof for fact, proof in old_proofs.items()
+                    if fact in live and fact not in touched
+                }
+                self._proof_constants = {
+                    fact: constants
+                    for fact, constants in old_proof_constants.items()
+                    if fact in live and fact not in touched
+                }
+                self._proof_facts = {
+                    fact: facts for fact, facts in old_proof_facts.items()
+                    if fact in live and fact not in touched
+                }
             figures = {
                 "touched": len(touched),
                 "spines_retained": len(self._spines),

@@ -8,6 +8,7 @@ graph and provenance tracker — everything the explanation pipeline needs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -55,21 +56,23 @@ class ReasoningResult:
     def database(self) -> Database:
         return self.chase_result.database
 
-    def apply_update(self, new_chase_result: ChaseResult) -> None:
-        """Re-point this result at an incrementally updated chase.
+    def updated(self, new_chase_result: ChaseResult) -> "ReasoningResult":
+        """The result of an incrementally updated chase, leaving this one
+        untouched for the readers still holding it.
 
         The chase graph and provenance tracker are thin wrappers and are
-        simply dropped for lazy rebuild; the provenance index — the
-        expensive view — is maintained in place via
-        :meth:`ProvenanceIndex.rebind` so memoized spines and proof DAGs
-        for untouched subtrees survive the update.
+        rebuilt lazily; the provenance index — the expensive view — is
+        carried over as a copy rebound via :meth:`ProvenanceIndex.rebind`,
+        so memoized spines and proof DAGs for untouched subtrees survive
+        the update.
         """
-        self.chase_result = new_chase_result
-        self.__dict__.pop("graph", None)
-        self.__dict__.pop("provenance", None)
+        successor = ReasoningResult(self.program, new_chase_result)
         index = self.__dict__.get("index")
         if index is not None:
-            index.rebind(new_chase_result)
+            rebound = copy.copy(index)
+            rebound.rebind(new_chase_result)
+            successor.__dict__["index"] = rebound
+        return successor
 
     # ------------------------------------------------------------------
     # Query API

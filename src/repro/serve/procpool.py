@@ -17,10 +17,9 @@ Design rules, in the order they bit:
   (``loads_database`` → compile → chase → provenance index).  Sessions,
   caches and indexes never cross a process boundary;
 * **one pipe per worker, checkout dispatch** — a request borrows a
-  worker handle (pipe + process) from the same kind of checkout queue
-  the thread pool uses, writes one ``("serve", route, body)`` message,
-  and reads one response.  Pipes are not thread-safe; checkout is the
-  mutual exclusion;
+  worker handle (pipe + process) from a checkout queue, writes one
+  ``("serve", route, body)`` message, and reads one response.  Pipes
+  are not thread-safe; checkout is the mutual exclusion;
 * **telemetry ships with every response** — the child runs a private
   delta-enabled :class:`~repro.obs.metrics.ServiceMetrics` and a private
   :class:`~repro.obs.flight.FlightRecorder` (query ids prefixed
@@ -130,10 +129,6 @@ def _serve_loop(conn, pool: WorkerPool, metrics, flight) -> None:
             kind, status, payload = (
                 "error", 500, f"{type(error).__name__}: {error}"
             )
-        if kind == "ok" and route == "update" and status == 200:
-            # The parent refreshes its stored snapshot from worker 0 so
-            # future boots start from the post-update EDB.
-            meta["snapshot"] = pool.snapshot
         meta["metrics"] = metrics.drain_delta()
         meta["flights"] = flight.drain()
         conn.send((kind, status, payload, meta))
@@ -191,7 +186,6 @@ class ProcessWorkerPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.application = application
-        self.snapshot = snapshot
         self.default_deadline_s = default_deadline_s
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.flight = flight
@@ -345,11 +339,9 @@ class ProcessWorkerPool:
                         f"update diverged across workers "
                         f"(statuses {sorted(statuses)})"
                     )
-                status, payload, meta = responses[0]
-                if status == 200:
-                    self.snapshot = meta["snapshot"]
-                    if record is not None:
-                        record.set(mode=payload.get("mode"))
+                status, payload, _meta = responses[0]
+                if status == 200 and record is not None:
+                    record.set(mode=payload.get("mode"))
                 return status, payload
             finally:
                 for handle in held:

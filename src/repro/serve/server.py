@@ -19,9 +19,10 @@ Request lifecycle: the event loop parses the request and consults the
 :class:`~repro.serve.admission.AdmissionController` (bounded queue +
 SLO-driven circuit breaker — sheds answer ``503`` with ``Retry-After``
 before any work is queued); admitted requests run on a thread executor
-sized to the :class:`~repro.serve.workers.WorkerPool`, each borrowing a
-warm session (compiled program + provenance index, spun up from one
-``repro-db/1`` snapshot).  Every request carries a
+of ``ServeConfig.workers`` threads, all reading the
+:class:`~repro.serve.workers.WorkerPool`'s one warm session (compiled
+program + provenance index, booted once from a ``repro-db/1``
+snapshot; ``/update`` publishes its successor).  Every request carries a
 :class:`~repro.resilience.policy.Deadline`; a spent budget answers
 ``504`` with whatever partial results were computed (the
 ``explain_batch`` contract, now over HTTP).  Each request opens a
@@ -118,7 +119,7 @@ class ServeConfig:
 
 
 class ExplanationServer:
-    """One application served over HTTP by a pool of warm workers."""
+    """One application served over HTTP from a warm worker pool."""
 
     def __init__(
         self,
@@ -172,7 +173,7 @@ class ExplanationServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spin workers up and bind the listening socket."""
+        """Boot the worker pool and bind the listening socket."""
         if self.pool is None:
             if self.config.backend == "process":
                 self.pool = ProcessWorkerPool(

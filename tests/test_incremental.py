@@ -379,10 +379,17 @@ class TestSessionUpdate:
         memoized = index.snapshot()["spines_memoized"]
         assert memoized > 0
         edge = own("Invest0", "Gruppo1", 0.7)
+        old_records = index.result.records
         session.update(adds=[edge])
-        assert session.result.index is index  # same object, rebound
-        retained = index.snapshot()["spines_memoized"]
-        assert retained <= memoized
+        rebound = session.result.index
+        # A rebound copy: the old index still answers for the old chase,
+        # with its memos whole, for readers that still hold it.
+        assert rebound is not index
+        assert index.result.records is old_records
+        assert index.snapshot()["spines_memoized"] == memoized
+        retained = rebound.snapshot()["spines_memoized"]
+        assert 0 < retained <= memoized
+        index = rebound
         # Retained spines must still be *correct*: identical to a fresh
         # session's extraction on the post-update database.
         fresh = service.session(

@@ -1,11 +1,12 @@
 """Explanation serving: cold vs. warm vs. batched latency off the
-provenance index and the memoized sub-explanation cache.
+provenance index, the explanation LRU and the binding's record memos.
 
 Not a paper figure: quantifies the serve-many fast path.  A *cold* serve
 pays the per-session provenance index build plus spine extraction,
 mapping and verbalization; a *warm* serve of the same query is a bounded
-LRU hit; a warm *batch* re-run serves every conclusion from memoized
-subtrees.  The parity sweep proves the fast path is a pure acceleration:
+LRU hit; a cold *batch* reuses each chase step's mapping and rendered
+segment across queries, and its warm re-run is one LRU hit per
+conclusion.  The parity sweep proves the fast path is a pure acceleration:
 over every bundled application instance, explanations served with the
 cache disabled (capacity 0) are byte-identical to the cached ones.
 
@@ -92,8 +93,8 @@ def _measure_workload(builder, repeats, phases):
         )
     assert explainer.explain(scenario.target).text == cold_text
 
-    # Batch: first pass generates (grouped by shared subtrees), the
-    # re-run is served entirely from the memoized regions.
+    # Batch: the first pass generates (sharing record memos across
+    # queries), the re-run is served entirely from the explain region.
     with phases.phase("batch"):
         service = ExplanationService()
         session = service.bind(application, _fresh_result(result))

@@ -15,7 +15,12 @@ ask about were never stored, so the indexes answer without a scan, and
 even on the larger bench/ graphs a why-not costs about 0.15 ms where it
 cost 10–18 ms.  Transport dominates every request here, so the
 thread/process comparison measures the HTTP path, not counterfactual
-search.  A CPU-bound workload for this comparison is still to be chosen.
+search, and this file does not decide whether the process backend
+stays.  ``bench/``'s ``serve-sweep`` does: with ``backend="process"`` at
+the default 2 workers it served 1.67–1.83x the thread backend's
+``explained_per_s`` on a 2-vCPU host, byte-checked, which clears the
+1.5x bar for keeping the backend (DESIGN.md §14).  This file stays as
+the zero-errors check of the process backend under load.
 
 (The shard-parallel chase this file also used to measure was retired:
 DESIGN.md §14 records the negative result.)

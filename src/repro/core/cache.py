@@ -16,8 +16,8 @@ Two additions serve the memoized explanation fast path:
   milliseconds of mapping/verbalization work (and instead of the old
   compute-twice/first-store-wins behaviour);
 * :class:`CacheRegion` carves named, separately counted regions out of
-  one shared LRU (final explanations, memoized subtrees, ``why()``
-  sentences, violation reports), keeping the bound global while the
+  one shared LRU (final explanations, ``why()`` sentences, violation
+  reports), keeping the bound global while the
   telemetry stays per-region (see :meth:`LRUCache.snapshot`).
 """
 

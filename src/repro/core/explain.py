@@ -171,8 +171,8 @@ class Explainer:
             cache if cache is not None
             else LRUCache(DEFAULT_EXPLANATION_CACHE_SIZE)
         )
-        # Region views of the shared LRU: final explanations plus every
-        # memoized sub-explanation live in "explain"; one-step why()
+        # Region views of the shared LRU: top-level explanations live in
+        # "explain" (one entry per query and options); one-step why()
         # sentences and violation reports get their own regions so their
         # hit rates stay separately inspectable in the snapshot.
         self._explain_region = self._cache.region("explain")
@@ -242,66 +242,25 @@ class Explainer:
         """Answer the explanation query Q_e = {``query``}.
 
         Raises ``KeyError`` when the fact was not derived by the chase.
-        Results are memoized per (binding, query, options) — the
-        reasoning result is frozen, so explanations are pure — and the
-        memoization extends to every *sub*-explanation (side branches),
-        so derivation subtrees shared across queries are mapped and
-        verbalized once per session (see :meth:`_explain_memoized`).
+        Top-level answers are memoized per (binding, query, options) in
+        the shared LRU's ``explain`` region — the reasoning result is
+        frozen, so explanations are pure.  Side branches are not cached
+        there: they recurse through :meth:`_explain`, whose spines,
+        mappings and rendered segments are memoized below it.
         """
         started = time.perf_counter()
-        explanation = self._explain_memoized(
-            query, prefer_enhanced, variant_index, include_side_branches,
-            visited=set(),
+        key = (
+            self._memo_scope, self.result.index.fact_key(query),
+            prefer_enhanced, variant_index, include_side_branches,
+        )
+        explanation = self._explain_region.get_or_create(
+            key,
+            lambda: self._explain(
+                query, prefer_enhanced, variant_index, include_side_branches,
+                visited=set(),
+            ),
         )
         obs.observe("explain.serve_s", time.perf_counter() - started)
-        return explanation
-
-    def _explain_memoized(
-        self,
-        query: Fact,
-        prefer_enhanced: bool,
-        variant_index: int,
-        include_side_branches: bool,
-        visited: set[Fact],
-    ) -> Explanation:
-        """The subtree-memoized serving path.
-
-        An explanation of ``query`` depends on the recursion context only
-        through ``visited ∩ derived-proof-subtree(query)`` — facts outside
-        the subtree are never tested by the side-branch logic.  Keying on
-        that (usually empty) overlap instead of the full visited set makes
-        cached subtrees shareable across queries while keeping the output
-        **byte-identical** to the uncached recursion.  A hit must still
-        replay the subtree's visited-set mutations (so sibling
-        side-branch decisions after the hit match the uncached run):
-        each entry therefore stores the explanation *plus* the facts its
-        recursion marked visited.
-        """
-        index = self.result.index
-        if visited:
-            subtree = index.derived_proof_facts(query)
-            relevant = frozenset(f for f in visited if f in subtree)
-        else:
-            relevant = frozenset()
-        key = (
-            self._memo_scope, index.fact_key(query), prefer_enhanced,
-            variant_index, include_side_branches, relevant,
-        )
-        hit = True
-
-        def build() -> tuple[Explanation, frozenset[Fact]]:
-            nonlocal hit
-            hit = False
-            local = set(relevant)
-            explanation = self._explain(
-                query, prefer_enhanced, variant_index, include_side_branches,
-                visited=local,
-            )
-            return explanation, frozenset(local - relevant)
-
-        explanation, marked = self._explain_region.get_or_create(key, build)
-        obs.incr("explain.index_hit" if hit else "explain.index_miss")
-        visited |= marked
         return explanation
 
     def _explain(
@@ -398,7 +357,7 @@ class Explainer:
                         )
                         if needs_story:
                             sides.append(
-                                self._explain_memoized(
+                                self._explain(
                                     parent, prefer_enhanced, variant_index,
                                     include_side_branches=True,
                                     visited=visited,
@@ -485,7 +444,7 @@ class Explainer:
         """The plain proof-to-text conversion of the whole derivation —
         verbose and repetitive, but trivially complete.  This is the input
         handed to the pure-LLM baselines in the paper's experiments."""
-        records = self.result.provenance.proof_records(query)
+        records = self.result.index.proof_records(query)
         return self.verbalizer.proof_text(records)
 
     def proof_constants(self, query: Fact) -> tuple[str, ...]:

@@ -286,8 +286,9 @@ class ExplanationSession:
         """Apply an extensional add/retract delta to this session, live.
 
         The chase result is maintained incrementally
-        (:mod:`repro.engine.incremental`) at a cost proportional to the
-        delta's consequences, a copy of the provenance index is rebound
+        (:mod:`repro.engine.incremental`, which replays every stored
+        record and runs joins only for the delta's consequences), a copy
+        of the provenance index is rebound
         (memoized spines/proofs for untouched subtrees survive), and a
         fresh explainer takes a fresh memo scope so stale explanation and
         why-not entries are scoped out exactly as :meth:`re_reason` does.

@@ -21,7 +21,7 @@ The verbalizer serves two distinct callers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..datalog.atoms import Atom
 from ..datalog.conditions import BinaryOp, Comparison, Expression
@@ -367,7 +367,7 @@ class Verbalizer:
         head_text = self.ground_atom_text(record.fact)
         return f"Since {body_text}, then {head_text}."
 
-    def proof_text(self, records: list[ChaseStepRecord]) -> str:
+    def proof_text(self, records: Iterable[ChaseStepRecord]) -> str:
         """The full deterministic explanation of a proof: every chase step
         verbalized one by one, in derivation order."""
         return " ".join(self.step_sentence(record) for record in records)

@@ -360,10 +360,11 @@ class ChaseEngine:
         Returns an :class:`repro.engine.incremental.UpdateOutcome` whose
         ``result`` is byte-identical (facts, records, explanations) to a
         fresh :meth:`run` over the post-delta EDB.  The delta is replayed
-        incrementally (:mod:`repro.engine.incremental`) at a cost
-        proportional to its consequences; programs outside the replayable
-        fragment (existential rules) fall back to a full chase
-        transparently.
+        incrementally (:mod:`repro.engine.incremental`): joins run only
+        for its consequences, but the replay visits every stored record,
+        so the cost grows with the whole result, not with the delta.
+        Programs outside the replayable fragment (existential rules) fall
+        back to a full chase transparently.
         """
         from .incremental import (
             IncrementalFallback,

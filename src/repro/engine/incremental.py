@@ -3,8 +3,12 @@
 Live knowledge graphs change one edge at a time, yet a fresh chase pays
 for the whole database on every change.  This module maintains a
 :class:`~repro.engine.chase.ChaseResult` under extensional add/retract
-deltas at a cost proportional to the *consequences* of the delta, while
-reproducing the fresh run **exactly**: same facts, same
+deltas, running join work only for the *consequences* of the delta.  The
+cost is not proportional to those consequences, though: the replay below
+visits every record of the old run, so a one-edge update of the
+``bench/gen.py`` ``S`` graph replays all of its ~3,000 records (DESIGN
+§13 records why ``/update`` keeps this module anyway).  The result
+reproduces the fresh run **exactly**: same facts, same
 :class:`ChaseStepRecord` contents, same round numbers, same supersession
 and violation sets.  Byte-for-byte parity with a from-scratch chase is
 the contract every consumer (provenance index, explanation memos, serve

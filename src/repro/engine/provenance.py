@@ -92,19 +92,16 @@ class DerivationSpine:
 
 
 class ProvenanceTracker:
-    """Extracts proofs and spines from a :class:`ChaseResult`.
+    """Extracts proofs and spines from a :class:`ChaseResult` by walking
+    the chase records afresh on every call.
 
-    With ``index`` (a :class:`~repro.engine.provenance_index.ProvenanceIndex`
-    over the same result), spine/proof extraction delegates to the
-    index's memoized, precomputed views — same answers, no repeated
-    graph walks.  Without one the tracker performs the walks itself,
-    which keeps it usable standalone (and as the parity ground truth the
-    index is tested against).
+    The production path answers these queries from the memoized
+    :class:`~repro.engine.provenance_index.ProvenanceIndex`; the tracker
+    is the unindexed reference walk that index is tested against.
     """
 
-    def __init__(self, result: ChaseResult, index=None):
+    def __init__(self, result: ChaseResult):
         self.result = result
-        self.index = index
         self._intensional = result.program.intensional_predicates()
 
         # Depth memoization is keyed by the fact's global insertion
@@ -145,8 +142,6 @@ class ProvenanceTracker:
 
     def depth(self, current: Fact) -> int:
         """Length of the longest derivation chain below ``current``."""
-        if self.index is not None:
-            return self.index.depth(current)
         return self._depth(current)
 
     # ------------------------------------------------------------------
@@ -154,8 +149,6 @@ class ProvenanceTracker:
     # ------------------------------------------------------------------
     def proof_records(self, target: Fact) -> list[ChaseStepRecord]:
         """All chase steps in the proof of ``target``, in chase order."""
-        if self.index is not None:
-            return list(self.index.proof_records(target))
         collected: dict[int, ChaseStepRecord] = {}
         frontier = [target]
         while frontier:
@@ -178,8 +171,6 @@ class ProvenanceTracker:
         Section 6.3: an explanation is complete when it mentions all of
         them.
         """
-        if self.index is not None:
-            return self.index.proof_constants(target)
         seen: dict[str, None] = {}
         for record in self.proof_records(target):
             for parent in record.parents:
@@ -198,8 +189,6 @@ class ProvenanceTracker:
         Raises ``KeyError`` when ``target`` is extensional (nothing to
         explain: it was given, not derived).
         """
-        if self.index is not None:
-            return self.index.spine(target)
         if target not in self.result.derivation:
             raise KeyError(f"{target} was not derived by the chase")
         reversed_steps: list[SpineStep] = []

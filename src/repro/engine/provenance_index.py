@@ -25,14 +25,14 @@ provides O(1) access to
 
 plus per-fact memoized views shared by all queries of a session:
 derivation spines (``spine``) and proof DAGs (``proof_records``,
-``proof_constants``, ``derived_proof_facts``).
+``proof_constants``).
 
-The index is a pure acceleration layer: every answer is byte-identical
-to the unindexed walks it replaces (``tests/test_explain_serving.py``
-asserts parity against :class:`~repro.engine.provenance.ProvenanceTracker`
-ground truth).  One index is built per chase session — see
-``ReasoningResult.index`` — and rebuilt only when the session re-reasons
-over new data.
+The index is the one production implementation of these queries.  Every
+answer is identical to the unindexed reference walks of
+:class:`~repro.engine.provenance.ProvenanceTracker`, which serves only as
+the test oracle (``tests/test_explain_serving.py`` asserts the parity).
+One index is built per chase session — see ``ReasoningResult.index`` —
+and rebound, not rebuilt, when an update re-reasons over new data.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class ProvenanceIndex:
         self._spines: dict[Fact, DerivationSpine] = {}
         self._proofs: dict[Fact, tuple[ChaseStepRecord, ...]] = {}
         self._proof_constants: dict[Fact, tuple[str, ...]] = {}
-        self._proof_facts: dict[Fact, frozenset[Fact]] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -142,7 +141,6 @@ class ProvenanceIndex:
             old_spines = self._spines
             old_proofs = self._proofs
             old_proof_constants = self._proof_constants
-            old_proof_facts = self._proof_facts
             self.result = new_result
             self._build(new_result)
             changed = [
@@ -179,10 +177,6 @@ class ProvenanceIndex:
                 self._proof_constants = {
                     fact: constants
                     for fact, constants in old_proof_constants.items()
-                    if fact in live and fact not in touched
-                }
-                self._proof_facts = {
-                    fact: facts for fact, facts in old_proof_facts.items()
                     if fact in live and fact not in touched
                 }
             figures = {
@@ -337,19 +331,6 @@ class ProvenanceIndex:
         constants = tuple(seen)
         with self._lock:
             return self._proof_constants.setdefault(target, constants)
-
-    def derived_proof_facts(self, target: Fact) -> frozenset[Fact]:
-        """The *derived* facts in the proof of ``target`` (the subtree a
-        memoized sub-explanation covers — the overlap domain of the
-        cross-query memoization keys)."""
-        cached = self._proof_facts.get(target)
-        if cached is not None:
-            return cached
-        facts = frozenset(
-            record.fact for record in self.proof_records(target)
-        )
-        with self._lock:
-            return self._proof_facts.setdefault(target, facts)
 
     # ------------------------------------------------------------------
     # Introspection

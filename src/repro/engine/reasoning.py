@@ -3,7 +3,7 @@
 A reasoning task is a pair Q = (Σ, Ans) evaluated over a database D (paper,
 Section 3).  :func:`reason` runs the chase and returns a
 :class:`ReasoningResult` bundling the materialized instance with its chase
-graph and provenance tracker — everything the explanation pipeline needs.
+graph and provenance index — everything the explanation pipeline needs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from ..datalog.unify import match_atom
 from .chase import ChaseResult, chase
 from .chase_graph import ChaseGraph
 from .database import Database
-from .provenance import DerivationSpine, ProvenanceTracker
+from .provenance import DerivationSpine
 from .provenance_index import ProvenanceIndex
 
 
@@ -48,10 +48,6 @@ class ReasoningResult:
         """
         return ProvenanceIndex(self.chase_result)
 
-    @cached_property
-    def provenance(self) -> ProvenanceTracker:
-        return ProvenanceTracker(self.chase_result, index=self.index)
-
     @property
     def database(self) -> Database:
         return self.chase_result.database
@@ -60,11 +56,10 @@ class ReasoningResult:
         """The result of an incrementally updated chase, leaving this one
         untouched for the readers still holding it.
 
-        The chase graph and provenance tracker are thin wrappers and are
-        rebuilt lazily; the provenance index — the expensive view — is
-        carried over as a copy rebound via :meth:`ProvenanceIndex.rebind`,
-        so memoized spines and proof DAGs for untouched subtrees survive
-        the update.
+        The chase graph is a thin wrapper and is rebuilt lazily; the
+        provenance index — the expensive view — is carried over as a copy
+        rebound via :meth:`ProvenanceIndex.rebind`, so memoized spines and
+        proof DAGs for untouched subtrees survive the update.
         """
         successor = ReasoningResult(self.program, new_chase_result)
         index = self.__dict__.get("index")
@@ -104,10 +99,10 @@ class ReasoningResult:
 
     def spine(self, target: Fact) -> DerivationSpine:
         """Root-to-leaf derivation path for ``target`` (see provenance)."""
-        return self.provenance.spine(target)
+        return self.index.spine(target)
 
     def proof_size(self, target: Fact) -> int:
-        return self.provenance.proof_size(target)
+        return self.index.proof_size(target)
 
     def describe(self) -> str:
         derived = self.derived()

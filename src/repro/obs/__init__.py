@@ -7,8 +7,7 @@ The observability layer the rest of the system reports into:
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with p50/p95/p99 summaries, plus cache telemetry;
 * :mod:`repro.obs.export` — JSON-lines traces, the stats document and
-  Prometheus text;
-* :mod:`repro.obs.log` — structured key=value logging bridge.
+  Prometheus text.
 
 The second layer (per-query attribution, added in PR 7):
 
@@ -66,7 +65,6 @@ from .flight import (
     FlightRecorder,
     write_flight,
 )
-from .log import configure, get_logger, install_span_logging, kv_line, log_event
 from .metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_REGISTRY,
@@ -91,11 +89,10 @@ __all__ = [
     "NULL_FLIGHT_RECORD", "NULL_FLIGHT_RECORDER", "NULL_PROFILER",
     "NULL_SPAN", "NULL_TRACER", "STATS_DOCUMENT_KEYS", "STATS_FORMAT",
     "SLOConfigError", "SLOEvaluator", "SLOReport", "ServiceMetrics", "Span",
-    "TRACE_FORMAT", "Tracer", "configure", "current_flight", "flight_event",
-    "get_flight", "get_logger", "get_metrics", "get_profiler", "get_tracer",
-    "incr", "install_span_logging", "kv_line", "log_event", "observe",
-    "observed", "parse_trace_jsonl", "render_prometheus", "render_top",
-    "set_gauge", "span", "span_aggregate", "span_tree", "stats_document",
+    "TRACE_FORMAT", "Tracer", "current_flight", "flight_event",
+    "get_flight", "get_metrics", "get_profiler", "get_tracer", "incr",
+    "observe", "observed", "parse_trace_jsonl", "render_prometheus",
+    "render_top", "set_gauge", "span", "span_aggregate", "span_tree", "stats_document",
     "trace_jsonl", "write_flight", "write_stats", "write_trace",
 ]
 

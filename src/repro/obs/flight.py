@@ -378,11 +378,11 @@ class FlightRecorder:
     def ingest(self, payloads: list[dict]) -> None:
         """Rebuild drained record dicts into this recorder's ring.
 
-        Reconstructed records are closed (never thread-current); their
-        relative timing is preserved by rebasing ``start_s`` onto this
-        recorder's epoch is *not* attempted — the shipped offsets are
-        kept verbatim, which is fine for inspection (each record's
-        ``duration_s`` and phases are what matter downstream).
+        Reconstructed records are closed (never thread-current).  Their
+        ``start_s`` offsets are kept verbatim, relative to the sending
+        recorder's epoch; they are not rebased onto this one.  That is
+        fine for inspection, since each record's ``duration_s`` and
+        phases are what matter downstream.
         """
         rebuilt = []
         for payload in payloads:

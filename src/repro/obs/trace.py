@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable
+from typing import Any
 
 
 class Span:
@@ -136,18 +136,10 @@ class Tracer:
         When ``False`` every :meth:`span` call returns :data:`NULL_SPAN`
         — the same object, unconditionally — which is the documented
         near-zero-overhead mode for production hot paths.
-    on_close:
-        Optional callback invoked with each finished span (used by the
-        structured-logging bridge in :mod:`repro.obs.log`).
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        on_close: Callable[[Span], None] | None = None,
-    ):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.on_close = on_close
         self.epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._next_id = 1
@@ -228,8 +220,6 @@ class Tracer:
             stack.remove(span)
         with self._lock:
             self._finished.append(span)
-        if self.on_close is not None:
-            self.on_close(span)
 
 
 class _SpanAttachment:

@@ -32,7 +32,8 @@ from .protocol import (
 )
 
 #: Route name → body parser.  ``update`` parses here like the others but
-#: is served by the pool itself (it targets every worker, not one).
+#: is served by the pool itself: it publishes a new shared session
+#: instead of reading the current one.
 PARSERS = {
     "explain": parse_explain_request,
     "explain_batch": parse_batch_request,

@@ -117,10 +117,12 @@ class WorkerPool:
     ) -> tuple[int, dict]:
         """Parse ``body`` for ``route`` and serve it: (status, payload).
 
-        The backend-agnostic entry point the HTTP server calls — the
-        process-backed pool overrides it to ship the same work over a
-        pipe.  A :class:`~repro.serve.protocol.ProtocolError` from the
-        parser propagates (the server answers 400).
+        The entry point the HTTP server calls.
+        :class:`~repro.serve.procpool.ProcessWorkerPool` is a separate
+        class with a ``serve`` of the same signature that ships the work
+        over a pipe, so the server never checks which backend it holds.
+        A :class:`~repro.serve.protocol.ProtocolError` from the parser
+        propagates (the server answers 400).
         """
         request = PARSERS[route](body)
         if isinstance(request, UpdateRequest):

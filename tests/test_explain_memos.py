@@ -197,6 +197,22 @@ def served(explainer: Explainer, query, flags) -> tuple:
     return explanation.text, explanation.paths_used(), explanation.to_dict()
 
 
+def side_branch_facts(explainer: Explainer, query, flags) -> list:
+    """Every fact ``query``'s explanation narrates as a side branch under
+    ``flags`` (which include side branches), innermost first; empty when
+    the query fails."""
+    try:
+        explanation = explainer.explain(query, **flags)
+    except Exception:
+        return []
+    found, stack = [], list(explanation.side_explanations)
+    while stack:
+        side = stack.pop()
+        found.append(side.query)
+        stack.extend(side.side_explanations)
+    return found[::-1]
+
+
 # ----------------------------------------------------------------------
 # Warm bindings answer like fresh ones
 # ----------------------------------------------------------------------
@@ -210,12 +226,22 @@ class TestWarmBindingParity:
         order = data.draw(st.permutations(list(result.derived())))
         # No explanation LRU: every reuse comes from the record memos.
         warm = Explainer(result, compiled=compiled(name), cache=LRUCache(0))
+        # A real LRU that was first asked each query's side branches as
+        # top-level queries: those cached answers must not leak into the
+        # side-branch recursion.
+        cached = Explainer(result, compiled=compiled(name), cache=LRUCache())
         # The second pass asks each fact again, now of a binding that has
         # explained every other one, under fresh random options.
         for query in order + order:
             flags = data.draw(options)
             fresh = Explainer(result, compiled=compiled(name), cache=LRUCache(0))
-            assert served(warm, query, flags) == served(fresh, query, flags)
+            expected = served(fresh, query, flags)
+            assert served(warm, query, flags) == expected
+            # Side branches recurse with the query's presentation options.
+            recursion = {**flags, "include_side_branches": True}
+            for side in side_branch_facts(fresh, query, recursion):
+                served(cached, side, recursion)
+            assert served(cached, query, flags) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(instance=control_instances(), data=st.data())

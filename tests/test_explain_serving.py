@@ -6,7 +6,7 @@ Two contracts are pinned here:
   acceleration layer — every view it serves (spines, proof DAGs,
   constants, depths) is identical to the standalone
   :class:`~repro.engine.provenance.ProvenanceTracker` walks it replaces;
-* the memoized serving path (subtree memoization, ``why()`` sentences,
+* the memoized serving path (top-level answers, ``why()`` sentences,
   batches) renders **byte-identical** text to an uncached run,
   while actually hitting its cache regions.
 """
@@ -45,9 +45,8 @@ class TestIndexParity:
     def test_views_match_tracker_ground_truth(self, scenario):
         result = scenario.run()
         chase = result.chase_result
-        tracker = ProvenanceTracker(chase)  # no index: the original walks
+        tracker = ProvenanceTracker(chase)
         index = result.index
-        assert tracker.index is None
         for fact in result.derived():
             assert index.spine(fact) == tracker.spine(fact)
             assert list(index.proof_records(fact)) == tracker.proof_records(fact)
@@ -81,11 +80,19 @@ class TestIndexParity:
                     f for f, _ in database.match(pattern, bound, chase.superseded)
                 ] == [f for f in scanned if match_atom(pattern, f, bound) is not None]
 
-    def test_tracker_delegates_to_index(self, scenario):
+    def test_result_views_come_from_index(self, scenario):
+        """The result and explainer read the index directly; the tracker
+        stays an independent walk to check them against."""
         result = scenario.run()
-        assert result.provenance.index is result.index
         target = scenario.target
-        assert result.provenance.spine(target) is result.index.spine(target)
+        tracker = ProvenanceTracker(result.chase_result)
+        assert result.spine(target) is result.index.spine(target)
+        assert result.proof_size(target) == tracker.proof_size(target)
+        explainer = scenario.application.explainer(result)
+        assert explainer.deterministic_explanation(target) == \
+            explainer.verbalizer.proof_text(tracker.proof_records(target))
+        with pytest.raises(TypeError):
+            ProvenanceTracker(result.chase_result, index=result.index)
 
     def test_edb_facts_and_unknowns(self, scenario):
         result = scenario.run()
@@ -135,7 +142,7 @@ class TestServingParity:
     def _side_branch_result():
         """An independent shock on D joins the A->B->C cascade at C: its
         story is off the main spine, so explaining Default(C) recurses
-        into side branches — the path the visited-set replay protects."""
+        into side branches, which share the caller's visited set."""
         from repro.apps import stress_test
         from repro.datalog import fact
         from repro.engine import reason
@@ -157,9 +164,9 @@ class TestServingParity:
         compiled = application.compile()
         cached = Explainer(result, compiled=compiled)
         uncached = Explainer(result, compiled=compiled, cache=LRUCache(0))
-        # Warm the subtree cache bottom-up first: Default(D) is a side
-        # branch of Default(C), so the second query is served from a
-        # memoized subtree and must still replay the visited-set marks.
+        # Warm bottom-up first: Default(D) is a side branch of Default(C),
+        # so its top-level answer sits in the LRU when C recurses into it
+        # and must not change C's text.
         for query in (fact("Default", "D"), fact("Default", "B"),
                       fact("Default", "C")):
             baseline = uncached.explain(query)
@@ -167,6 +174,28 @@ class TestServingParity:
             assert cached.explain(query).to_dict() == baseline.to_dict()
         explanation = cached.explain(fact("Default", "C"))
         assert explanation.side_explanations  # the D branch is narrated
+
+    def test_explain_region_holds_top_level_answers_only(self):
+        """Side branches render below the LRU: each top-level (query,
+        options) is one entry and one lookup, however many side
+        branches its proof has."""
+        from repro.datalog import fact
+
+        application, result = self._side_branch_result()
+        cache = LRUCache()
+        explainer = Explainer(result, compiled=application.compile(), cache=cache)
+        query = fact("Default", "C")
+        asked = [
+            {"prefer_enhanced": enhanced, "include_side_branches": sides}
+            for enhanced in (True, False) for sides in (True, False)
+        ]
+        for flags in asked + asked:
+            explainer.explain(query, **flags)
+        assert explainer.explain(query).side_explanations
+        entries = [key for key in cache.keys() if key[0] == "explain"]
+        assert len(entries) == len(asked)
+        stats = explainer._explain_region.stats
+        assert (stats.misses, stats.hits) == (len(asked), len(asked) + 1)
 
     def test_option_variants_are_keyed_apart(self):
         from repro.datalog import fact
@@ -220,8 +249,8 @@ class TestMemoizedDrilldown:
             explainer.explain(scenario.target)
             explainer.explain(scenario.target)
         assert metrics.counter_value("explain.index_build") == 1
-        assert metrics.counter_value("explain.index_hit") >= 1
-        assert metrics.counter_value("explain.index_miss") >= 1
+        region = explainer._explain_region
+        assert (region.stats.misses, region.stats.hits) == (1, 1)
 
 
 class TestServiceServing:

@@ -81,4 +81,4 @@ class TestCachedViews:
         assert control_result.graph is control_result.graph
 
     def test_provenance_is_cached(self, control_result):
-        assert control_result.provenance is control_result.provenance
+        assert control_result.index is control_result.index

@@ -140,6 +140,6 @@ class TestInstanceVerbalization:
 
     def test_proof_text_one_sentence_per_step(self, figure8, verbalizer):
         __, result = figure8
-        records = result.provenance.proof_records(fact("Default", "C"))
+        records = result.index.proof_records(fact("Default", "C"))
         text = verbalizer.proof_text(records)
         assert text.count("Since ") == 5

@@ -182,7 +182,7 @@ def run(quick=False):
     payload = {"quick": quick, "repeats": repeats, "workloads": {}}
     phases = Phases()
     tracer = obs.Tracer()
-    metrics = obs.ServiceMetrics()
+    metrics = obs.MetricsRegistry()
     with obs.observed(tracer=tracer, metrics=metrics):
         for name, builder in WORKLOADS.items():
             payload["workloads"][name] = _measure_workload(

@@ -85,7 +85,7 @@ def test_figure18a_company_control_runtime(benchmark):
     # the measured explain loop itself has no instrumented call sites,
     # keeping the figure comparable with pre-observability runs.
     tracer = obs.Tracer()
-    metrics = obs.ServiceMetrics()
+    metrics = obs.MetricsRegistry()
     with obs.observed(tracer=tracer, metrics=metrics):
         prepared = _prepare(
             generators.control_with_steps, CONTROL_STEPS, metrics=metrics

@@ -44,7 +44,7 @@ import time
 
 from repro.apps import generators
 from repro.io import dumps_database
-from repro.obs.metrics import ServiceMetrics
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import ExplanationServer, ServeConfig
 
 from _harness import RESULTS_DIR, Phases, append_history, emit_stats
@@ -198,7 +198,7 @@ def run(quick=False):
     concurrency = 4 if quick else 8
     payload = {"quick": quick}
     phases = Phases()
-    metrics = ServiceMetrics()
+    metrics = MetricsRegistry()
     payload["serve"] = _serve_sweep(duration_s, concurrency, phases)
 
     RESULTS_DIR.mkdir(exist_ok=True)

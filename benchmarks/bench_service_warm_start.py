@@ -141,7 +141,7 @@ def run(quick=False):
     # and ambient chase/compile counters land in one registry; the stats
     # document is written alongside the measurement payload.
     tracer = obs.Tracer()
-    metrics = obs.ServiceMetrics()
+    metrics = obs.MetricsRegistry()
     with obs.observed(tracer=tracer, metrics=metrics):
         for name, builder in WORKLOADS.items():
             payload["workloads"][name] = _measure_workload(

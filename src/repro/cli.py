@@ -3,17 +3,17 @@
 Examples::
 
     # Explain the Figure 8 default of C with enhanced templates
-    repro-explain --demo figure8
+    repro-explain explain --app figure8
 
     # Structural analysis (reasoning paths) of the built-in applications
-    repro-explain --analyse company_control
-    repro-explain --analyse stress_test --dot
+    repro-explain analyse company_control
+    repro-explain analyse stress_test --dot
 
     # Explain a fact of a generated workload
-    repro-explain --demo chain --steps 6
+    repro-explain explain --app chain --steps 6
 
     # Bring your own application (program + facts + glossary files)
-    repro-explain --program rules.vada --data portfolio.facts \\
+    repro-explain explain --program rules.vada --data portfolio.facts \\
                   --glossary dictionary.json --query "Control(A, C)"
 
     # Observability: trace + stats document for a canonical workload
@@ -40,18 +40,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-
 import os
+import sys
 
 from . import obs
 from .apps import (
     close_links, company_control, figures, generators, golden_powers,
     integrated_ownership, stress_test,
 )
-from .apps.base import ScenarioInstance
 from .core.compiler import CompilationError
-from .core.service import ExplanationService, ServiceMetrics
+from .core.service import ExplanationService
 from .core.structural import StructuralAnalysis
 from .engine import ChaseEngine
 from .io import (
@@ -71,16 +69,7 @@ _APPLICATIONS = {
     "integrated_ownership": integrated_ownership.build,
 }
 
-_DEMOS = {
-    "figure8": lambda args: figures.figure8_instance(),
-    "figure12": lambda args: figures.figure12_stress_instance(),
-    "figure15": lambda args: figures.figure15_instance(),
-    "chain": lambda args: generators.control_with_steps(args.steps, seed=args.seed),
-    "cascade": lambda args: generators.stress_with_steps(args.steps, seed=args.seed),
-}
-
-#: Canonical ready-to-run workload per application, for the ``explain``
-#: and ``stats`` subcommands (``--app NAME``).
+#: Canonical ready-to-run workload per application (``--app NAME``).
 _APP_SCENARIOS = {
     "company_control": lambda args: figures.figure15_instance(),
     "stress_test": lambda args: figures.figure12_stress_instance(),
@@ -92,8 +81,6 @@ _APP_SCENARIOS = {
         args.steps, seed=args.seed
     ),
 }
-
-_SUBCOMMANDS = ("explain", "stats", "obs", "serve")
 
 
 class _ObsRun:
@@ -107,7 +94,7 @@ class _ObsRun:
 
     def __init__(
         self, trace_path=None, stats_path=None, force_tracing=False,
-        meta=None, flight_path=None, force_flight=False, profile=False,
+        meta=None, flight_path=None, profile=False,
     ):
         self.trace_path = trace_path
         self.stats_path = stats_path
@@ -115,11 +102,9 @@ class _ObsRun:
         self.tracer = obs.Tracer(
             enabled=force_tracing or bool(trace_path or stats_path)
         )
-        self.flight = obs.FlightRecorder(
-            enabled=force_flight or bool(flight_path)
-        )
+        self.flight = obs.FlightRecorder(enabled=bool(flight_path))
         self.profiler = obs.KernelProfiler(enabled=profile)
-        self.metrics = ServiceMetrics()
+        self.metrics = obs.MetricsRegistry()
         self.chase_stats = None
         self.meta = dict(meta or {})
 
@@ -149,6 +134,52 @@ class _ObsRun:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Flags several subcommands share, each declared once on a help-less
+    # parent parser.
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument(
+        "--steps", type=int, default=5,
+        help="proof length for generated workloads (chain/cascade; "
+             "default: %(default)s)",
+    )
+    workload.add_argument("--seed", type=int, default=0, help="generator seed")
+    workload.add_argument(
+        "--deterministic", action="store_true",
+        help="skip template enhancement (no simulated LLM)",
+    )
+    workload.add_argument(
+        "--inject-faults", metavar="SPEC", dest="inject_faults",
+        help="wrap the enhancement LLM in a seeded fault injector; SPEC is "
+             "comma-separated directives, e.g. 'transient:3', 'rate:0.3', "
+             "'slow:5:0.2,drop:2' (see README, Fault tolerance)",
+    )
+    strategy = argparse.ArgumentParser(add_help=False)
+    strategy.add_argument(
+        "--strategy", choices=ChaseEngine.STRATEGIES,
+        default=ChaseEngine.STRATEGIES[0],
+        help="chase evaluation strategy: planned is the engine (compiled "
+             "join kernels over the interned columnar store); naive is "
+             "its reference oracle, byte-identical and slower "
+             "(default: %(default)s)",
+    )
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument(
+        "--trace", metavar="FILE",
+        help="write a JSON-lines span trace of the run to FILE",
+    )
+    outputs.add_argument(
+        "--stats", metavar="FILE", dest="stats_file",
+        help="write the structured stats document (counters, latency "
+             "percentiles, cache and chase telemetry) to FILE",
+    )
+    outputs.add_argument(
+        "--flight", metavar="FILE", dest="flight_file",
+        help="enable the query flight recorder and write its ring buffer "
+             "(per-query phase timings, kernel firings, cache hits, "
+             "degradation events) to FILE as repro-flight/1 JSON",
+    )
+    app_choices = sorted(_APP_SCENARIOS)
+
     parser = argparse.ArgumentParser(
         prog="repro-explain",
         description=(
@@ -156,331 +187,64 @@ def _build_parser() -> argparse.ArgumentParser:
             "graphs (EDBT 2025 reproduction)."
         ),
     )
-    parser.add_argument(
-        "--analyse", choices=sorted(_APPLICATIONS),
-        help="print the structural analysis of a built-in application",
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    explain = commands.add_parser(
+        "explain", parents=[workload, strategy, outputs],
+        help="explain the derived facts of a canonical workload or of your "
+             "own program, data and glossary files",
     )
-    parser.add_argument(
-        "--demo", choices=sorted(_DEMOS),
-        help="run one of the built-in explanation demos",
+    source = explain.add_mutually_exclusive_group(required=True)
+    source.add_argument(
+        "--app", choices=app_choices, help="canonical workload to run"
     )
-    parser.add_argument(
-        "--steps", type=int, default=5,
-        help="proof length for generated demos (default: 5)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="generator seed")
-    parser.add_argument(
-        "--deterministic", action="store_true",
-        help="show the deterministic template text instead of the enhanced one",
-    )
-    parser.add_argument(
-        "--dot", action="store_true",
-        help="emit DOT graphs instead of prose",
-    )
-    parser.add_argument(
+    source.add_argument(
         "--program", metavar="FILE",
-        help="load a rule file (.vada) instead of a built-in application",
+        help="load a rule file (.vada) instead of a canonical workload",
     )
-    parser.add_argument(
-        "--data", metavar="FILE",
-        help="fact file (.facts) for --program",
+    explain.add_argument(
+        "--data", metavar="FILE", help="fact file (.facts) for --program"
     )
-    parser.add_argument(
+    explain.add_argument(
         "--glossary", metavar="FILE",
         help="JSON data dictionary for --program",
     )
-    parser.add_argument(
+    explain.add_argument(
         "--goal", metavar="PREDICATE",
         help="goal predicate (overrides the program file's @goal pragma)",
     )
-    parser.add_argument(
+    explain.add_argument(
         "--query", metavar="FACT",
-        help='explain one derived fact, e.g. \'Control(A, C)\'',
+        help="explain one derived fact, e.g. 'Control(A, C)'",
     )
-    parser.add_argument(
+    explain.add_argument(
         "--query-all", action="store_true",
-        help="explain every derived goal fact",
+        help="explain every derived goal fact (default: the --app "
+             "scenario's target; a --program lists its derived facts)",
     )
-    parser.add_argument(
-        "--report", action="store_true",
-        help="emit a Markdown business report instead of per-query prose",
-    )
-    parser.add_argument(
+    explain.add_argument(
         "--why-not", metavar="FACT", dest="why_not",
         help="explain why a fact was NOT derived, e.g. 'Control(A, D)'",
     )
-    parser.add_argument(
+    explain.add_argument(
+        "--report", action="store_true",
+        help="emit a Markdown business report instead of per-query prose",
+    )
+    explain.add_argument(
+        "--dot", action="store_true",
+        help="emit DOT instead of prose: the chase graph of an --app "
+             "workload, the dependency graph of a --program",
+    )
+    explain.add_argument(
         "--compiled-cache", metavar="FILE", dest="compiled_cache",
-        help=(
-            "warm-start artifact: load the compiled program from FILE when "
-            "present (skipping template enhancement), save it there after "
-            "compiling otherwise"
-        ),
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help=(
-            "print service hit/miss/latency counters after the run "
-            "(this includes kernel telemetry: "
-            "chase.kernels_compiled / chase.kernel_execs counters, "
-            "chase.kernel_compile_s latency and the chase.symbols "
-            "symbol-table gauge)"
-        ),
-    )
-    _add_resilience_arguments(parser)
-    _add_strategy_argument(parser)
-    _add_obs_arguments(parser)
-    return parser
-
-
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--inject-faults", metavar="SPEC", dest="inject_faults",
-        help=(
-            "wrap the enhancement LLM in a seeded fault injector; SPEC is "
-            "comma-separated directives, e.g. 'transient:3', 'rate:0.3', "
-            "'slow:5:0.2,drop:2' (see README, Fault tolerance)"
-        ),
-    )
-
-
-def _add_strategy_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strategy", choices=ChaseEngine.STRATEGIES,
-        default=ChaseEngine.STRATEGIES[0],
-        help=(
-            "chase evaluation strategy: planned is the engine (compiled "
-            "join kernels over the interned columnar store); naive is "
-            "its reference oracle, byte-identical and slower "
-            "(default: %(default)s)"
-        ),
-    )
-
-
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", metavar="FILE",
-        help="write a JSON-lines span trace of the run to FILE",
-    )
-    parser.add_argument(
-        "--stats", metavar="FILE", dest="stats_file",
-        help="write the structured stats document (counters, latency "
-             "percentiles, cache and chase telemetry) to FILE",
-    )
-    parser.add_argument(
-        "--flight", metavar="FILE", dest="flight_file",
-        help="enable the query flight recorder and write its ring buffer "
-             "(per-query phase timings, kernel firings, cache hits, "
-             "degradation events) to FILE as repro-flight/1 JSON",
-    )
-
-
-def _make_llm(args: argparse.Namespace):
-    llm = None if args.deterministic else SimulatedLLM(
-        seed=args.seed, faithful=True
-    )
-    spec = getattr(args, "inject_faults", None)
-    if spec:
-        # Fault injection exercises the enhancement path even under
-        # --deterministic (which otherwise skips the LLM entirely): the
-        # point of the flag is to drive retries/fallbacks, and the seeded
-        # schedule keeps the run reproducible either way.
-        inner = llm if llm is not None else SimulatedLLM(
-            seed=args.seed, faithful=True
-        )
-        llm = FaultInjectingLLM(inner, spec, seed=args.seed)
-    return llm
-
-
-def _make_service(
-    args: argparse.Namespace, run: _ObsRun | None = None
-) -> ExplanationService:
-    metrics = run.metrics if run is not None else None
-    return ExplanationService(llm=_make_llm(args), metrics=metrics)
-
-
-def _warm_start(service: ExplanationService, args, program, glossary) -> bool:
-    """Best-effort warm start from --compiled-cache (stale files recompile)."""
-    path = args.compiled_cache
-    if not path or not os.path.exists(path):
-        return False
-    try:
-        service.warm_start(path, program, glossary)
-        return True
-    except (CompilationError, KeyError, ValueError) as error:
-        print(f"ignoring stale compiled cache {path}: {error}", file=sys.stderr)
-        return False
-
-
-def _save_compiled(service: ExplanationService, args, compiled, loaded) -> None:
-    """Persist after a cold compile; also overwrites a stale artifact so
-    the cache heals instead of recompiling on every subsequent run."""
-    if args.compiled_cache and not loaded:
-        save_compiled_program(compiled, args.compiled_cache)
-
-
-def _print_metrics(service: ExplanationService, args, run=None) -> None:
-    if args.metrics:
-        import json as _json
-
-        snapshot = service.metrics_snapshot()
-        # Outside the observed block the ambient profiler is already
-        # detached; splice the run's own profiler back in.
-        if run is not None and run.profiler.enabled:
-            snapshot["profile"] = run.profiler.snapshot()
-        print(_json.dumps(snapshot, indent=2), file=sys.stderr)
-
-
-def _run_files(args: argparse.Namespace, run: _ObsRun) -> int:
-    if not args.data or not args.glossary:
-        print("--program requires --data and --glossary", file=sys.stderr)
-        return 2
-    program = load_program(args.program, goal=args.goal)
-    database = load_facts(args.data)
-    glossary = load_glossary(args.glossary)
-
-    if args.dot and not (args.query or args.query_all):
-        from .datalog.depgraph import DependencyGraph
-
-        print(dependency_graph_dot(DependencyGraph(program), name=program.name))
-        return 0
-
-    service = _make_service(args, run)
-    loaded = _warm_start(service, args, program, glossary)
-    session = service.session(
-        program, database, glossary=glossary, strategy=args.strategy
-    )
-    run.capture(session)
-    _save_compiled(service, args, session.compiled, loaded)
-    result = session.result
-
-    if args.why_not:
-        answer = session.why_not(parse_fact(args.why_not))
-        print(answer.text)
-        _print_metrics(service, args)
-        return 0
-
-    if args.report:
-        targets = [parse_fact(args.query)] if args.query else None
-        report = session.report(
-            targets=targets, prefer_enhanced=not args.deterministic
-        )
-        print(report.to_markdown())
-        _print_metrics(service, args)
-        return 0
-
-    for violation in result.violations:
-        print(f"! {violation}")
-
-    if args.query:
-        targets = [parse_fact(args.query)]
-    elif args.query_all:
-        targets = list(result.answers())
-    else:
-        print("Derived facts:")
-        for fact in result.derived():
-            print(f"  {fact}")
-        print("\nUse --query 'Fact(...)' or --query-all for explanations.")
-        return 0
-
-    explanations = session.explain_batch(
-        targets, prefer_enhanced=not args.deterministic
-    )
-    for target, explanation in zip(targets, explanations):
-        print(f"Q_e = {{{target}}}  "
-              f"(paths: {', '.join(explanation.paths_used())})")
-        print(explanation.text)
-        print()
-    _print_metrics(service, args)
-    return 0
-
-
-def _run_analysis(name: str, dot: bool) -> None:
-    from .datalog.analysis import termination_guarantee
-
-    application = _APPLICATIONS[name]()
-    analysis = StructuralAnalysis(application.program)
-    if dot:
-        print(dependency_graph_dot(analysis.graph, name=name))
-        return
-    print(application.program.describe())
-    print()
-    print(analysis.describe())
-    print()
-    print(f"termination: {termination_guarantee(application.program).value}")
-
-
-def _run_demo(
-    scenario: ScenarioInstance, args: argparse.Namespace, run: _ObsRun
-) -> None:
-    deterministic = args.deterministic
-    if args.dot:
-        print(chase_graph_dot(scenario.run().graph))
-        return
-    service = _make_service(args, run)
-    application = scenario.application
-    loaded = _warm_start(
-        service, args, application.program, application.glossary
-    )
-    session = service.session(
-        application, scenario.database, strategy=args.strategy
-    )
-    run.capture(session)
-    _save_compiled(service, args, session.compiled, loaded)
-    explanation = session.explain(
-        scenario.target, prefer_enhanced=not deterministic
-    )
-    print(f"Scenario: {scenario.description}")
-    print(f"Explanation query: Q_e = {{{scenario.target}}}")
-    print(f"Reasoning paths used: {', '.join(explanation.paths_used())}")
-    print()
-    print(explanation.text)
-    _print_metrics(service, args)
-
-
-# ----------------------------------------------------------------------
-# Subcommands (observability-first interface)
-# ----------------------------------------------------------------------
-
-def _build_subcommand_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-explain",
-        description="Observability subcommands of the explanation service.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_workload_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--app", required=True, choices=sorted(_APP_SCENARIOS),
-            help="canonical workload to run",
-        )
-        sub.add_argument(
-            "--steps", type=int, default=5,
-            help="proof length for generated workloads (chain/cascade)",
-        )
-        sub.add_argument("--seed", type=int, default=0, help="generator seed")
-        sub.add_argument(
-            "--deterministic", action="store_true",
-            help="skip template enhancement (no simulated LLM)",
-        )
-        _add_resilience_arguments(sub)
-
-    explain = subparsers.add_parser(
-        "explain",
-        help="run a canonical workload and explain its derived facts",
-    )
-    add_workload_arguments(explain)
-    _add_strategy_argument(explain)
-    explain.add_argument(
-        "--query", metavar="FACT", help="explain one derived fact only"
-    )
-    explain.add_argument(
-        "--query-all", action="store_true",
-        help="explain every derived goal fact (default: the scenario target)",
+        help="warm-start artifact: load the compiled program from FILE "
+             "when present (skipping template enhancement), save it there "
+             "after compiling otherwise",
     )
     explain.add_argument(
         "--metrics", action="store_true",
-        help="print service hit/miss/latency counters after the run",
+        help="print the service's metrics snapshot (counters, gauges, "
+             "histograms, caches, kernel profile) to stderr after the run",
     )
     explain.add_argument(
         "--repeat", type=int, default=1, metavar="N",
@@ -490,14 +254,27 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
             "inspect the per-region cache hit rates)"
         ),
     )
-    _add_obs_arguments(explain)
+    explain.set_defaults(handler=_cmd_explain)
 
-    stats = subparsers.add_parser(
-        "stats",
+    analyse = commands.add_parser(
+        "analyse",
+        help="print the structural analysis of a built-in application",
+    )
+    analyse.add_argument("application", choices=sorted(_APPLICATIONS))
+    analyse.add_argument(
+        "--dot", action="store_true",
+        help="emit the dependency graph as DOT instead of prose",
+    )
+    analyse.set_defaults(handler=_cmd_analyse)
+
+    stats = commands.add_parser(
+        "stats", parents=[workload, strategy, outputs],
         help="run a canonical workload and print its stats document",
     )
-    add_workload_arguments(stats)
-    _add_strategy_argument(stats)
+    stats.add_argument(
+        "--app", required=True, choices=app_choices,
+        help="canonical workload to run",
+    )
     stats.add_argument(
         "--format", choices=("json", "prometheus"), default="json",
         help="stats rendering (default: json stats document)",
@@ -506,15 +283,18 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
         "--output", metavar="FILE",
         help="write the rendering to FILE instead of stdout",
     )
-    _add_obs_arguments(stats)
+    stats.set_defaults(handler=_cmd_stats)
 
-    serve = subparsers.add_parser(
-        "serve",
+    serve = commands.add_parser(
+        "serve", parents=[workload],
         help="serve a canonical workload's explanations over HTTP "
              "(POST /explain, /explain/batch, /whynot; GET /healthz, "
              "/metrics, /flight/<qid>)",
     )
-    add_workload_arguments(serve)
+    serve.add_argument(
+        "--app", required=True, choices=app_choices,
+        help="canonical workload to serve",
+    )
     serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: %(default)s)"
     )
@@ -543,53 +323,224 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
         help="default per-request budget in seconds when the request "
              "carries no deadline_s (default: %(default)s)",
     )
+    serve.set_defaults(handler=_cmd_serve)
+
+    tooling = commands.add_parser(
+        "obs",
+        help="observability tooling: kernel-profile views and "
+             "stats-document regression checks",
+    )
+    tools = tooling.add_subparsers(dest="obs_command", required=True)
+
+    top = tools.add_parser(
+        "top", parents=[workload],
+        help="show the heaviest rule kernels (from a stats document or by "
+             "running a workload live)",
+    )
+    top.add_argument(
+        "stats_file", nargs="?", metavar="STATS.json",
+        help="a repro-stats/1 document with a profile section "
+             "(omit to run --app live)",
+    )
+    top.add_argument(
+        "--app", choices=app_choices,
+        help="run this canonical workload with the kernel profiler on",
+    )
+    top.add_argument(
+        "--limit", type=int, default=10, help="rows to show (default: 10)"
+    )
+    top.add_argument(
+        "--key", default="wall_s",
+        choices=("wall_s", "execs", "probes", "rows_scanned",
+                 "rows_emitted", "pruned", "groups_evaluated"),
+        help="ranking column (default: wall_s)",
+    )
+    # Kernels only exist in the planned engine, not in its oracle.
+    top.set_defaults(strategy="planned", handler=_cmd_obs_top)
+
+    diff = tools.add_parser(
+        "diff",
+        help="compare two stats documents with tolerance rules, or check "
+             "one against declarative threshold gates",
+    )
+    diff.add_argument(
+        "documents", nargs="*", metavar="DOC.json",
+        help="BASELINE.json CANDIDATE.json (diff mode)",
+    )
+    diff.add_argument(
+        "--check", metavar="DOC.json",
+        help="gate mode: check this document against --gates instead of "
+             "diffing two documents",
+    )
+    diff.add_argument(
+        "--gates", metavar="GATES.json",
+        help="repro-gates/1 threshold configuration (gate mode)",
+    )
+    diff.add_argument(
+        "--suite", metavar="NAME",
+        help="gate suite to evaluate (default: all suites)",
+    )
+    diff.add_argument(
+        "--tolerance", type=float, default=10.0, metavar="PCT",
+        help="allowed regression on latency-shaped leaves before the diff "
+             "fails (default: 10%%)",
+    )
+    diff.add_argument(
+        "--rules", metavar="FILE",
+        help="JSON list of per-path tolerance overrides "
+             "([{\"path\": ..., \"max_regression_pct\": ...}])",
+    )
+    diff.add_argument(
+        "--output", metavar="FILE",
+        help="write the repro-diff/1 report document to FILE",
+    )
+    diff.set_defaults(handler=_cmd_obs_diff)
     return parser
 
 
-def _run_workload(args: argparse.Namespace, run: _ObsRun):
-    """Run one canonical ``--app`` workload under the observed context."""
-    scenario = _APP_SCENARIOS[args.app](args)
-    with run.observed():
-        service = _make_service(args, run)
-        session = service.session(
-            scenario.application, scenario.database, strategy=args.strategy
+def _make_llm(args: argparse.Namespace):
+    llm = None if args.deterministic else SimulatedLLM(
+        seed=args.seed, faithful=True
+    )
+    if args.inject_faults:
+        # Fault injection exercises the enhancement path even under
+        # --deterministic (which otherwise skips the LLM entirely): the
+        # point of the flag is to drive retries/fallbacks, and the seeded
+        # schedule keeps the run reproducible either way.
+        inner = llm if llm is not None else SimulatedLLM(
+            seed=args.seed, faithful=True
         )
-        run.capture(session)
-        if getattr(args, "query", None):
-            targets = [parse_fact(args.query)]
-        elif getattr(args, "query_all", False) or args.command == "stats":
-            targets = list(session.answers())
-        else:
-            targets = [scenario.target]
+        llm = FaultInjectingLLM(inner, args.inject_faults, seed=args.seed)
+    return llm
+
+
+def _warm_start(service: ExplanationService, path, program, glossary) -> bool:
+    """Best-effort warm start from --compiled-cache (stale files recompile)."""
+    if not path or not os.path.exists(path):
+        return False
+    try:
+        service.warm_start(path, program, glossary)
+        return True
+    except (CompilationError, KeyError, ValueError) as error:
+        print(f"ignoring stale compiled cache {path}: {error}", file=sys.stderr)
+        return False
+
+
+def _run_workload(args: argparse.Namespace, run: _ObsRun):
+    """Bind the ``--app`` scenario or the ``--program`` files to a session.
+
+    Call under ``run.observed()``.  Returns ``(scenario, service,
+    session)``; ``scenario`` is ``None`` for a ``--program`` workload.
+    """
+    service = ExplanationService(llm=_make_llm(args), metrics=run.metrics)
+    if getattr(args, "program", None):
+        scenario = None
+        program = load_program(args.program, goal=args.goal)
+        glossary = load_glossary(args.glossary)
+        database = load_facts(args.data)
+    else:
+        scenario = _APP_SCENARIOS[args.app](args)
+        program = scenario.application.program
+        glossary = scenario.application.glossary
+        database = scenario.database
+    cache_path = getattr(args, "compiled_cache", None)
+    loaded = _warm_start(service, cache_path, program, glossary)
+    session = service.session(
+        program, database, glossary=glossary, strategy=args.strategy
+    )
+    run.capture(session)
+    if cache_path and not loaded:
+        # Also overwrites a stale artifact, so the cache heals instead of
+        # recompiling on every later run.
+        save_compiled_program(session.compiled, cache_path)
+    return scenario, service, session
+
+
+def _workload_dot(args: argparse.Namespace) -> str:
+    if args.program:
+        from .datalog.depgraph import DependencyGraph
+
+        program = load_program(args.program, goal=args.goal)
+        return dependency_graph_dot(DependencyGraph(program), name=program.name)
+    return chase_graph_dot(_APP_SCENARIOS[args.app](args).run().graph)
+
+
+def _print_explanations(args, scenario, session) -> None:
+    if scenario is not None:
+        print(f"Scenario: {scenario.description}")
+    for violation in session.result.violations:
+        print(f"! {violation}")
+    if args.query:
+        targets = [parse_fact(args.query)]
+    elif args.query_all:
+        targets = list(session.answers())
+    elif scenario is not None:
+        targets = [scenario.target]
+    else:
+        print("Derived facts:")
+        for fact in session.result.derived():
+            print(f"  {fact}")
+        print("\nUse --query 'Fact(...)' or --query-all for explanations.")
+        return
+    # --repeat N re-serves the same batch: the extra passes land on the
+    # memoized serving path, and the region hit rates show up in
+    # --metrics / --stats.
+    for _ in range(max(args.repeat, 1)):
         explanations = session.explain_batch(
             targets, prefer_enhanced=not args.deterministic
         )
-        # --repeat N re-serves the same batch: the extra passes land on
-        # the memoized serving path, and the region hit rates show up in
-        # --metrics / --stats.
-        for _ in range(getattr(args, "repeat", 1) - 1):
-            explanations = session.explain_batch(
-                targets, prefer_enhanced=not args.deterministic
-            )
-    return scenario, service, targets, explanations
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    run = _ObsRun(
-        trace_path=args.trace, stats_path=args.stats_file,
-        flight_path=args.flight_file,
-        profile=args.metrics or bool(args.stats_file),
-        meta={"command": "explain", "app": args.app},
-    )
-    scenario, service, targets, explanations = _run_workload(args, run)
-    print(f"Scenario: {scenario.description}")
     for target, explanation in zip(targets, explanations):
         print(f"Q_e = {{{target}}}  "
               f"(paths: {', '.join(explanation.paths_used())})")
         print(explanation.text)
         print()
-    _print_metrics(service, args, run)
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    if args.program and not (args.data and args.glossary):
+        print("--program requires --data and --glossary", file=sys.stderr)
+        return 2
+    if args.dot:
+        print(_workload_dot(args))
+        return 0
+    run = _ObsRun(
+        trace_path=args.trace, stats_path=args.stats_file,
+        flight_path=args.flight_file,
+        profile=args.metrics or bool(args.stats_file),
+        meta={"command": "explain", "app": args.app or args.program},
+    )
+    with run.observed():
+        scenario, service, session = _run_workload(args, run)
+        if args.why_not:
+            print(session.why_not(parse_fact(args.why_not)).text)
+        elif args.report:
+            targets = [parse_fact(args.query)] if args.query else None
+            report = session.report(
+                targets=targets, prefer_enhanced=not args.deterministic
+            )
+            print(report.to_markdown())
+        else:
+            _print_explanations(args, scenario, session)
+        if args.metrics:
+            print(json.dumps(service.metrics_snapshot(), indent=2),
+                  file=sys.stderr)
     run.dump()
+    return 0
+
+
+def _cmd_analyse(args: argparse.Namespace) -> int:
+    from .datalog.analysis import termination_guarantee
+
+    application = _APPLICATIONS[args.application]()
+    analysis = StructuralAnalysis(application.program)
+    if args.dot:
+        print(dependency_graph_dot(analysis.graph, name=args.application))
+        return 0
+    print(application.program.describe())
+    print()
+    print(analysis.describe())
+    print()
+    print(f"termination: {termination_guarantee(application.program).value}")
     return 0
 
 
@@ -599,7 +550,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         flight_path=args.flight_file, force_tracing=True, profile=True,
         meta={"command": "stats", "app": args.app},
     )
-    _run_workload(args, run)
+    with run.observed():
+        _, _, session = _run_workload(args, run)
+        session.explain_batch(
+            list(session.answers()), prefer_enhanced=not args.deterministic
+        )
     run.dump()
     if args.format == "prometheus":
         rendering = obs.render_prometheus(run.metrics)
@@ -644,92 +599,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_obs_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-explain obs",
-        description=(
-            "Observability tooling: kernel-profile views and stats-document "
-            "regression checks."
-        ),
-    )
-    subparsers = parser.add_subparsers(dest="obs_command", required=True)
-
-    top = subparsers.add_parser(
-        "top",
-        help="show the heaviest rule kernels (from a stats document or by "
-             "running a workload live)",
-    )
-    top.add_argument(
-        "stats_file", nargs="?", metavar="STATS.json",
-        help="a repro-stats/1 document with a profile section "
-             "(omit to run --app live)",
-    )
-    top.add_argument(
-        "--app", choices=sorted(_APP_SCENARIOS),
-        help="run this canonical workload with the kernel profiler on",
-    )
-    top.add_argument(
-        "--steps", type=int, default=5,
-        help="proof length for generated workloads (chain/cascade)",
-    )
-    top.add_argument("--seed", type=int, default=0, help="generator seed")
-    top.add_argument(
-        "--deterministic", action="store_true",
-        help="skip template enhancement (no simulated LLM)",
-    )
-    top.add_argument(
-        "--limit", type=int, default=10, help="rows to show (default: 10)"
-    )
-    top.add_argument(
-        "--key", default="wall_s",
-        choices=("wall_s", "execs", "probes", "rows_scanned",
-                 "rows_emitted", "pruned", "groups_evaluated"),
-        help="ranking column (default: wall_s)",
-    )
-    _add_resilience_arguments(top)
-    # Kernels only exist in the planned engine, not in its oracle.
-    top.set_defaults(strategy="planned", command="obs")
-
-    diff = subparsers.add_parser(
-        "diff",
-        help="compare two stats documents with tolerance rules, or check "
-             "one against declarative threshold gates",
-    )
-    diff.add_argument(
-        "documents", nargs="*", metavar="DOC.json",
-        help="BASELINE.json CANDIDATE.json (diff mode)",
-    )
-    diff.add_argument(
-        "--check", metavar="DOC.json",
-        help="gate mode: check this document against --gates instead of "
-             "diffing two documents",
-    )
-    diff.add_argument(
-        "--gates", metavar="GATES.json",
-        help="repro-gates/1 threshold configuration (gate mode)",
-    )
-    diff.add_argument(
-        "--suite", metavar="NAME",
-        help="gate suite to evaluate (default: all suites)",
-    )
-    diff.add_argument(
-        "--tolerance", type=float, default=10.0, metavar="PCT",
-        help="allowed regression on latency-shaped leaves before the diff "
-             "fails (default: 10%%)",
-    )
-    diff.add_argument(
-        "--rules", metavar="FILE",
-        help="JSON list of per-path tolerance overrides "
-             "([{\"path\": ..., \"max_regression_pct\": ...}])",
-    )
-    diff.add_argument(
-        "--output", metavar="FILE",
-        help="write the repro-diff/1 report document to FILE",
-    )
-    diff.set_defaults(command="obs")
-    return parser
-
-
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     from .obs.diff import StatsDiffError, load_document
 
@@ -750,7 +619,11 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
             return 2
     elif args.app:
         run = _ObsRun(profile=True, meta={"command": "obs top"})
-        _run_workload(args, run)
+        with run.observed():
+            scenario, _, session = _run_workload(args, run)
+            session.explain_batch(
+                [scenario.target], prefer_enhanced=not args.deterministic
+            )
         profile = run.profiler.snapshot()
     else:
         print(
@@ -819,56 +692,13 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def _run_obs(argv: list[str]) -> int:
-    args = _build_obs_parser().parse_args(argv)
-    if args.obs_command == "top":
-        return _cmd_obs_top(args)
-    return _cmd_obs_diff(args)
-
-
-def _run_subcommand(argv: list[str]) -> int:
-    if argv and argv[0] == "obs":
-        return _run_obs(argv[1:])
-    args = _build_subcommand_parser().parse_args(argv)
-    try:
-        if args.command == "explain":
-            return _cmd_explain(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        return _cmd_stats(args)
-    except FaultSpecError as error:
-        print(f"invalid --inject-faults spec: {error}", file=sys.stderr)
-        return 2
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _run_subcommand(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    run = _ObsRun(trace_path=args.trace, stats_path=args.stats_file,
-                  flight_path=args.flight_file, profile=args.metrics,
-                  meta={"command": "legacy", "argv": argv})
+    args = _build_parser().parse_args(argv)
     try:
-        if args.program:
-            with run.observed():
-                return _run_files(args, run)
-        if args.analyse:
-            _run_analysis(args.analyse, args.dot)
-            return 0
-        if args.demo:
-            scenario = _DEMOS[args.demo](args)
-            with run.observed():
-                _run_demo(scenario, args, run)
-            return 0
+        return args.handler(args)
     except FaultSpecError as error:
         print(f"invalid --inject-faults spec: {error}", file=sys.stderr)
         return 2
-    finally:
-        run.dump()
-    parser.print_help()
-    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -52,11 +52,7 @@ from .validation import (
     omission_ratio,
     tokens_preserved,
 )
-from .service import (
-    ExplanationService,
-    ExplanationSession,
-    ServiceMetrics,
-)
+from .service import ExplanationService, ExplanationSession
 from .whynot import Obstacle, WhyNotAnswer, WhyNotExplainer
 from .verbalizer import (
     AGGREGATE_PHRASES,
@@ -82,7 +78,6 @@ __all__ = [
     "ExplanationService",
     "ExplanationSession",
     "LRUCache",
-    "ServiceMetrics",
     "compilation_fingerprint",
     "compile_program",
     "program_key",

@@ -8,12 +8,15 @@ of the explanation stack.  It owns
   compiled once for the service lifetime (warm starts can pre-seed the
   cache from disk via :meth:`ExplanationService.warm_start`);
 * a shared bounded LRU of generated explanations spanning all sessions;
-* per-service hit/miss/latency counters (:class:`ServiceMetrics`).
+* per-service hit/miss/latency counters (a
+  :class:`~repro.obs.metrics.MetricsRegistry`).
 
 A *session* binds one compiled program to one database instance: the
 service runs the chase and returns an :class:`ExplanationSession` whose
 ``explain``/``explain_batch``/``report``/``why_not`` calls serve queries
-against the materialized instance.
+against the materialized instance.  A session's data changes in one
+way, :meth:`ExplanationSession.update` (an add/retract delta); new data
+altogether is a new session, which hits the compile cache.
 
 Typical use::
 
@@ -34,13 +37,9 @@ from ..datalog.atoms import Fact
 from ..datalog.program import Program
 from ..engine.chase import ChaseEngine
 from ..engine.database import Database
-from ..engine.incremental import UpdateOutcome, extensional_facts
+from ..engine.incremental import UpdateOutcome
 from ..engine.reasoning import ReasoningResult, reason
-
-# Deprecation alias: the historical service-metrics surface now lives in
-# the observability layer (repro.obs.metrics) backed by the registry;
-# import from there going forward.
-from ..obs.metrics import ServiceMetrics
+from ..obs.metrics import MetricsRegistry
 from ..resilience.policy import Deadline, DeadlineExceeded, RetryPolicy
 from .cache import DEFAULT_EXPLANATION_CACHE_SIZE, LRUCache
 from .compiler import (
@@ -112,7 +111,7 @@ class _Timed:
     bucket resolves back to the flight that caused it.
     """
 
-    def __init__(self, metrics: ServiceMetrics, name: str):
+    def __init__(self, metrics: MetricsRegistry, name: str):
         self._metrics = metrics
         self._name = name
         self.elapsed = 0.0
@@ -252,7 +251,7 @@ class ExplanationSession:
 
         The prober is kept for the session and its answers live in the
         shared LRU's ``whynot`` region, scoped by the explainer's memo
-        scope so a re-reasoned session never serves stale reports.
+        scope so an updated session never serves stale reports.
         """
         recorder = obs.get_flight()
         with recorder.record(
@@ -291,7 +290,9 @@ class ExplanationSession:
         of the provenance index is rebound
         (memoized spines/proofs for untouched subtrees survive), and a
         fresh explainer takes a fresh memo scope so stale explanation and
-        why-not entries are scoped out exactly as :meth:`re_reason` does.
+        why-not entries are scoped out: every cache key of the old
+        instance carries the old binding id, so those entries can never
+        be served again and simply age out of the shared LRU.
         The session's attributes are reassigned, never mutated: a
         shallow copy of a session can be updated while readers keep
         serving from the original.  The returned
@@ -324,80 +325,6 @@ class ExplanationSession:
         self.service.metrics.incr(f"updates_{outcome.mode}")
         return outcome
 
-    def add_facts(self, facts: Iterable[Fact]) -> UpdateOutcome:
-        """Insert extensional facts into the live session (see update)."""
-        return self.update(adds=facts)
-
-    def retract_facts(self, facts: Iterable[Fact]) -> UpdateOutcome:
-        """Retract extensional facts from the live session (see update)."""
-        return self.update(retracts=facts)
-
-    def re_reason(
-        self,
-        database: Database | Iterable[Fact],
-        max_rounds: int = 10_000,
-        strategy: str = "planned",
-    ) -> "ExplanationSession":
-        """Re-materialize this session over new data, in place.
-
-        When the new database is expressible as an add/retract delta
-        against the current extensional instance (retained facts keep
-        their relative order, new facts appended), the change routes
-        through the incremental :meth:`update` path; otherwise a fresh
-        chase runs, which rebuilds the provenance index from scratch.
-        Either way the explainer is rebound under a fresh memo scope:
-        every cache key of the old instance carries the old binding id,
-        so stale entries can never be served again — they simply age out
-        of the shared LRU.  The compiled artifact is reused as-is (it is
-        database-independent).
-        """
-        facts = (
-            tuple(database.facts()) if isinstance(database, Database)
-            else tuple(database)
-        )
-        delta = self._as_delta(facts)
-        if delta is not None:
-            adds, retracts = delta
-            self.update(adds=adds, retracts=retracts, max_rounds=max_rounds)
-            self.service.metrics.incr("re_reasons")
-            self.service.metrics.incr("re_reason_incremental")
-            return self
-        with _Timed(self.service.metrics, "chase"):
-            result = reason(
-                self.compiled.program, facts,
-                max_rounds=max_rounds, strategy=strategy,
-            )
-        self.result = result
-        self.explainer = Explainer(
-            result, compiled=self.compiled,
-            cache=self.service.explanation_cache,
-        )
-        self._whynot = None
-        self.service.metrics.incr("re_reasons")
-        self.service.metrics.incr("re_reason_full")
-        return self
-
-    def _as_delta(
-        self, facts: tuple[Fact, ...]
-    ) -> tuple[tuple[Fact, ...], tuple[Fact, ...]] | None:
-        """Express ``facts`` as (adds, retracts) against the current EDB.
-
-        Returns ``None`` when the request is not delta-shaped: duplicate
-        facts, retained facts reordered, or new facts interleaved rather
-        than appended — those need the full re-chase to reproduce the
-        requested insertion order.
-        """
-        if len(set(facts)) != len(facts):
-            return None
-        old_edb = extensional_facts(self.result.chase_result)
-        new_set = set(facts)
-        adds = tuple(f for f in facts if f not in set(old_edb))
-        retained = tuple(f for f in old_edb if f in new_set)
-        if retained + adds != facts:
-            return None
-        retracts = tuple(f for f in old_edb if f not in new_set)
-        return adds, retracts
-
 
 class ExplanationService:
     """Serves explanation workloads off a compiled-program cache.
@@ -417,7 +344,7 @@ class ExplanationService:
         Ignored: ``explain_batch`` runs on the calling thread.  Still
         accepted because existing callers pass it.
     metrics:
-        The :class:`~repro.obs.metrics.ServiceMetrics` registry to report
+        The :class:`~repro.obs.metrics.MetricsRegistry` to report
         into; pass one to pool service telemetry with ambient chase and
         compile counters in a single stats document.  A fresh registry is
         created when omitted.
@@ -434,13 +361,13 @@ class ExplanationService:
         max_compiled_programs: int = 32,
         explanation_cache_size: int = DEFAULT_EXPLANATION_CACHE_SIZE,
         max_workers: int | None = None,
-        metrics: ServiceMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
     ):
         self.llm = llm
         self.enhanced_versions = enhanced_versions
         self.retry_policy = retry_policy
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.compiled_cache = LRUCache(max_compiled_programs)
         self.explanation_cache = LRUCache(explanation_cache_size)
         self.metrics.register_cache("compiled_cache", self.compiled_cache)
@@ -567,11 +494,10 @@ class ExplanationService:
         self.shutdown()
 
     def metrics_snapshot(self) -> dict:
+        """The registry's snapshot (counters, gauges, histograms and the
+        two caches under ``caches``), plus ``profile`` when the ambient
+        kernel profiler is on."""
         snapshot = self.metrics.snapshot()
-        # Full cache snapshots (occupancy plus the per-region hit/miss
-        # breakdown of the memoized explanation-serving layers).
-        snapshot["compiled_cache"] = self.compiled_cache.snapshot()
-        snapshot["explanation_cache"] = self.explanation_cache.snapshot()
         profiler = obs.get_profiler()
         if profiler.enabled:
             snapshot["profile"] = profiler.snapshot()

@@ -70,7 +70,6 @@ from .metrics import (
     DEFAULT_REGISTRY,
     Histogram,
     MetricsRegistry,
-    ServiceMetrics,
 )
 from .profile import NULL_PROFILER, KernelProfiler, render_top
 from .slo import (
@@ -88,7 +87,7 @@ __all__ = [
     "KernelProfiler", "LatencyObjective", "MetricsRegistry",
     "NULL_FLIGHT_RECORD", "NULL_FLIGHT_RECORDER", "NULL_PROFILER",
     "NULL_SPAN", "NULL_TRACER", "STATS_DOCUMENT_KEYS", "STATS_FORMAT",
-    "SLOConfigError", "SLOEvaluator", "SLOReport", "ServiceMetrics", "Span",
+    "SLOConfigError", "SLOEvaluator", "SLOReport", "Span",
     "TRACE_FORMAT", "Tracer", "current_flight", "flight_event",
     "get_flight", "get_metrics", "get_profiler", "get_tracer", "incr",
     "observe", "observed", "parse_trace_jsonl", "render_prometheus",
@@ -145,7 +144,7 @@ def span(name: str, **attrs):
 
 def incr(name: str, amount: int = 1) -> None:
     """Increment a counter on the ambient registry."""
-    _active_metrics.increment(name, amount)
+    _active_metrics.incr(name, amount)
 
 
 def observe(name: str, value: float) -> None:

@@ -137,7 +137,7 @@ def stats_document(
     so downstream tooling can gate on presence without caring which
     stages actually ran; ``slo`` joins only when a report is passed.
     """
-    snapshot = MetricsRegistry.snapshot(metrics)
+    snapshot = metrics.snapshot()
     document = {
         "format": STATS_FORMAT,
         "meta": dict(meta or {}),
@@ -191,7 +191,7 @@ def render_prometheus(metrics: MetricsRegistry) -> str:
     (quantile-labelled series plus ``_sum``/``_count``); attached caches
     contribute labelled gauges (hits, misses, evictions, size).
     """
-    snapshot = MetricsRegistry.snapshot(metrics)
+    snapshot = metrics.snapshot()
     lines: list[str] = []
     for name, value in sorted(snapshot["counters"].items()):
         metric = _prom_name(name)

@@ -4,7 +4,7 @@ The base obs layer (spans, histograms) says *where time goes in
 aggregate*; it cannot say which query caused a slow p99 bucket.  A
 :class:`FlightRecorder` closes that gap with per-request **flight
 records**: every service request (session build, single explain, batch,
-per-batch worker task) opens a record carrying a query id and the
+why-not, update) opens a record carrying a query id and the
 compile fingerprint, accumulates phase timings, kernel/cache counters
 and degradation events while the request runs, and lands in a bounded
 ring buffer of recent flights on close.  The buffer is dumpable as a
@@ -19,14 +19,11 @@ Design constraints mirror the tracer's:
   and :meth:`FlightRecorder.current` returns ``None`` after a single
   attribute check, so instrumentation stays in hot paths
   unconditionally;
-* **explicit cross-thread propagation** — the current record is tracked
+* **context-local current record** — the current record is tracked
   per execution context (a :class:`contextvars.ContextVar`, so plain
   threads see a per-thread stack and interleaved asyncio tasks on one
   loop thread each see their own — concurrent coroutines cannot corrupt
-  each other's current record or mis-parent children); executor worker
-  threads do not inherit the submitting context and join the request's
-  flight via :meth:`FlightRecorder.attach` (the same pattern as
-  :meth:`~repro.obs.trace.Tracer.attach` for spans);
+  each other's current record or mis-parent children);
 * **bounded everything** — the ring buffer holds the most recent
   ``capacity`` records and each record keeps at most ``max_events``
   events (drops are counted, never silent).
@@ -317,19 +314,6 @@ class FlightRecorder:
         stack = self._stack.get()
         return stack[-1] if stack else None
 
-    def attach(self, record: FlightRecord | _NullFlightRecord | None):
-        """Adopt ``record`` as the calling thread's current flight.
-
-        The cross-thread propagation primitive: a thread-pool worker
-        attaches the submitting request's record so everything it does
-        (kernel firings, cache lookups, nested records) lands on the
-        right flight.  Attaching ``None`` or the no-op record is a
-        no-op, so callers never branch.
-        """
-        if not isinstance(record, FlightRecord):
-            return _NOOP_ATTACH
-        return _Attachment(self, record)
-
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
@@ -414,12 +398,12 @@ class FlightRecorder:
         return iter(self.records())
 
     # ------------------------------------------------------------------
-    # Internal bookkeeping (called by FlightRecord / _Attachment)
+    # Internal bookkeeping (called by FlightRecord)
     # ------------------------------------------------------------------
     def _push(self, record: FlightRecord) -> None:
         self._stack.set(self._stack.get() + (record,))
 
-    def _pop(self, record: FlightRecord, close: bool = True) -> None:
+    def _pop(self, record: FlightRecord) -> None:
         stack = self._stack.get()
         if stack and stack[-1] is record:
             self._stack.set(stack[:-1])
@@ -427,39 +411,8 @@ class FlightRecorder:
             self._stack.set(
                 tuple(entry for entry in stack if entry is not record)
             )
-        if close:
-            with self._lock:
-                self._ring.append(record)
-
-
-class _Attachment:
-    """Context manager installing a foreign record as thread-current."""
-
-    __slots__ = ("_recorder", "_record")
-
-    def __init__(self, recorder: FlightRecorder, record: FlightRecord):
-        self._recorder = recorder
-        self._record = record
-
-    def __enter__(self) -> FlightRecord:
-        self._recorder._push(self._record)
-        return self._record
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._recorder._pop(self._record, close=False)
-
-
-class _NoopAttachment:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NOOP_ATTACH = _NoopAttachment()
+        with self._lock:
+            self._ring.append(record)
 
 
 def write_flight(recorder: FlightRecorder, path, meta: dict | None = None) -> None:

@@ -10,11 +10,6 @@ Histograms use fixed buckets (Prometheus-style upper bounds) so that
 recording a sample is O(log buckets) and memory is constant regardless
 of traffic; p50/p95/p99 are estimated by linear interpolation within the
 bucket containing the target rank, clamped to the observed min/max.
-
-:class:`ServiceMetrics` is the migration shim for the historical
-service-layer counters: the same ``incr``/``observe``/``counter``/
-``snapshot`` surface, now backed by the registry, with ``snapshot()``
-kept byte-compatible with the pre-observability output.
 """
 
 from __future__ import annotations
@@ -255,7 +250,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def increment(self, name: str, amount: int = 1) -> None:
+    def incr(self, name: str, amount: int = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
@@ -332,7 +327,7 @@ class MetricsRegistry:
         """Fold a :meth:`drain_delta` payload from another process into
         this registry."""
         for name, delta in payload.get("counters", {}).items():
-            self.increment(name, delta)
+            self.incr(name, delta)
         for name, value in payload.get("gauges", {}).items():
             self.set_gauge(name, value)
         for name, state in payload.get("histograms", {}).items():
@@ -376,53 +371,6 @@ class MetricsRegistry:
                 name: cache.snapshot() for name, cache in sorted(caches.items())
             },
         }
-
-
-class ServiceMetrics(MetricsRegistry):
-    """The historical service-metrics surface, now registry-backed.
-
-    Deprecation alias: ``repro.core.service.ServiceMetrics`` re-exports
-    this class.  ``incr``/``observe``/``counter`` keep their signatures
-    and :meth:`snapshot` keeps the pre-observability shape (``counters``
-    plus ``latency`` with exact count/total/mean/max per timer, plus a
-    ``gauges`` section when any gauge was set — e.g. ``chase.symbols``
-    under the planned strategy) so existing ``--metrics`` consumers
-    parse unchanged output; the full registry view is available as
-    :meth:`registry_snapshot`.
-    """
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        self.increment(name, amount)
-
-    # ``observe`` is inherited unchanged: (name, seconds) -> histogram.
-
-    def counter(self, name: str) -> int:
-        return self.counter_value(name)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        latency = {}
-        for name, histogram in histograms.items():
-            with histogram._lock:
-                count = histogram.count
-                total = histogram.total
-                maximum = histogram.maximum if count else 0.0
-            latency[name] = {
-                "count": count,
-                "total_s": total,
-                "mean_s": total / count if count else 0.0,
-                "max_s": maximum,
-            }
-        snapshot = {"counters": counters, "latency": latency}
-        if gauges:
-            snapshot["gauges"] = gauges
-        return snapshot
-
-    def registry_snapshot(self) -> dict:
-        return MetricsRegistry.snapshot(self)
 
 
 #: The process-default registry ambient instrumentation falls back to.

@@ -19,9 +19,9 @@ Design constraints, in order:
   allocation, no clock read), so instrumentation can stay in hot paths
   unconditionally;
 * **thread-safe** — finished spans append under a lock and the
-  parent/child relation is tracked per thread, so spans opened from a
-  thread pool never corrupt each other (a worker span has no parent
-  unless one is passed explicitly via ``parent=``);
+  parent/child relation is tracked per thread, so spans opened on
+  different threads never corrupt each other (a span opened on another
+  thread has no parent unless one is passed explicitly via ``parent=``);
 * **deterministic export** — span ids are small per-tracer integers and
   start offsets are relative to the tracer's epoch, so traces diff
   cleanly across runs.
@@ -154,8 +154,7 @@ class Tracer:
 
         Nesting is tracked per thread: a span opened while another is
         open on the same thread becomes its child.  Cross-thread
-        parentage (e.g. thread-pool workers) must be passed explicitly
-        via ``parent=``.
+        parentage must be passed explicitly via ``parent=``.
         """
         if not self.enabled:
             return NULL_SPAN
@@ -171,20 +170,6 @@ class Tracer:
         """The innermost open span on the calling thread, if any."""
         stack = getattr(self._stack, "spans", None)
         return stack[-1] if stack else None
-
-    def attach(self, span: Span | _NullSpan | None):
-        """Adopt ``span`` as the calling thread's current span.
-
-        The cross-thread propagation primitive: a thread-pool worker
-        wraps its task in ``with tracer.attach(request_span):`` and every
-        span it opens parents to the submitting request instead of
-        orphaning.  The attached span is *not* closed on exit — it
-        belongs to the thread that opened it.  Passing ``None`` or a
-        null span yields a no-op, so call sites never branch.
-        """
-        if not self.enabled or not isinstance(span, Span):
-            return _NOOP_ATTACH
-        return _SpanAttachment(self, span)
 
     # ------------------------------------------------------------------
     # Results
@@ -220,38 +205,6 @@ class Tracer:
             stack.remove(span)
         with self._lock:
             self._finished.append(span)
-
-
-class _SpanAttachment:
-    """Pushes a foreign span onto this thread's stack without owning it."""
-
-    __slots__ = ("_tracer", "_span")
-
-    def __init__(self, tracer: Tracer, span: Span):
-        self._tracer = tracer
-        self._span = span
-
-    def __enter__(self) -> Span:
-        self._tracer._push(self._span)
-        return self._span
-
-    def __exit__(self, *exc_info) -> None:
-        stack = getattr(self._tracer._stack, "spans", None)
-        if stack and self._span in stack:
-            stack.remove(self._span)
-
-
-class _NoopAttachment:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NOOP_ATTACH = _NoopAttachment()
 
 
 #: The process-default tracer: permanently disabled, shared by all

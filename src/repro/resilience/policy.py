@@ -13,9 +13,8 @@ shares:
 * a **typed error taxonomy** (:class:`TransientLLMError`,
   :class:`PermanentLLMError`, :class:`DeadlineExceeded`,
   :class:`CircuitOpen`) replacing bare exceptions.  All of them subclass
-  :class:`ResilienceError`, which itself subclasses :class:`RuntimeError`
-  so legacy ``except RuntimeError`` call sites keep working for one more
-  release (see CHANGES.md for the migration note);
+  :class:`ResilienceError`; catch that (or a subclass), not
+  :class:`RuntimeError`;
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   *deterministic* jitter (seeded per attempt, so two runs with the same
   seed back off identically) and an injectable ``sleep``/``clock`` pair
@@ -43,13 +42,9 @@ from .. import obs
 # Error taxonomy
 # ----------------------------------------------------------------------
 
-class ResilienceError(RuntimeError):
-    """Base of the resilience taxonomy.
-
-    Subclasses :class:`RuntimeError` on purpose: callers that caught bare
-    ``RuntimeError`` around enhancement keep degrading gracefully while
-    they migrate to the typed hierarchy.
-    """
+class ResilienceError(Exception):
+    """Base of the resilience taxonomy; catch it to degrade gracefully
+    around any enhancement failure."""
 
 
 class TransientLLMError(ResilienceError):

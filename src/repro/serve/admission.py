@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 
 from .. import obs
-from ..obs.metrics import ServiceMetrics
+from ..obs.metrics import MetricsRegistry
 from ..resilience.breaker import OPEN, CircuitBreaker
 
 
@@ -48,7 +48,7 @@ class AdmissionController:
         self,
         limit: int,
         breaker: CircuitBreaker,
-        metrics: ServiceMetrics,
+        metrics: MetricsRegistry,
         retry_after_s: float = 1.0,
     ):
         if limit < 0:

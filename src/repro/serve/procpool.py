@@ -21,7 +21,7 @@ Design rules, in the order they bit:
   ``("serve", route, body)`` message, and reads one response.  Pipes
   are not thread-safe; checkout is the mutual exclusion;
 * **telemetry ships with every response** — the child runs a private
-  delta-enabled :class:`~repro.obs.metrics.ServiceMetrics` and a private
+  delta-enabled :class:`~repro.obs.metrics.MetricsRegistry` and a private
   :class:`~repro.obs.flight.FlightRecorder` (query ids prefixed
   ``w<i>-`` so they stay globally unique); each response carries the
   metrics recorded since the last drain plus the closed flight records,
@@ -47,7 +47,7 @@ from typing import Iterable
 from ..apps.base import KGApplication
 from ..datalog.atoms import Fact
 from ..obs.flight import FlightRecorder
-from ..obs.metrics import ServiceMetrics
+from ..obs.metrics import MetricsRegistry
 from .protocol import ProtocolError, parse_update_request
 from .workers import WorkerPool
 
@@ -72,7 +72,7 @@ def _worker_main(conn, spec: tuple) -> None:
     from .. import obs  # local import keeps the spawn preamble minimal
 
     application, snapshot, index, default_deadline_s, llm = spec
-    metrics = ServiceMetrics()
+    metrics = MetricsRegistry()
     metrics.enable_delta()
     flight = FlightRecorder(
         capacity=_CHILD_FLIGHT_CAPACITY, enabled=True,
@@ -178,7 +178,7 @@ class ProcessWorkerPool:
         snapshot: str,
         workers: int = 2,
         llm: object | None = None,
-        metrics: ServiceMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
         default_deadline_s: float = 10.0,
         flight: FlightRecorder | None = None,
         boot_timeout_s: float = 120.0,
@@ -187,7 +187,7 @@ class ProcessWorkerPool:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.application = application
         self.default_deadline_s = default_deadline_s
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.flight = flight
         self.warm_start_s: list[float] = []
         self.boot_rows: list[dict] = []

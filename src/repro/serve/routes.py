@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .. import obs
 from ..core.service import BatchOutcome, ExplanationSession
-from ..obs.metrics import ServiceMetrics
+from ..obs.metrics import MetricsRegistry
 from ..resilience.policy import Deadline, DeadlineExceeded
 from .protocol import (
     BatchRequest,
@@ -52,7 +52,7 @@ def serve_explain(
     request: ExplainRequest,
     *,
     default_deadline_s: float,
-    metrics: ServiceMetrics,
+    metrics: MetricsRegistry,
 ) -> tuple[int, dict]:
     deadline = _deadline(request.deadline_s, default_deadline_s)
     try:
@@ -79,7 +79,7 @@ def serve_batch(
     request: BatchRequest,
     *,
     default_deadline_s: float,
-    metrics: ServiceMetrics,
+    metrics: MetricsRegistry,
 ) -> tuple[int, dict]:
     deadline = _deadline(request.deadline_s, default_deadline_s)
     outcomes = session.explain_batch(
@@ -107,7 +107,7 @@ def serve_whynot(
     request: WhyNotRequest,
     *,
     default_deadline_s: float,
-    metrics: ServiceMetrics,
+    metrics: MetricsRegistry,
 ) -> tuple[int, dict]:
     answer = session.why_not(request.query)
     return 200, whynot_payload(answer)
@@ -118,7 +118,7 @@ def serve_session_request(
     request: ExplainRequest | BatchRequest | WhyNotRequest,
     *,
     default_deadline_s: float,
-    metrics: ServiceMetrics,
+    metrics: MetricsRegistry,
 ) -> tuple[int, dict]:
     """Serve one parsed session-scoped request (not ``update``)."""
     if isinstance(request, ExplainRequest):

@@ -51,7 +51,7 @@ from ..apps.base import KGApplication
 from ..engine.database import Database
 from ..io import dumps_database
 from ..obs.flight import FlightRecorder
-from ..obs.metrics import ServiceMetrics
+from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SLOEvaluator
 from ..resilience.breaker import OPEN, CircuitBreaker
 from .admission import AdmissionController, ShedRequest
@@ -137,7 +137,7 @@ class ExplanationServer:
         self.snapshot = snapshot
         self.config = config if config is not None else ServeConfig()
         self.llm = llm
-        self.metrics = ServiceMetrics()
+        self.metrics = MetricsRegistry()
         self.flight = FlightRecorder(
             capacity=self.config.flight_capacity, enabled=True
         )

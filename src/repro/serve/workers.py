@@ -37,7 +37,7 @@ from ..datalog.atoms import Fact
 from ..engine.database import Database
 from ..engine.incremental import UpdateOutcome
 from ..io import dumps_database, loads_database
-from ..obs.metrics import ServiceMetrics
+from ..obs.metrics import MetricsRegistry
 from .. import obs
 from .protocol import UpdateRequest, error_payload, update_payload
 from .routes import PARSERS, serve_session_request
@@ -54,7 +54,7 @@ class WorkerPool:
         snapshot: str,
         workers: int = 2,
         llm: object | None = None,
-        metrics: ServiceMetrics | None = None,
+        metrics: MetricsRegistry | None = None,
         default_deadline_s: float = 10.0,
     ):
         if workers < 1:
@@ -62,7 +62,7 @@ class WorkerPool:
         self.application = application
         self.workers = workers
         self.default_deadline_s = default_deadline_s
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.service = ExplanationService(llm=llm, metrics=self.metrics)
         self._update_lock = threading.Lock()
         started = time.perf_counter()

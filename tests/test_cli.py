@@ -4,58 +4,153 @@ import json
 
 import pytest
 
+from repro.apps import company_control, figures, generators
 from repro.cli import main
+from repro.core import ExplanationService, StructuralAnalysis
+from repro.datalog.analysis import termination_guarantee
+from repro.io import load_facts, load_glossary, load_program, parse_fact
+from repro.llm import SimulatedLLM
 from repro.obs import STATS_DOCUMENT_KEYS, parse_trace_jsonl, span_tree
+
+EXAMPLE_FILES = {
+    "program": "examples/data/company_control.vada",
+    "data": "examples/data/portfolio.facts",
+    "glossary": "examples/data/company_control_glossary.json",
+}
+EXAMPLE_ARGV = [
+    "--program", EXAMPLE_FILES["program"],
+    "--data", EXAMPLE_FILES["data"],
+    "--glossary", EXAMPLE_FILES["glossary"],
+]
+
+
+def _example_session():
+    """The in-process session the CLI builds for the example files."""
+    service = ExplanationService(llm=SimulatedLLM(seed=0, faithful=True))
+    return service.session(
+        load_program(EXAMPLE_FILES["program"]),
+        load_facts(EXAMPLE_FILES["data"]),
+        glossary=load_glossary(EXAMPLE_FILES["glossary"]),
+    )
+
+
+def _explained(target, explanation) -> str:
+    return (
+        f"Q_e = {{{target}}}  (paths: {', '.join(explanation.paths_used())})\n"
+        f"{explanation.text}\n\n"
+    )
 
 
 class TestAnalyse:
     def test_company_control_analysis(self, capsys):
-        assert main(["--analyse", "company_control"]) == 0
+        assert main(["analyse", "company_control"]) == 0
         output = capsys.readouterr().out
         assert "simple reasoning paths" in output
         assert "σ3" in output
 
     def test_analysis_dot_output(self, capsys):
-        assert main(["--analyse", "stress_test", "--dot"]) == 0
+        assert main(["analyse", "stress_test", "--dot"]) == 0
         output = capsys.readouterr().out
         assert output.startswith("digraph")
 
     def test_unknown_application_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--analyse", "nonexistent"])
+            main(["analyse", "nonexistent"])
 
 
 class TestDemos:
     def test_figure8_demo(self, capsys):
-        assert main(["--demo", "figure8"]) == 0
+        assert main(["explain", "--app", "figure8"]) == 0
         output = capsys.readouterr().out
         assert "Q_e = {Default(C)}" in output
-        assert "Reasoning paths used:" in output
+        assert "(paths: " in output
 
     def test_deterministic_flag(self, capsys):
-        assert main(["--demo", "figure8", "--deterministic"]) == 0
+        assert main(["explain", "--app", "figure8", "--deterministic"]) == 0
         output = capsys.readouterr().out
         assert "Since " in output
 
     def test_chain_demo_with_steps(self, capsys):
-        assert main(["--demo", "chain", "--steps", "3", "--seed", "2"]) == 0
+        assert main(["explain", "--app", "chain", "--steps", "3", "--seed", "2"]) == 0
         output = capsys.readouterr().out
         assert "control chain of 3" in output
 
     def test_cascade_demo(self, capsys):
-        assert main(["--demo", "cascade", "--steps", "5"]) == 0
+        assert main(["explain", "--app", "cascade", "--steps", "5"]) == 0
         output = capsys.readouterr().out
         assert "Q_e" in output
 
     def test_demo_dot_output(self, capsys):
-        assert main(["--demo", "figure8", "--dot"]) == 0
+        assert main(["explain", "--app", "figure8", "--dot"]) == 0
         assert capsys.readouterr().out.startswith("digraph")
+
+
+class TestInProcessParity:
+    """Each subcommand prints exactly what the library calls return."""
+
+    @pytest.mark.parametrize("app, build", [
+        ("figure8", figures.figure8_instance),
+        ("chain", lambda: generators.control_with_steps(5, seed=0)),
+        ("cascade", lambda: generators.stress_with_steps(5, seed=0)),
+    ])
+    def test_explain_app_prints_session_explain(self, capsys, app, build):
+        assert main(["explain", "--app", app]) == 0
+        scenario = build()
+        service = ExplanationService(llm=SimulatedLLM(seed=0, faithful=True))
+        session = service.session(scenario.application, scenario.database)
+        explanation = session.explain(scenario.target)
+        assert capsys.readouterr().out == (
+            f"Scenario: {scenario.description}\n"
+            + _explained(scenario.target, explanation)
+        )
+
+    def test_query_all_prints_session_explain(self, capsys):
+        assert main(["explain", *EXAMPLE_ARGV, "--query-all"]) == 0
+        session = _example_session()
+        assert capsys.readouterr().out == "".join(
+            _explained(target, session.explain(target))
+            for target in session.answers()
+        )
+
+    def test_why_not_prints_session_why_not(self, capsys):
+        assert main([
+            "explain", *EXAMPLE_ARGV, "--why-not", "Control(A, B)",
+        ]) == 0
+        answer = _example_session().why_not(parse_fact("Control(A, B)"))
+        assert capsys.readouterr().out == answer.text + "\n"
+
+    def test_report_prints_session_report(self, capsys):
+        assert main(["explain", *EXAMPLE_ARGV, "--report"]) == 0
+        report = _example_session().report(prefer_enhanced=True)
+        assert capsys.readouterr().out == report.to_markdown() + "\n"
+
+    def test_analyse_prints_structural_analysis(self, capsys):
+        assert main(["analyse", "company_control"]) == 0
+        program = company_control.build().program
+        assert capsys.readouterr().out == (
+            f"{program.describe()}\n\n"
+            f"{StructuralAnalysis(program).describe()}\n\n"
+            f"termination: {termination_guarantee(program).value}\n"
+        )
 
 
 class TestHelp:
     def test_no_arguments_prints_help(self, capsys):
-        assert main([]) == 1
-        assert "repro-explain" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exited:
+            main([])
+        assert exited.value.code == 2
+        assert "usage: repro-explain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--demo", "figure8"],
+        ["--demo", "figure8", "--deterministic"],
+        ["--analyse", "company_control"],
+        ["--program", "examples/data/company_control.vada"],
+    ])
+    def test_flag_grammar_without_subcommand_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
 
 
 class TestObservability:
@@ -120,18 +215,48 @@ class TestObservability:
         assert document["format"] == "repro-stats/1"
 
     def test_legacy_flags_accept_obs_arguments(self, capsys, tmp_path):
+        """The file-workload flags combine with the observability ones."""
         trace_path = tmp_path / "trace.jsonl"
         stats_path = tmp_path / "stats.json"
         assert main([
-            "--demo", "figure8",
+            "explain", *EXAMPLE_ARGV,
+            "--query", "Control(AlphaHolding, TargetCorp)",
             "--trace", str(trace_path), "--stats", str(stats_path),
         ]) == 0
         spans = parse_trace_jsonl(trace_path.read_text(encoding="utf-8"))
         assert {span["name"] for span in spans} >= {
-            "chase.run", "service.explain",
+            "chase.run", "service.explain_batch",
         }
         document = json.loads(stats_path.read_text(encoding="utf-8"))
         assert document["counters"]["explanations"] == 1
+
+    def test_metrics_prints_the_registry_snapshot(self, capsys):
+        assert main([
+            "explain", "--app", "figure8", "--deterministic", "--metrics",
+        ]) == 0
+        snapshot = json.loads(capsys.readouterr().err)
+        assert set(snapshot) == {
+            "counters", "gauges", "histograms", "caches", "profile",
+        }
+        assert set(snapshot["caches"]) == {
+            "compiled_cache", "explanation_cache",
+        }
+        assert set(snapshot["histograms"]["explain_batch"]) >= {
+            "count", "total", "mean", "min", "max", "p50", "p95", "p99",
+        }
+
+    def test_compiled_cache_warm_starts_the_second_run(self, capsys, tmp_path):
+        argv = [
+            "explain", "--app", "figure8", "--deterministic",
+            "--compiled-cache", str(tmp_path / "figure8.json"), "--metrics",
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(argv) == 0
+        second = capsys.readouterr()
+        assert second.out == first.out
+        assert json.loads(first.err)["counters"]["compile_misses"] == 1
+        assert json.loads(second.err)["counters"]["compile_hits"] == 1
 
     def test_instrumented_output_matches_uninstrumented(self, capsys, tmp_path):
         """Tracing must not change what the pipeline produces."""
@@ -152,7 +277,7 @@ class TestResilienceFlags:
         # budget; the run still exits 0 and the degradation is visible in
         # the metrics dump (the fault-injected CI smoke relies on this).
         assert main([
-            "--demo", "figure8", "--deterministic",
+            "explain", "--app", "figure8", "--deterministic",
             "--inject-faults", "transient:3", "--metrics",
         ]) == 0
         captured = capsys.readouterr()
@@ -163,14 +288,14 @@ class TestResilienceFlags:
     def test_fault_injected_demo_output_is_complete(self, capsys):
         # Degraded, not broken: the explanation text is still printed.
         assert main([
-            "--demo", "figure8", "--deterministic",
+            "explain", "--app", "figure8", "--deterministic",
             "--inject-faults", "transient:3",
         ]) == 0
         assert "Q_e" in capsys.readouterr().out
 
     def test_malformed_fault_spec_exits_2(self, capsys):
         assert main([
-            "--demo", "figure8", "--inject-faults", "bogus:1",
+            "explain", "--app", "figure8", "--inject-faults", "bogus:1",
         ]) == 2
         assert "invalid --inject-faults" in capsys.readouterr().err
 
@@ -200,7 +325,7 @@ class TestStrategyFlag:
     @pytest.mark.parametrize("strategy", ["naive", "planned"])
     def test_strategy_on_legacy_demo(self, capsys, strategy):
         assert main([
-            "--demo", "figure8", "--deterministic",
+            "explain", "--app", "figure8", "--deterministic",
             "--strategy", strategy,
         ]) == 0
         assert "Q_e" in capsys.readouterr().out
@@ -239,7 +364,7 @@ class TestStrategyFlag:
         snapshot = json.loads(capsys.readouterr().err)
         assert snapshot["counters"]["chase.kernels_compiled"] >= 1
         assert snapshot["counters"]["chase.kernel_execs"] >= 1
-        assert snapshot["latency"]["chase.kernel_compile_s"]["count"] >= 1
+        assert snapshot["histograms"]["chase.kernel_compile_s"]["count"] >= 1
         assert snapshot["gauges"]["chase.symbols"] >= 1
 
     def test_planned_stats_document_has_plans(self, capsys, tmp_path):

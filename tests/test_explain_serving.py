@@ -242,7 +242,7 @@ class TestMemoizedDrilldown:
 
     def test_serving_counters_emitted(self):
         scenario = figures.figure8_instance()
-        metrics = obs.ServiceMetrics()
+        metrics = obs.MetricsRegistry()
         with obs.observed(metrics=metrics):
             result = scenario.run()
             explainer = scenario.application.explainer(result)
@@ -284,7 +284,7 @@ class TestServiceServing:
         for query, explanation in zip(queries, batched):
             assert explanation.text == uncached.explain(query).text
 
-    def test_re_reason_invalidates_served_entries(self):
+    def test_update_invalidates_served_entries(self):
         application = figures.figure8_instance().application
         from repro.apps import stress_test
 
@@ -295,20 +295,15 @@ class TestServiceServing:
             old_scope = session.explainer.memo_scope
             # Bigger B->C loans: the same Default(C) story now aggregates
             # different amounts — served text must change with the data.
-            session.re_reason([
-                stress_test.shock("A", 6),
-                stress_test.has_capital("A", 5),
-                stress_test.has_capital("B", 2),
-                stress_test.has_capital("C", 10),
-                stress_test.debt("A", "B", 7),
-                stress_test.debt("B", "C", 5),
-                stress_test.debt("B", "C", 9),
-            ])
+            session.update(
+                adds=[stress_test.debt("B", "C", 5)],
+                retracts=[stress_test.debt("B", "C", 2)],
+            )
             assert session.explainer.memo_scope != old_scope
             after = session.explain(scenario.target).text
             assert before != after
             assert "14" in after  # the new 5 + 9 aggregate
-            assert service.metrics.counter_value("re_reasons") == 1
+            assert service.metrics.counter_value("updates") == 1
 
     def test_why_not_memoized_per_session(self):
         application = figures.figure8_instance().application
@@ -328,5 +323,5 @@ class TestServiceServing:
             assert first is second  # served from the whynot region
             assert session._whynot_region.stats.hits == 1
             snapshot = service.metrics_snapshot()
-            regions = snapshot["explanation_cache"]["regions"]
+            regions = snapshot["caches"]["explanation_cache"]["regions"]
             assert regions["whynot"]["hits"] == 1

@@ -92,7 +92,7 @@ class TestReportCli:
             ' "Control": {"params": ["x","y"], "text": "<x> controls <y>"}}'
         )
         code = main([
-            "--program", str(program), "--data", str(data),
+            "explain", "--program", str(program), "--data", str(data),
             "--glossary", str(glossary), "--report", "--deterministic",
         ])
         assert code == 0

@@ -355,16 +355,16 @@ class TestSessionUpdate:
                 continue
             assert session.why_not(probe).text == fresh.why_not(probe).text
 
-    def test_add_retract_facts_shorthand(self, control_app, service):
+    def test_add_then_retract_through_update(self, control_app, service):
         session = service.session(
             control_app,
             [company("A"), company("B")],
             strategy="planned",
         )
         edge = own("A", "B", 0.9)
-        assert session.add_facts([edge]).mode == "incremental"
+        assert session.update(adds=[edge]).mode == "incremental"
         assert control("A", "B") in session.result.database
-        assert session.retract_facts([edge]).mode == "incremental"
+        assert session.update(retracts=[edge]).mode == "incremental"
         assert control("A", "B") not in session.result.database
         assert service.metrics.counter_value("updates") == 2
 
@@ -400,26 +400,27 @@ class TestSessionUpdate:
         for query in session.answers():
             assert index.spine(query) == fresh.result.index.spine(query)
 
-    def test_re_reason_routes_through_delta_path(self, control_app, service):
+    def test_new_data_is_a_new_session_on_the_compile_cache(
+        self, control_app, service
+    ):
         session = service.session(
             control_app,
             [company("A"), company("B"), own("A", "B", 0.8)],
             strategy="planned",
         )
-        # Delta-shaped change: retained prefix + appended new fact.
-        session.re_reason([
-            company("A"), company("B"), own("A", "B", 0.8),
-            own("B", "A", 0.6),
-        ])
+        # A delta goes through update ...
+        session.update(adds=[own("B", "A", 0.6)])
         assert control("B", "A") in session.result.database
-        assert service.metrics.counter_value("re_reason_incremental") == 1
         assert service.metrics.counter_value("updates_incremental") == 1
-        # Reordered EDB is not delta-shaped: full re-chase fallback.
-        session.re_reason([
-            own("A", "B", 0.8), company("B"), company("A"),
-        ])
-        assert service.metrics.counter_value("re_reason_full") == 1
-        assert service.metrics.counter_value("re_reasons") == 2
+        # ... and new data altogether binds a new session, which reuses
+        # the compiled artifact.
+        other = service.session(
+            control_app, [own("A", "B", 0.8), company("B"), company("A")],
+        )
+        assert other.compiled is session.compiled
+        assert control("B", "A") not in other.result.database
+        assert service.metrics.counter_value("compile_hits") == 1
+        assert service.metrics.counter_value("sessions") == 2
 
 
 # ----------------------------------------------------------------------

@@ -197,7 +197,7 @@ class TestFileDrivenCli:
     def test_listing_without_query(self, application_files, capsys):
         program, data, glossary = application_files
         code = main([
-            "--program", str(program), "--data", str(data),
+            "explain", "--program", str(program), "--data", str(data),
             "--glossary", str(glossary),
         ])
         assert code == 0
@@ -207,7 +207,7 @@ class TestFileDrivenCli:
     def test_single_query(self, application_files, capsys):
         program, data, glossary = application_files
         code = main([
-            "--program", str(program), "--data", str(data),
+            "explain", "--program", str(program), "--data", str(data),
             "--glossary", str(glossary), "--query", "Control(A, C)",
         ])
         assert code == 0
@@ -218,7 +218,7 @@ class TestFileDrivenCli:
     def test_query_all(self, application_files, capsys):
         program, data, glossary = application_files
         code = main([
-            "--program", str(program), "--data", str(data),
+            "explain", "--program", str(program), "--data", str(data),
             "--glossary", str(glossary), "--query-all", "--deterministic",
         ])
         assert code == 0
@@ -227,7 +227,7 @@ class TestFileDrivenCli:
     def test_dot_mode(self, application_files, capsys):
         program, data, glossary = application_files
         code = main([
-            "--program", str(program), "--data", str(data),
+            "explain", "--program", str(program), "--data", str(data),
             "--glossary", str(glossary), "--dot",
         ])
         assert code == 0
@@ -235,7 +235,7 @@ class TestFileDrivenCli:
 
     def test_missing_companions_rejected(self, application_files, capsys):
         program, __, __ = application_files
-        assert main(["--program", str(program)]) == 2
+        assert main(["explain", "--program", str(program)]) == 2
 
     def test_violations_printed(self, tmp_path, capsys):
         program = tmp_path / "rules.vada"
@@ -253,14 +253,14 @@ class TestFileDrivenCli:
             "Banned": {"params": ["x"], "text": "<x> is banned"},
         }))
         main([
-            "--program", str(program), "--data", str(data),
+            "explain", "--program", str(program), "--data", str(data),
             "--glossary", str(glossary),
         ])
         assert "constraint c1 violated" in capsys.readouterr().out
 
     def test_shipped_example_files_work(self, capsys):
         code = main([
-            "--program", "examples/data/company_control.vada",
+            "explain", "--program", "examples/data/company_control.vada",
             "--data", "examples/data/portfolio.facts",
             "--glossary", "examples/data/company_control_glossary.json",
             "--query", "Control(AlphaHolding, TargetCorp)",
@@ -276,7 +276,7 @@ class TestWhyNotCli:
 
         program, data, glossary = application_files
         code = main([
-            "--program", str(program), "--data", str(data),
+            "explain", "--program", str(program), "--data", str(data),
             "--glossary", str(glossary), "--why-not", "Control(B, A)",
         ])
         assert code == 0

@@ -9,8 +9,9 @@ import pytest
 
 from repro import obs
 from repro.apps import figures
-from repro.core import ExplanationService, LRUCache, ServiceMetrics
-from repro.core.service import ServiceMetrics as ServiceMetricsAlias
+from repro import core
+from repro.core import ExplanationService, LRUCache
+from repro.core import service as service_module
 from repro.llm import SimulatedLLM
 from repro.obs import (
     Histogram,
@@ -211,8 +212,8 @@ class TestHistogram:
 class TestMetricsRegistry:
     def test_counters_gauges_histograms(self):
         registry = MetricsRegistry()
-        registry.increment("requests")
-        registry.increment("requests", 4)
+        registry.incr("requests")
+        registry.incr("requests", 4)
         registry.set_gauge("pool_size", 8)
         registry.observe("latency", 0.25)
         snapshot = registry.snapshot()
@@ -234,7 +235,7 @@ class TestMetricsRegistry:
 
         def hammer():
             for _ in range(1000):
-                registry.increment("n")
+                registry.incr("n")
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
         for thread in threads:
@@ -245,33 +246,41 @@ class TestMetricsRegistry:
 
 
 class TestServiceMetricsCompat:
-    def test_alias_importable_from_service_module(self):
-        assert ServiceMetricsAlias is ServiceMetrics
+    """A service reports into the one registry; the readings the retired
+    service-metrics shim gave are all on :class:`MetricsRegistry`."""
+
+    def test_service_metrics_alias_is_gone(self):
+        assert isinstance(ExplanationService().metrics, MetricsRegistry)
+        for module in (core, service_module, obs):
+            assert not hasattr(module, "ServiceMetrics")
 
     def test_legacy_snapshot_shape(self):
-        metrics = ServiceMetrics()
+        """The legacy ``latency`` section's count/total/mean/max survive
+        under ``histograms``, beside min and the percentiles."""
+        metrics = MetricsRegistry()
         metrics.incr("explanations", 3)
         metrics.observe("explain", 0.5)
         metrics.observe("explain", 1.5)
         snapshot = metrics.snapshot()
-        assert set(snapshot) == {"counters", "latency"}
+        assert set(snapshot) == {"counters", "gauges", "histograms", "caches"}
         assert snapshot["counters"] == {"explanations": 3}
-        explain = snapshot["latency"]["explain"]
+        explain = snapshot["histograms"]["explain"]
         assert explain["count"] == 2
-        assert explain["total_s"] == pytest.approx(2.0)
-        assert explain["mean_s"] == pytest.approx(1.0)
-        assert explain["max_s"] == pytest.approx(1.5)
+        assert explain["total"] == pytest.approx(2.0)
+        assert explain["mean"] == pytest.approx(1.0)
+        assert explain["max"] == pytest.approx(1.5)
+        assert explain["min"] == pytest.approx(0.5)
 
     def test_counter_reads_back(self):
-        metrics = ServiceMetrics()
+        metrics = MetricsRegistry()
         metrics.incr("x")
-        assert metrics.counter("x") == 1
-        assert metrics.counter("missing") == 0
+        assert metrics.counter_value("x") == 1
+        assert metrics.counter_value("missing") == 0
 
     def test_registry_snapshot_has_percentiles(self):
-        metrics = ServiceMetrics()
+        metrics = MetricsRegistry()
         metrics.observe("explain", 0.01)
-        full = metrics.registry_snapshot()
+        full = metrics.snapshot()
         assert "p95" in full["histograms"]["explain"]
 
 
@@ -306,7 +315,7 @@ class TestExporters:
     def test_stats_document_has_stable_top_level_keys(self):
         tracer = self._sample_tracer()
         registry = MetricsRegistry()
-        registry.increment("chase.runs")
+        registry.incr("chase.runs")
         document = stats_document(registry, tracer=tracer)
         for key in obs.STATS_DOCUMENT_KEYS:
             assert key in document
@@ -315,7 +324,7 @@ class TestExporters:
 
     def test_prometheus_rendering(self):
         registry = MetricsRegistry()
-        registry.increment("chase.runs", 2)
+        registry.incr("chase.runs", 2)
         registry.observe("explain", 0.1)
         cache = LRUCache(2)
         cache.get("miss")
@@ -431,7 +440,7 @@ class TestInstrumentationParity:
             )
             if instrumented:
                 with obs.observed(
-                    tracer=Tracer(), metrics=ServiceMetrics()
+                    tracer=Tracer(), metrics=MetricsRegistry()
                 ):
                     session = service.session(
                         scenario.application, scenario.database
@@ -449,7 +458,7 @@ class TestInstrumentationParity:
 
     def test_observed_run_collects_expected_span_taxonomy(self):
         tracer = Tracer()
-        metrics = ServiceMetrics()
+        metrics = MetricsRegistry()
         scenario = figures.figure15_instance()
         with obs.observed(tracer=tracer, metrics=metrics):
             service = ExplanationService(
@@ -465,5 +474,5 @@ class TestInstrumentationParity:
             "chase.run", "chase.stratum", "chase.constraints",
             "service.compile", "service.chase", "service.explain",
         } <= names
-        assert metrics.counter("chase.runs") == 1
-        assert metrics.counter("llm.enhance_attempts") > 0
+        assert metrics.counter_value("chase.runs") == 1
+        assert metrics.counter_value("llm.enhance_attempts") > 0

@@ -64,11 +64,11 @@ class TestTaxonomy:
                       DeadlineExceeded, CircuitOpen):
             assert issubclass(error, ResilienceError)
 
-    def test_taxonomy_keeps_runtimeerror_compatibility(self):
-        # Callers that caught bare RuntimeError keep working.
-        assert issubclass(ResilienceError, RuntimeError)
-        with pytest.raises(RuntimeError):
-            raise TransientLLMError("legacy handlers still catch this")
+    def test_taxonomy_is_not_a_runtimeerror(self):
+        # Handlers catch the typed hierarchy, not bare RuntimeError.
+        for error in (ResilienceError, TransientLLMError, PermanentLLMError,
+                      DeadlineExceeded, CircuitOpen):
+            assert not issubclass(error, RuntimeError)
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +400,7 @@ class TestDegradedCompile:
         llm = FaultInjectingLLM(
             SimulatedLLM(seed=0, faithful=True), "rate:0.3", seed=3
         )
-        registry = obs.ServiceMetrics()
+        registry = obs.MetricsRegistry()
         with obs.observed(metrics=registry):
             compiled = compile_program(
                 app.program, app.glossary, llm=llm,
@@ -425,7 +425,7 @@ class TestDegradedCompile:
         from repro.apps import company_control
 
         app = company_control.build()
-        registry = obs.ServiceMetrics()
+        registry = obs.MetricsRegistry()
         with obs.observed(metrics=registry):
             compiled = compile_program(
                 app.program, app.glossary,

@@ -770,7 +770,7 @@ class TestProcessBackend:
         )
         # Session-level counters only exist inside the worker processes;
         # seeing them in the parent registry proves the delta shipping.
-        snapshot_doc = proc_server.metrics.registry_snapshot()
+        snapshot_doc = proc_server.metrics.snapshot()
         assert any(
             name.startswith(("explain", "session", "serve.worker"))
             for name in snapshot_doc["counters"]

@@ -31,7 +31,7 @@ from repro.engine.chase import ChaseEngine
 from repro.engine.database import Database
 from repro.engine.reasoning import ReasoningResult
 from repro.io import dumps_database
-from repro.obs.metrics import ServiceMetrics
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     PARSERS,
     ExplanationServer,
@@ -128,7 +128,7 @@ def _reads(states, rng: random.Random, count: int) -> list[tuple[str, bytes]]:
 def _expected(session: ExplanationSession, route: str, body: bytes):
     status, payload = serve_session_request(
         session, PARSERS[route](body),
-        default_deadline_s=10.0, metrics=ServiceMetrics(),
+        default_deadline_s=10.0, metrics=MetricsRegistry(),
     )
     return status, encode_body(payload)
 

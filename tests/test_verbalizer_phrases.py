@@ -77,13 +77,13 @@ class TestConsoleEntryPoint:
         # which runs the identical main().
         try:
             completed = subprocess.run(
-                ["repro-explain", "--analyse", "company_control"],
+                ["repro-explain", "analyse", "company_control"],
                 capture_output=True, text=True, timeout=120,
             )
         except FileNotFoundError:
             completed = subprocess.run(
                 [sys.executable, "-m", "repro.cli",
-                 "--analyse", "company_control"],
+                 "analyse", "company_control"],
                 capture_output=True, text=True, timeout=120,
             )
         assert completed.returncode == 0
@@ -91,7 +91,7 @@ class TestConsoleEntryPoint:
 
     def test_module_invocation_runs(self):
         completed = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "--demo", "figure8",
+            [sys.executable, "-m", "repro.cli", "explain", "--app", "figure8",
              "--deterministic"],
             capture_output=True, text=True, timeout=120,
         )

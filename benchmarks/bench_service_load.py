@@ -36,8 +36,8 @@ import time
 from repro import obs
 from repro.apps import figures, generators
 from repro.core import ExplanationService
+from repro.core.service import Deadline
 from repro.io import dumps_database, loads_database, parse_fact
-from repro.resilience.policy import Deadline
 from repro.serve import (
     ExplanationServer,
     ServeConfig,

@@ -58,7 +58,6 @@ from .io import (
 )
 from .llm.simulated import SimulatedLLM
 from .render.dot import chase_graph_dot, dependency_graph_dot
-from .resilience.faults import FaultInjectingLLM, FaultSpecError
 
 _APPLICATIONS = {
     "company_control": company_control.build,
@@ -146,12 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     workload.add_argument(
         "--deterministic", action="store_true",
         help="skip template enhancement (no simulated LLM)",
-    )
-    workload.add_argument(
-        "--inject-faults", metavar="SPEC", dest="inject_faults",
-        help="wrap the enhancement LLM in a seeded fault injector; SPEC is "
-             "comma-separated directives, e.g. 'transient:3', 'rate:0.3', "
-             "'slow:5:0.2,drop:2' (see README, Fault tolerance)",
     )
     strategy = argparse.ArgumentParser(add_help=False)
     strategy.add_argument(
@@ -399,19 +392,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_llm(args: argparse.Namespace):
-    llm = None if args.deterministic else SimulatedLLM(
+    return None if args.deterministic else SimulatedLLM(
         seed=args.seed, faithful=True
     )
-    if args.inject_faults:
-        # Fault injection exercises the enhancement path even under
-        # --deterministic (which otherwise skips the LLM entirely): the
-        # point of the flag is to drive retries/fallbacks, and the seeded
-        # schedule keeps the run reproducible either way.
-        inner = llm if llm is not None else SimulatedLLM(
-            seed=args.seed, faithful=True
-        )
-        llm = FaultInjectingLLM(inner, args.inject_faults, seed=args.seed)
-    return llm
 
 
 def _warm_start(service: ExplanationService, path, program, glossary) -> bool:
@@ -694,11 +677,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except FaultSpecError as error:
-        print(f"invalid --inject-faults spec: {error}", file=sys.stderr)
-        return 2
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
 from ..datalog.program import Program
-from ..resilience.policy import Deadline, ResilienceError, RetryPolicy
 from .enhancer import EnhancementReport, SupportsComplete, TemplateEnhancer
 from .glossary import DomainGlossary
 from .mapping import TemplateMapper
@@ -342,8 +341,6 @@ def _build_pipeline(
     enhanced_versions: int,
     stats: CompileStats,
     report: EnhancementReport | None = None,
-    retry_policy: RetryPolicy | None = None,
-    deadline: Deadline | None = None,
 ) -> CompiledPipeline:
     with obs.span("compile.analysis", goal=program.goal) as analysis_span:
         analysis = StructuralAnalysis(program)
@@ -358,34 +355,18 @@ def _build_pipeline(
         store_span.set(templates=len(store))
     stats.template_stores += 1
     if llm is not None:
-        enhancer = TemplateEnhancer(llm, retry_policy=retry_policy)
         with obs.span(
             "compile.enhance", goal=program.goal, versions=enhanced_versions
         ):
-            try:
-                enhancer_report = enhancer.enhance_store(
-                    store, versions=enhanced_versions, deadline=deadline
-                )
-            except ResilienceError as error:
-                # Defence in depth: the enhancer degrades per template and
-                # should never let a resilience error escape, but if one
-                # does, the compile still completes on base templates —
-                # enhanced text is an optional refinement (§4.2), never a
-                # prerequisite for a valid explanation.
-                obs.incr("compile.enhance_aborted")
-                if report is not None:
-                    report.record_fallback(f"store:{program.goal}", error)
-            else:
-                if enhancer_report.fallbacks:
-                    obs.incr("compile.degraded")
-                if report is not None:
-                    report.enhanced += enhancer_report.enhanced
-                    report.rejected += enhancer_report.rejected
-                    report.fallbacks += enhancer_report.fallbacks
-                    report.failures.extend(enhancer_report.failures)
-                    report.fallback_errors.extend(
-                        enhancer_report.fallback_errors
-                    )
+            enhancer_report = TemplateEnhancer(llm).enhance_store(
+                store, versions=enhanced_versions
+            )
+        if report is not None:
+            report.enhanced += enhancer_report.enhanced
+            report.rejected += enhancer_report.rejected
+            report.fallbacks += enhancer_report.fallbacks
+            report.failures.extend(enhancer_report.failures)
+            report.fallback_errors.extend(enhancer_report.fallback_errors)
         stats.enhancement_runs += 1
     assert program.goal is not None  # StructuralAnalysis guarantees it
     return CompiledPipeline(
@@ -399,8 +380,6 @@ def compile_program(
     glossary: DomainGlossary,
     llm: SupportsComplete | None = None,
     enhanced_versions: int = 1,
-    retry_policy: RetryPolicy | None = None,
-    deadline: Deadline | float | None = None,
 ) -> CompiledProgram:
     """Run the database-independent phase once, returning the artifact.
 
@@ -410,12 +389,11 @@ def compile_program(
     service layer (:class:`~repro.core.service.ExplanationService`) both
     build on the artifact instead of redoing the work per instance.
 
-    Compilation never fails on a misbehaving enhancer backend:
-    ``retry_policy`` governs per-call retries, ``deadline`` bounds the
-    whole enhancement phase, and any template whose enhancement the
-    resilience layer gives up on keeps its deterministic base text (the
-    fallback is recorded in the artifact's enhancement report and the
-    ``enhance.fallback_total`` counter).
+    Compilation never fails on a misbehaving enhancer backend: any
+    template whose completion raises :class:`~repro.llm.LLMError` keeps
+    its deterministic base text (the fallback is recorded in the
+    artifact's enhancement report and the ``enhance.fallback_total``
+    counter).  Any other exception propagates.
     """
     stats = CompileStats()
     report: EnhancementReport | None = None
@@ -427,7 +405,6 @@ def compile_program(
     ):
         primary = _build_pipeline(
             program, glossary, llm, enhanced_versions, stats, report,
-            retry_policy=retry_policy, deadline=Deadline.coerce(deadline),
         )
     obs.incr("compile.programs")
     return CompiledProgram(

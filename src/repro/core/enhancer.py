@@ -10,16 +10,13 @@ of all original tokens (Section 4.4); candidates that drop tokens are
 rejected and the enhancement retried.  The step can be repeated to collect
 several interchangeable enriched versions of the same template.
 
-The LLM call is the pipeline's single external dependency, so it runs
-under the resilience layer (:mod:`repro.resilience`): each completion is
-retried per :class:`~repro.resilience.policy.RetryPolicy` behind the
-client's shared :class:`~repro.resilience.breaker.CircuitBreaker`, and an
-optional :class:`~repro.resilience.policy.Deadline` bounds a whole
-``enhance_store`` run.  When resilience gives up — retries exhausted,
-circuit open, deadline spent, permanent backend error — the template
-*keeps its deterministic base text*, which the paper guarantees is always
-correct and complete; the degradation is recorded in the
-:class:`EnhancementReport` and the ``enhance.fallback_total`` counter.
+The LLM call is the pipeline's single external dependency and runs once
+per template at compile time.  When it raises
+:class:`~repro.llm.LLMError` the template *keeps its deterministic base
+text*, which the paper guarantees is always correct and complete; the
+degradation is recorded in the :class:`EnhancementReport` and the
+``enhance.fallback_total`` counter.  Any other exception propagates: a
+bug is not a degradation.
 """
 
 from __future__ import annotations
@@ -28,13 +25,7 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from .. import obs
-from ..resilience.breaker import CircuitBreaker, breaker_for
-from ..resilience.policy import (
-    Deadline,
-    ResilienceError,
-    RetryPolicy,
-    resilient_complete,
-)
+from ..llm.client import LLMError
 from .templates import ExplanationTemplate, TemplateStore
 from .validation import missing_tokens
 
@@ -55,9 +46,9 @@ class EnhancementReport:
 
     ``rejected`` counts token-guard rejections (the model dropped a
     ``<token>``); ``fallbacks`` counts templates left on their base text
-    because the *backend* failed (retries exhausted, circuit open,
-    deadline exceeded, permanent error) — the two numbers separate "the
-    model fought the guard" from "the backend was unavailable".
+    because the *backend* raised :class:`~repro.llm.LLMError` — the two
+    numbers separate "the model fought the guard" from "the backend was
+    unavailable".
     """
 
     enhanced: int = 0
@@ -86,65 +77,37 @@ class TemplateEnhancer:
         The completion backend.
     max_attempts:
         Token-guard attempts per template (§4.4) — re-prompts after a
-        candidate *returned successfully* but dropped tokens.
-    retry_policy:
-        Backend retry policy per completion (transient errors, backoff).
-        Distinct from ``max_attempts``: the guard retries bad *answers*,
-        the policy retries failed *calls*.
-    breaker:
-        Circuit breaker guarding the client; defaults to the shared
-        per-client breaker from :func:`repro.resilience.breaker_for`.
-        Pass ``False`` to disable breaking entirely.
+        candidate *returned successfully* but dropped tokens.  A call
+        that raises :class:`~repro.llm.LLMError` is not re-prompted: the
+        template keeps its base text.
     """
 
-    def __init__(
-        self,
-        llm: SupportsComplete,
-        max_attempts: int = 3,
-        retry_policy: RetryPolicy | None = None,
-        breaker: CircuitBreaker | bool | None = None,
-    ):
+    def __init__(self, llm: SupportsComplete, max_attempts: int = 3):
         self.llm = llm
         self.max_attempts = max_attempts
-        self.retry_policy = retry_policy
-        if breaker is False:
-            self.breaker: CircuitBreaker | None = None
-        elif breaker is None or breaker is True:
-            self.breaker = breaker_for(llm)
-        else:
-            self.breaker = breaker
-
-    def _complete(self, prompt: str, deadline: Deadline | None) -> str:
-        return resilient_complete(
-            self.llm, prompt,
-            policy=self.retry_policy, breaker=self.breaker, deadline=deadline,
-        )
 
     def enhance_template(
         self,
         template: ExplanationTemplate,
         report: EnhancementReport | None = None,
-        deadline: Deadline | None = None,
     ) -> bool:
         """Try to add one enhanced version to ``template``.
 
         Returns ``True`` on success.  Candidates failing the token guard
-        are rejected; after ``max_attempts`` rejections — or when the
-        resilience layer gives up on the backend — the template keeps its
-        deterministic text (always correct and complete).
+        are rejected; after ``max_attempts`` rejections — or as soon as
+        the backend raises :class:`~repro.llm.LLMError` — the template
+        keeps its deterministic text (always correct and complete).
         """
         original = template.deterministic_text
         name = template.path.name or str(template.path.labels)
         for _ in range(self.max_attempts):
             obs.incr("llm.enhance_attempts")
             try:
-                candidate = self._complete(
-                    ENHANCEMENT_PROMPT + original, deadline
-                )
-            except ResilienceError as error:
-                # Backend-level degradation: keep the base template for
-                # this path and record why.  The caller's store stays
-                # complete — every path still has its deterministic text.
+                candidate = self.llm.complete(ENHANCEMENT_PROMPT + original)
+            except LLMError as error:
+                # Backend failure: keep the base template for this path
+                # and record why.  The caller's store stays complete —
+                # every path still has its deterministic text.
                 obs.incr("enhance.fallback_total")
                 if report is not None:
                     report.record_fallback(name, error)
@@ -165,22 +128,16 @@ class TemplateEnhancer:
         return False
 
     def enhance_store(
-        self,
-        store: TemplateStore,
-        versions: int = 1,
-        deadline: Deadline | float | None = None,
+        self, store: TemplateStore, versions: int = 1
     ) -> EnhancementReport:
         """Enhance every template in the store, collecting ``versions``
         interchangeable enriched versions per template.
 
         Degradation is per template: a backend failure on one template
-        falls back to its base text and moves on.  An open circuit or an
-        expired deadline makes the remaining templates fall back fast —
-        no further backend call is attempted for them.
+        falls back to its base text and moves on.
         """
-        chosen = Deadline.coerce(deadline)
         report = EnhancementReport()
         for template in store.templates():
             for _ in range(versions):
-                self.enhance_template(template, report, deadline=chosen)
+                self.enhance_template(template, report)
         return report

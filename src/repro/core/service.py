@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .. import obs
 from ..datalog.atoms import Fact
@@ -40,7 +40,6 @@ from ..engine.database import Database
 from ..engine.incremental import UpdateOutcome
 from ..engine.reasoning import ReasoningResult, reason
 from ..obs.metrics import MetricsRegistry
-from ..resilience.policy import Deadline, DeadlineExceeded, RetryPolicy
 from .cache import DEFAULT_EXPLANATION_CACHE_SIZE, LRUCache
 from .compiler import (
     CompiledProgram,
@@ -54,6 +53,44 @@ from .reports import BusinessReport, ReportBuilder
 from .whynot import WhyNotAnswer, WhyNotExplainer
 
 _UNSET = object()
+
+
+class DeadlineExceeded(Exception):
+    """The operation's time budget ran out before it completed."""
+
+
+class Deadline:
+    """A monotonic time budget created once at the request boundary.
+
+    ``explain_batch`` reads :attr:`expired` before each query; the serve
+    routes call :meth:`check` to fail fast with :class:`DeadlineExceeded`.
+    The clock is injectable so tests advance time without sleeping.
+    """
+
+    __slots__ = ("budget_s", "_clock", "_expires_at")
+
+    def __init__(self, budget_s: float, clock: Callable[[], float] = time.monotonic):
+        self.budget_s = float(budget_s)
+        self._clock = clock
+        self._expires_at = clock() + self.budget_s
+
+    @staticmethod
+    def coerce(value: "Deadline | float | None") -> "Deadline | None":
+        """Accept ``None``, an existing deadline, or a budget in seconds."""
+        if value is None or isinstance(value, Deadline):
+            return value
+        return Deadline(value)
+
+    @property
+    def expired(self) -> bool:
+        return self._clock() >= self._expires_at
+
+    def check(self, what: str = "operation") -> None:
+        """Raise :class:`DeadlineExceeded` if the budget is spent."""
+        if self.expired:
+            raise DeadlineExceeded(
+                f"{what} exceeded its {self.budget_s:.3f}s deadline"
+            )
 
 
 @dataclass(frozen=True)
@@ -86,12 +123,11 @@ class BatchOutcome:
         return cls(query=query, explanation=explanation)
 
     @classmethod
-    def missed(cls, query: Fact, error: BaseException | None = None) -> "BatchOutcome":
-        message = (
-            f"{type(error).__name__}: {error}" if error is not None
-            else "DeadlineExceeded: batch budget spent before this query"
+    def missed(cls, query: Fact) -> "BatchOutcome":
+        return cls(
+            query=query, status=cls.STATUS_DEADLINE,
+            error="DeadlineExceeded: batch budget spent before this query",
         )
-        return cls(query=query, status=cls.STATUS_DEADLINE, error=message)
 
     @classmethod
     def failed(cls, query: Fact, error: BaseException) -> "BatchOutcome":
@@ -185,10 +221,10 @@ class ExplanationSession:
         a worker thread to itself, generation is pure Python, and queries
         sharing a derivation subtree find it in the binding's memos.
 
-        With ``deadline`` (a :class:`~repro.resilience.policy.Deadline`
-        or a budget in seconds) the batch degrades instead of blocking:
-        the return value becomes a list of :class:`BatchOutcome`, one per
-        query in input order.  The budget is checked before each query; a
+        With ``deadline`` (a :class:`Deadline` or a budget in seconds)
+        the batch degrades instead of blocking: the return value becomes
+        a list of :class:`BatchOutcome`, one per query in input order.
+        The budget is checked before each query; a
         query that began within it finishes (computed work is never
         discarded), the ones after it carry
         ``status="deadline_exceeded"``, and a failing query carries
@@ -231,8 +267,6 @@ class ExplanationSession:
             return BatchOutcome.success(
                 query, self.explainer.explain(query, **options)
             )
-        except DeadlineExceeded as error:
-            return BatchOutcome.missed(query, error)
         except Exception as error:
             return BatchOutcome.failed(query, error)
 
@@ -348,10 +382,6 @@ class ExplanationService:
         into; pass one to pool service telemetry with ambient chase and
         compile counters in a single stats document.  A fresh registry is
         created when omitted.
-    retry_policy:
-        The :class:`~repro.resilience.policy.RetryPolicy` applied to
-        enhancement calls during compilation (``None`` uses the default
-        policy; the enhancer degrades to base templates either way).
     """
 
     def __init__(
@@ -362,11 +392,9 @@ class ExplanationService:
         explanation_cache_size: int = DEFAULT_EXPLANATION_CACHE_SIZE,
         max_workers: int | None = None,
         metrics: MetricsRegistry | None = None,
-        retry_policy: RetryPolicy | None = None,
     ):
         self.llm = llm
         self.enhanced_versions = enhanced_versions
-        self.retry_policy = retry_policy
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.compiled_cache = LRUCache(max_compiled_programs)
         self.explanation_cache = LRUCache(explanation_cache_size)
@@ -404,7 +432,6 @@ class ExplanationService:
         with _Timed(self.metrics, "compile"):
             compiled = compile_program(
                 program, glossary, llm=chosen_llm, enhanced_versions=versions,
-                retry_policy=self.retry_policy,
             )
         self.compiled_cache.put(fingerprint, compiled)
         return compiled

@@ -6,15 +6,13 @@ calibrated omission model reproducing the length-dependent information
 loss of Section 6.3.
 """
 
-from ..resilience.faults import FaultInjectingLLM
 from .client import (
     LLMClient,
+    LLMError,
     PARAPHRASE_PROMPT,
-    PermanentLLMError,
     PromptKind,
     REPHRASE_PROMPT,
     SUMMARY_PROMPT,
-    TransientLLMError,
     classify_prompt,
 )
 from .omission import (
@@ -28,11 +26,9 @@ from .rewriting import ParsedSentence, RewritingEngine, parse_sentence, split_se
 from .simulated import LLMUsage, SimulatedLLM
 
 __all__ = [
-    "FaultInjectingLLM",
     "LLMClient",
+    "LLMError",
     "LLMUsage",
-    "PermanentLLMError",
-    "TransientLLMError",
     "OmissionModel",
     "OmissionProfile",
     "PARAPHRASE_PROFILE",

@@ -13,12 +13,11 @@ model; this repository ships :class:`repro.llm.simulated.SimulatedLLM`, an
 offline deterministic simulator (see DESIGN.md for the substitution
 rationale).
 
-A client signals backend trouble through the typed taxonomy of
-:mod:`repro.resilience` (re-exported here): raise
-:class:`TransientLLMError` for retryable conditions (timeouts, rate
-limits, 5xx) and :class:`PermanentLLMError` for non-retryable ones — the
-enhancement path retries the former per policy behind a circuit breaker
-and degrades to the deterministic base template when it gives up.
+A client signals backend trouble by raising :class:`LLMError`.  The
+model is called once per template at compile time, so there is nothing
+to retry: the template whose call failed keeps its deterministic base
+text (see :class:`repro.core.enhancer.TemplateEnhancer`).  Any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ from __future__ import annotations
 from enum import Enum
 from typing import Protocol, runtime_checkable
 
-from ..resilience.policy import (  # noqa: F401  (re-exported taxonomy)
-    PermanentLLMError,
-    TransientLLMError,
-)
+
+class LLMError(Exception):
+    """The completion backend failed (timeout, rate limit, bad request)."""
+
 
 #: The paper's exact prompt strings.
 REPHRASE_PROMPT = "Rephrase the following text: "

@@ -19,7 +19,7 @@ The second layer (per-query attribution, added in PR 7):
   attribution feeding ``--metrics`` and ``repro-explain obs top``;
 * :mod:`repro.obs.slo` — declarative latency and error-rate objectives
   evaluated against histogram snapshots, with health signals the
-  resilience breakers can consume;
+  server's shedding breaker consumes;
 * :mod:`repro.obs.diff` — the stats-diff regression tool and threshold
   gates behind ``repro-explain obs diff``.
 

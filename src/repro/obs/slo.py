@@ -15,8 +15,7 @@ Evaluation produces an :class:`SLOReport` that
 * can **drive a circuit breaker**
   (:meth:`SLOEvaluator.drive_breaker`): each evaluation feeds one
   healthy/unhealthy outcome into the breaker's sliding failure window,
-  so sustained SLO breaches open the circuit and shed load exactly the
-  way backend failures already do.
+  so sustained SLO breaches open the circuit and shed load.
 
 Objectives are plain frozen dataclasses and also load from JSON-able
 dicts (:meth:`SLOEvaluator.from_config`), so a deployment declares its
@@ -240,11 +239,11 @@ class SLOEvaluator:
         """Feed one evaluation into a circuit breaker's failure window.
 
         ``breaker`` is a
-        :class:`~repro.resilience.breaker.CircuitBreaker` (anything with
+        :class:`~repro.serve.admission.CircuitBreaker` (anything with
         ``observe_health``).  Call this periodically: each pass records
         one healthy/unhealthy outcome, so *sustained* breaches trip the
-        breaker the same way repeated backend failures would, and
-        recovery closes it through the normal half-open probe path.
+        breaker, and the first healthy pass after its cooldown closes
+        it.
         """
         report = self.publish(metrics)
         breaker.observe_health(report.healthy)

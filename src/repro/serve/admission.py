@@ -11,25 +11,134 @@ Two independent reasons to shed:
   (in flight or queued for a worker) at once.  The bound is what turns
   a latency problem into a fast failure instead of an unbounded queue
   that serves every request late;
-* **open circuit** — the server's
-  :class:`~repro.resilience.breaker.CircuitBreaker` is driven by the
-  SLO evaluator (:meth:`~repro.obs.slo.SLOEvaluator.drive_breaker`):
+* **open circuit** — the server's :class:`CircuitBreaker` is driven by
+  the SLO evaluator (:meth:`~repro.obs.slo.SLOEvaluator.drive_breaker`):
   sustained p99/error-budget breaches open it, and while it is open
-  every admission sheds, giving the workers a cooldown to drain.  The
-  half-open probe trickle is what closes it again.
+  every admission sheds, giving the workers a cooldown to drain.  After
+  the cooldown it is half-open and admits again; the next healthy
+  verdict closes it.
 
 Counters land in the server's registry (``serve.shed_queue`` /
-``serve.shed_breaker``), the live depth in the ``serve.queue_depth``
+``serve.shed_breaker``, ``serve.breaker_opened`` /
+``serve.breaker_closed``), the live depth in the ``serve.queue_depth``
 gauge, and each shed appends a flight event when a recorder is ambient.
 """
 
 from __future__ import annotations
 
 import threading
+import time
+from collections import deque
+from typing import Callable
 
 from .. import obs
 from ..obs.metrics import MetricsRegistry
-from ..resilience.breaker import OPEN, CircuitBreaker
+
+CLOSED = "closed"
+OPEN = "open"
+HALF_OPEN = "half_open"
+
+#: Failure fraction of a full-enough window at which the breaker opens.
+FAILURE_THRESHOLD = 0.5
+
+
+class CircuitBreaker:
+    """Three-state breaker over a sliding window of health verdicts.
+
+    * **closed** — each :meth:`observe_health` verdict lands in a window
+      of the last ``window`` verdicts; once it holds ``min_calls`` and at
+      least half are failures, the breaker opens;
+    * **open** — admission sheds.  After ``cooldown_s`` (monotonic,
+      injectable clock) the breaker reads as half-open;
+    * **half-open** — admission lets requests through; the next verdict
+      closes the breaker (healthy) or re-opens it for another cooldown.
+
+    Thread-safe: the SLO heartbeat, request completions and ``/healthz``
+    reach it from different threads.
+    """
+
+    def __init__(
+        self,
+        metrics: MetricsRegistry,
+        window: int = 16,
+        min_calls: int = 4,
+        cooldown_s: float = 30.0,
+        clock: Callable[[], float] = time.monotonic,
+    ):
+        self.metrics = metrics
+        self.min_calls = max(1, min_calls)
+        self.cooldown_s = cooldown_s
+        self._clock = clock
+        self._lock = threading.Lock()
+        self._outcomes: deque[bool] = deque(maxlen=window)
+        self._state = CLOSED
+        self._opened_at = 0.0
+
+    def _tick_locked(self) -> None:
+        """Open → half-open once the cooldown has elapsed."""
+        if (
+            self._state == OPEN
+            and self._clock() - self._opened_at >= self.cooldown_s
+        ):
+            self._state = HALF_OPEN
+
+    @property
+    def state(self) -> str:
+        with self._lock:
+            self._tick_locked()
+            return self._state
+
+    def _move_locked(self, state: str) -> None:
+        self._state = state
+        self._outcomes.clear()
+        if state == OPEN:
+            self._opened_at = self._clock()
+        event = "breaker_opened" if state == OPEN else "breaker_closed"
+        self.metrics.incr(f"serve.{event}")
+        obs.flight_event(event)
+
+    def observe_health(self, healthy: bool) -> None:
+        """Record one health verdict from the SLO evaluator
+        (:meth:`repro.obs.slo.SLOEvaluator.drive_breaker`)."""
+        with self._lock:
+            if self._state == HALF_OPEN:
+                self._move_locked(CLOSED if healthy else OPEN)
+            elif healthy:
+                self._outcomes.append(True)
+            elif self._state == CLOSED:
+                self._outcomes.append(False)
+                if (
+                    len(self._outcomes) >= self.min_calls
+                    and self._outcomes.count(False) / len(self._outcomes)
+                    >= FAILURE_THRESHOLD
+                ):
+                    self._move_locked(OPEN)
+
+    def _cooldown_remaining_locked(self) -> float:
+        if self._state != OPEN:
+            return 0.0
+        return max(
+            0.0, self.cooldown_s - (self._clock() - self._opened_at)
+        )
+
+    def cooldown_remaining_s(self) -> float:
+        """Seconds until an open breaker turns half-open (0.0 whenever
+        the breaker is not open)."""
+        with self._lock:
+            self._tick_locked()
+            return self._cooldown_remaining_locked()
+
+    def snapshot(self) -> dict:
+        with self._lock:
+            self._tick_locked()
+            outcomes = list(self._outcomes)
+            return {
+                "name": "serve",
+                "state": self._state,
+                "window": len(outcomes),
+                "failures_in_window": outcomes.count(False),
+                "cooldown_remaining_s": self._cooldown_remaining_locked(),
+            }
 
 
 class ShedRequest(Exception):

@@ -26,6 +26,7 @@ full audit record on request) — the same surfaces the CLI prints.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -123,6 +124,8 @@ def _parse_deadline(payload: dict) -> float | None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError("'deadline_s' must be a number of seconds")
+    if not math.isfinite(value):
+        raise ProtocolError("'deadline_s' must be finite")
     if value < 0:
         raise ProtocolError("'deadline_s' must be non-negative")
     return float(value)

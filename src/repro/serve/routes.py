@@ -14,9 +14,13 @@ construction — there is only one serializer to diverge from.
 from __future__ import annotations
 
 from .. import obs
-from ..core.service import BatchOutcome, ExplanationSession
+from ..core.service import (
+    BatchOutcome,
+    Deadline,
+    DeadlineExceeded,
+    ExplanationSession,
+)
 from ..obs.metrics import MetricsRegistry
-from ..resilience.policy import Deadline, DeadlineExceeded
 from .protocol import (
     BatchRequest,
     ExplainRequest,

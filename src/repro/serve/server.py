@@ -23,7 +23,7 @@ of ``ServeConfig.workers`` threads, all reading the
 :class:`~repro.serve.workers.WorkerPool`'s one warm session (compiled
 program + provenance index, booted once from a ``repro-db/1``
 snapshot; ``/update`` publishes its successor).  Every request carries a
-:class:`~repro.resilience.policy.Deadline`; a spent budget answers
+:class:`~repro.core.service.Deadline`; a spent budget answers
 ``504`` with whatever partial results were computed (the
 ``explain_batch`` contract, now over HTTP).  Each request opens a
 flight record, so ``GET /flight/<qid>`` resolves a slow exemplar to
@@ -32,7 +32,7 @@ its phase breakdown.
 The server periodically evaluates its SLOs
 (:meth:`~repro.obs.slo.SLOEvaluator.drive_breaker`): sustained p99 or
 error-budget breaches open the breaker and shed load until the cooldown
-lets a half-open probe through.
+ends and the next healthy verdict closes it.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from ..io import dumps_database
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SLOEvaluator
-from ..resilience.breaker import OPEN, CircuitBreaker
-from .admission import AdmissionController, ShedRequest
+from .admission import OPEN, AdmissionController, CircuitBreaker, ShedRequest
 from .procpool import ProcessWorkerPool
 from .protocol import (
     SERVE_FORMAT,
@@ -113,7 +112,6 @@ class ServeConfig:
     slo_period_s: float = 1.0          # ... and at least this often
     breaker_window: int = 16
     breaker_min_calls: int = 8
-    breaker_failure_threshold: float = 0.5
     breaker_cooldown_s: float = 2.0
     flight_capacity: int = 512
 
@@ -142,11 +140,10 @@ class ExplanationServer:
             capacity=self.config.flight_capacity, enabled=True
         )
         self.breaker = CircuitBreaker(
+            self.metrics,
             window=self.config.breaker_window,
-            failure_threshold=self.config.breaker_failure_threshold,
             min_calls=self.config.breaker_min_calls,
             cooldown_s=self.config.breaker_cooldown_s,
-            name="serve",
         )
         self.slo = SLOEvaluator.from_config(list(self.config.slo_config))
         self.admission = AdmissionController(

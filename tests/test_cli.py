@@ -146,6 +146,7 @@ class TestHelp:
         ["--demo", "figure8", "--deterministic"],
         ["--analyse", "company_control"],
         ["--program", "examples/data/company_control.vada"],
+        ["explain", "--app", "figure8", "--inject-faults", "transient:3"],
     ])
     def test_flag_grammar_without_subcommand_exits_2(self, argv):
         with pytest.raises(SystemExit) as exited:
@@ -269,49 +270,6 @@ class TestObservability:
         ]) == 0
         traced = capsys.readouterr().out
         assert traced == plain
-
-
-class TestResilienceFlags:
-    def test_fault_injected_demo_reports_fallbacks(self, capsys):
-        # Three transient faults exhaust the first template's retry
-        # budget; the run still exits 0 and the degradation is visible in
-        # the metrics dump (the fault-injected CI smoke relies on this).
-        assert main([
-            "explain", "--app", "figure8", "--deterministic",
-            "--inject-faults", "transient:3", "--metrics",
-        ]) == 0
-        captured = capsys.readouterr()
-        snapshot = json.loads(captured.err)
-        assert snapshot["counters"]["enhance.fallback_total"] >= 1
-        assert snapshot["counters"]["llm.retry_exhausted"] >= 1
-
-    def test_fault_injected_demo_output_is_complete(self, capsys):
-        # Degraded, not broken: the explanation text is still printed.
-        assert main([
-            "explain", "--app", "figure8", "--deterministic",
-            "--inject-faults", "transient:3",
-        ]) == 0
-        assert "Q_e" in capsys.readouterr().out
-
-    def test_malformed_fault_spec_exits_2(self, capsys):
-        assert main([
-            "explain", "--app", "figure8", "--inject-faults", "bogus:1",
-        ]) == 2
-        assert "invalid --inject-faults" in capsys.readouterr().err
-
-    def test_malformed_fault_spec_exits_2_on_subcommand(self, capsys):
-        assert main([
-            "explain", "--app", "figure8", "--inject-faults", "rate:2.0",
-        ]) == 2
-        assert "invalid --inject-faults" in capsys.readouterr().err
-
-    def test_fault_injection_on_explain_subcommand(self, capsys):
-        assert main([
-            "explain", "--app", "company_control",
-            "--inject-faults", "transient:3", "--metrics",
-        ]) == 0
-        snapshot = json.loads(capsys.readouterr().err)
-        assert snapshot["counters"]["enhance.fallback_total"] >= 1
 
 
 class TestStrategyFlag:

@@ -1,14 +1,19 @@
 """Unit tests for LLM template enhancement and the token guard (§4.4)."""
 
+import re
+
 import pytest
 
+from repro import obs
+from repro.apps import company_control
+from repro.core.compiler import compile_program
 from repro.core.enhancer import (
     ENHANCEMENT_PROMPT,
     EnhancementReport,
     TemplateEnhancer,
 )
 from repro.core.templates import TemplateStore, extract_tokens
-from repro.resilience import CircuitBreaker, FaultInjectingLLM, RetryPolicy
+from repro.llm import LLMError, SimulatedLLM
 
 
 class RecordingLLM:
@@ -104,75 +109,53 @@ class TestStoreEnhancement:
             template.enhanced_texts.clear()
 
 
-def fast_policy(**kwargs):
-    kwargs.setdefault("sleep", lambda _: None)
-    return RetryPolicy(**kwargs)
+class FailingLLM:
+    """Echoes the template back (tokens kept), except that the chosen
+    1-based calls raise ``error``."""
+
+    def __init__(self, failing_calls=(), error=LLMError):
+        self.failing_calls = set(failing_calls)
+        self.error = error
+        self.calls = 0
+
+    def complete(self, prompt):
+        self.calls += 1
+        if self.calls in self.failing_calls:
+            raise self.error(f"backend down (call #{self.calls})")
+        return prompt[len(ENHANCEMENT_PROMPT):]
+
+
+class TokenStrippingLLM:
+    """Answers with the template minus every ``<token>`` (§4.4)."""
+
+    def complete(self, prompt):
+        return re.sub(r"<[^<>]+>", "", prompt[len(ENHANCEMENT_PROMPT):])
 
 
 class TestResilientEnhancement:
-    """The token guard and the retry policy compose (satellite of PR 3):
-    the guard retries bad *answers*, the policy retries failed *calls*."""
+    """The token guard re-prompts bad *answers*; a failed *call*
+    (:class:`LLMError`) leaves the template on its base text."""
 
-    def test_transient_fault_then_success(self, store):
+    def test_llm_error_falls_back_to_base_text(self, store):
         template = store.templates()[0]
-        inner = RecordingLLM([])  # echoes the template back (tokens kept)
-        llm = FaultInjectingLLM(inner, "transient:1")
-        enhancer = TemplateEnhancer(
-            llm, retry_policy=fast_policy(max_attempts=3), breaker=False
-        )
-        report = EnhancementReport()
-        assert enhancer.enhance_template(template, report)
-        assert report.enhanced == 1
-        assert report.fallbacks == 0
-        assert len(inner.prompts) == 1  # fault fired before the backend
-        template.enhanced_texts.clear()
-
-    def test_retry_exhaustion_falls_back_to_base_text(self, store):
-        template = store.templates()[0]
-        inner = RecordingLLM([])
-        llm = FaultInjectingLLM(inner, "transient:3")
-        enhancer = TemplateEnhancer(
-            llm, retry_policy=fast_policy(max_attempts=3), breaker=False
-        )
+        llm = FailingLLM(failing_calls={1})
         report = EnhancementReport()
         base_text = template.deterministic_text
-        assert not enhancer.enhance_template(template, report)
+        assert not TemplateEnhancer(llm).enhance_template(template, report)
         assert report.fallbacks == 1
         assert report.enhanced == 0
-        assert report.fallback_errors[0][1].startswith("TransientLLMError")
+        assert report.fallback_errors[0][1].startswith("LLMError")
         # The path is degraded, never dropped: base text intact, no
-        # partially enhanced version stored.
+        # partially enhanced version stored, and no re-prompt.
         assert template.deterministic_text == base_text
         assert template.enhanced_texts == []
-        assert inner.prompts == []
-
-    def test_open_breaker_short_circuits_without_llm_call(self, store):
-        template = store.templates()[0]
-        inner = RecordingLLM([])
-        breaker = CircuitBreaker(window=4, failure_threshold=0.5,
-                                 min_calls=2, cooldown_s=3600.0)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        enhancer = TemplateEnhancer(
-            inner, retry_policy=fast_policy(), breaker=breaker
-        )
-        report = EnhancementReport()
-        assert not enhancer.enhance_template(template, report)
-        assert report.fallbacks == 1
-        assert report.fallback_errors[0][1].startswith("CircuitOpen")
-        assert inner.prompts == []  # the backend was never reached
-        assert template.enhanced_texts == []
+        assert llm.calls == 1
 
     def test_guard_rejections_are_not_fallbacks(self, store):
         """Token-dropping *responses* trip the guard (§4.4), not the
-        resilience fallback path — the two counters stay separate."""
+        backend fallback path — the two counters stay separate."""
         template = store.templates()[0]
-        inner = RecordingLLM([])
-        llm = FaultInjectingLLM(inner, "drop:3")
-        enhancer = TemplateEnhancer(
-            llm, max_attempts=3, retry_policy=fast_policy(), breaker=False
-        )
+        enhancer = TemplateEnhancer(TokenStrippingLLM(), max_attempts=3)
         report = EnhancementReport()
         assert not enhancer.enhance_template(template, report)
         assert report.fallbacks == 0
@@ -180,15 +163,49 @@ class TestResilientEnhancement:
         assert template.enhanced_texts == []
 
     def test_store_enhancement_degrades_per_template(self, store):
-        """One template exhausts its retry budget; the rest enhance."""
-        inner = RecordingLLM([])
-        llm = FaultInjectingLLM(inner, "transient:3")
-        enhancer = TemplateEnhancer(
-            llm, retry_policy=fast_policy(max_attempts=3), breaker=False
-        )
-        report = enhancer.enhance_store(store)
+        """One template's call fails; the rest enhance."""
+        report = TemplateEnhancer(FailingLLM({1})).enhance_store(store)
         assert report.fallbacks == 1
         assert report.enhanced == len(store) - 1
         for template in store.templates():
             assert template.deterministic_text
             template.enhanced_texts.clear()
+
+    def test_compile_under_failing_calls_keeps_every_path(self):
+        app = company_control.build()
+        registry = obs.MetricsRegistry()
+        with obs.observed(metrics=registry):
+            compiled = compile_program(
+                app.program, app.glossary, llm=FailingLLM({1, 3}),
+            )
+        report = compiled.enhancement_report
+        templates = compiled.store.templates()
+        assert len(templates) >= 3
+        # One call per template, in store order: the first and third
+        # keep only their base text, every other path is enhanced.
+        for index, template in enumerate(templates):
+            assert template.deterministic_text
+            assert len(template.enhanced_texts) == (0 if index in (0, 2) else 1)
+        assert report.fallbacks == 2
+        assert report.enhanced == len(templates) - 2
+        assert registry.counter_value("enhance.fallback_total") == report.fallbacks
+
+    def test_healthy_backend_records_no_fallbacks(self):
+        app = company_control.build()
+        registry = obs.MetricsRegistry()
+        with obs.observed(metrics=registry):
+            compiled = compile_program(
+                app.program, app.glossary,
+                llm=SimulatedLLM(seed=0, faithful=True),
+            )
+        assert compiled.enhancement_report.fallbacks == 0
+        assert registry.counter_value("enhance.fallback_total") == 0
+
+    def test_non_llm_error_propagates_from_compile(self):
+        """A bug in the client is not a degradation."""
+        app = company_control.build()
+        with pytest.raises(ZeroDivisionError):
+            compile_program(
+                app.program, app.glossary,
+                llm=FailingLLM({1}, error=ZeroDivisionError),
+            )

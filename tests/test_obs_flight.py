@@ -13,7 +13,7 @@ from repro.apps import company_control
 from repro.core import ExplanationService, LRUCache
 from repro.datalog import fact, parse_program
 from repro.engine import Database, chase
-from repro.resilience.breaker import CircuitBreaker
+from repro.serve.admission import CircuitBreaker
 
 
 class TestFlightRecord:
@@ -300,19 +300,21 @@ class TestFlightIntegration:
         assert record.counts["cache.explain.hit"] == 1
 
     def test_breaker_transitions_emit_flight_events(self):
+        now = [0.0]
         breaker = CircuitBreaker(
-            window=4, failure_threshold=0.5, min_calls=2, clock=lambda: 0.0
+            obs.MetricsRegistry(), window=4, min_calls=2, cooldown_s=1.0,
+            clock=lambda: now[0],
         )
         recorder = obs.FlightRecorder()
         with obs.observed(flight=recorder):
             with recorder.record("explain") as record:
-                breaker.record_failure()
-                breaker.record_failure()  # opens
-                with pytest.raises(Exception):
-                    breaker.allow()
+                breaker.observe_health(False)
+                breaker.observe_health(False)  # opens
+                now[0] = 2.0
+                assert breaker.state == "half_open"
+                breaker.observe_health(True)  # closes
         kinds = [event["kind"] for event in record.events]
-        assert "breaker_opened" in kinds
-        assert "breaker_rejected" in kinds
+        assert kinds == ["breaker_opened", "breaker_closed"]
 
     def test_service_batch_propagates_flight_and_span_context(self):
         recorder = obs.FlightRecorder()
@@ -435,7 +437,7 @@ class TestSLOEvaluator:
         ])
         metrics = self._metrics_with_latency("explain", [0.5] * 4)
         breaker = CircuitBreaker(
-            window=4, failure_threshold=0.5, min_calls=2, clock=lambda: 0.0
+            obs.MetricsRegistry(), window=4, min_calls=2, clock=lambda: 0.0
         )
         for _ in range(3):
             evaluator.drive_breaker(breaker, metrics)

@@ -5,13 +5,15 @@ served bodies and direct in-process serialization."""
 
 import http.client
 import json
+import threading
 
 import pytest
 
 from repro.apps import figures, generators
 from repro.core import ExplanationService
 from repro.io import dumps_database, loads_database, parse_fact
-from repro.resilience.policy import Deadline
+from repro.core.service import Deadline
+from repro.obs import MetricsRegistry
 from repro.serve import (
     SERVE_FORMAT,
     BatchRequest,
@@ -31,6 +33,7 @@ from repro.serve import (
     parse_whynot_request,
     whynot_payload,
 )
+from repro.serve.admission import CircuitBreaker
 
 
 def _body(payload: dict) -> bytes:
@@ -108,6 +111,8 @@ class TestProtocolRoundTrips:
         _body({"query": "Control(x, y)"}),          # variables: not ground
         _body({"query": "Control(A, B)", "deadline_s": -1}),
         _body({"query": "Control(A, B)", "deadline_s": True}),
+        _body({"query": "Control(A, B)", "deadline_s": float("nan")}),
+        _body({"query": "Control(A, B)", "deadline_s": float("inf")}),
         _body({"query": "Control(A, B)", "audit": "yes"}),
     ])
     def test_explain_request_rejections(self, body):
@@ -120,10 +125,13 @@ class TestProtocolRoundTrips:
         _body({"queries": []}),
         _body({"queries": "Control(A, B)"}),
         _body({"queries": ["Control(A, B)", 3]}),
+        _body({"queries": ["Control(A, B)"], "deadline_s": float("nan")}),
+        _body({"queries": ["Control(A, B)"], "deadline_s": float("inf")}),
     ])
     def test_batch_request_rejections(self, body):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError) as excinfo:
             parse_batch_request(body)
+        assert excinfo.value.status == 400
 
     def test_update_request_round_trip(self):
         request = parse_update_request(_body({
@@ -424,6 +432,91 @@ class TestAdmission:
             status, _headers, data = _request(instance, "GET", "/healthz")
             assert status == 200
             assert json.loads(data)["status"] == "shedding"
+
+
+class FakeClock:
+    """A manually advanced monotonic clock."""
+
+    def __init__(self, start: float = 100.0):
+        self.now = start
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def tripped_breaker(clock):
+    breaker = CircuitBreaker(
+        MetricsRegistry(), window=4, min_calls=2, cooldown_s=30.0,
+        clock=clock,
+    )
+    breaker.observe_health(False)
+    breaker.observe_health(False)
+    return breaker
+
+
+class TestCircuitBreaker:
+    def test_opens_at_failure_rate(self):
+        breaker = CircuitBreaker(
+            MetricsRegistry(), window=4, min_calls=2, clock=FakeClock()
+        )
+        assert breaker.state == "closed"
+        breaker.observe_health(False)
+        assert breaker.state == "closed"  # below min_calls
+        breaker.observe_health(False)
+        assert breaker.state == "open"
+
+    def test_successes_keep_rate_below_threshold(self):
+        breaker = CircuitBreaker(
+            MetricsRegistry(), window=4, min_calls=4, clock=FakeClock()
+        )
+        for _ in range(3):
+            breaker.observe_health(True)
+        breaker.observe_health(False)
+        assert breaker.state == "closed"  # 1/4 < 0.5
+
+    def test_half_open_healthy_verdict_closes(self):
+        clock = FakeClock()
+        breaker = tripped_breaker(clock)
+        clock.now += 31.0
+        assert breaker.state == "half_open"
+        breaker.observe_health(True)
+        assert breaker.state == "closed"
+        assert breaker.metrics.counter_value("serve.breaker_closed") == 1
+
+    def test_half_open_unhealthy_verdict_reopens(self):
+        clock = FakeClock()
+        breaker = tripped_breaker(clock)
+        clock.now += 31.0
+        assert breaker.state == "half_open"
+        breaker.observe_health(False)
+        assert breaker.state == "open"
+        # ... and the new cooldown starts from the failed verdict.
+        clock.now += 29.0
+        assert breaker.state == "open"
+        clock.now += 2.0
+        assert breaker.state == "half_open"
+
+    def test_thread_safety_under_concurrent_failures(self):
+        breaker = CircuitBreaker(
+            MetricsRegistry(), window=64, min_calls=64, clock=FakeClock()
+        )
+        threads = [
+            threading.Thread(target=breaker.observe_health, args=(False,))
+            for _ in range(32)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert breaker.snapshot()["failures_in_window"] == 32
+
+    def test_transitions_count_on_the_server_registry(self, scenario, snapshot):
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot, llm=None,
+        )
+        for _ in range(instance.config.breaker_min_calls):
+            instance.breaker.observe_health(False)
+        assert instance.metrics.counter_value("serve.breaker_opened") == 1
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps import company_control, figures, stress_test
 from repro.core import ExplanationService, LRUCache
-from repro.core.service import BatchOutcome
+from repro.core.service import BatchOutcome, Deadline, DeadlineExceeded
 from repro.datalog import fact
 from repro.io import load_compiled_program, save_compiled_program
 from repro.llm import SimulatedLLM
@@ -182,6 +182,33 @@ class TestWarmStart:
             load_compiled_program(
                 artifact, stress_app.program, stress_app.glossary
             )
+
+
+class TestDeadline:
+    def test_expiry(self):
+        now = [100.0]
+        deadline = Deadline(2.0, clock=lambda: now[0])
+        assert not deadline.expired
+        now[0] += 1.5
+        assert not deadline.expired
+        now[0] += 1.0
+        assert deadline.expired
+
+    def test_check_raises_when_spent(self):
+        now = [100.0]
+        deadline = Deadline(1.0, clock=lambda: now[0])
+        deadline.check("explain")  # fine while in budget
+        now[0] += 2.0
+        with pytest.raises(DeadlineExceeded, match="explain"):
+            deadline.check("explain")
+
+    def test_coerce(self):
+        assert Deadline.coerce(None) is None
+        existing = Deadline(1.0)
+        assert Deadline.coerce(existing) is existing
+        coerced = Deadline.coerce(0.5)
+        assert isinstance(coerced, Deadline)
+        assert coerced.budget_s == pytest.approx(0.5)
 
 
 class TestBatchDeadlines:

@@ -92,68 +92,16 @@ def _with_speedups(seconds):
     }
 
 
-def _measure_obs_overhead(repeats=5):
-    """Quantify the flight-recorder/profiler tax on the planned chase.
-
-    Three best-of-``repeats`` measurements of the same workload:
-
-    * ``baseline_s`` — instrumented code, ambient obs disabled (the
-      shipping default);
-    * ``disabled_s`` — a second identical pass, so the disabled number
-      carries its own noise estimate (the no-op path has no switch to
-      flip — disabled *is* the baseline);
-    * ``enabled_s`` — flight recorder and kernel profiler both live.
-
-    Returns the overhead payload plus the recorder/profiler from the
-    enabled pass (their contents become the flight artifact).
-    """
+def _record_flight():
+    """One planned chase under a live flight recorder and kernel
+    profiler; their contents become the flight artifact."""
     database = _random_edges(nodes=50, edges=120, seed=7)
-
-    def plain():
-        chase(TRANSITIVE, database, strategy="planned")
-
     recorder = obs.FlightRecorder(capacity=64)
     profiler = obs.KernelProfiler()
-
-    def recorded():
-        with obs.observed(flight=recorder, profile=profiler):
-            with recorder.record("bench", query="tc(50,120)"):
-                chase(TRANSITIVE, database, strategy="planned")
-
-    def timed(run_once):
-        started = time.perf_counter()
-        run_once()
-        return time.perf_counter() - started
-
-    # Warm up compile/index caches, then interleave the three modes so
-    # scheduler and thermal drift land on all of them equally — the
-    # best-of-N minima compare like with like.
-    plain()
-    recorded()
-    samples = {"baseline": [], "disabled": [], "enabled": []}
-    for _ in range(repeats):
-        samples["baseline"].append(timed(plain))
-        samples["disabled"].append(timed(plain))
-        samples["enabled"].append(timed(recorded))
-    baseline_s = min(samples["baseline"])
-    disabled_s = min(samples["disabled"])
-    enabled_s = min(samples["enabled"])
-
-    def pct(seconds):
-        if not baseline_s:
-            return None
-        return round(max(0.0, (seconds - baseline_s) / baseline_s) * 100, 2)
-
-    overhead = {
-        "workload": "transitive_closure(50 nodes, 120 edges, planned)",
-        "repeats": repeats,
-        "baseline_s": round(baseline_s, 6),
-        "disabled_s": round(disabled_s, 6),
-        "enabled_s": round(enabled_s, 6),
-        "disabled_overhead_pct": pct(disabled_s),
-        "enabled_overhead_pct": pct(enabled_s),
-    }
-    return overhead, recorder, profiler
+    with obs.observed(flight=recorder, profile=profiler):
+        with recorder.record("bench", query="tc(50,120)"):
+            chase(TRANSITIVE, database, strategy="planned")
+    return recorder, profiler
 
 
 def run(quick=False):
@@ -197,8 +145,7 @@ def run(quick=False):
             **_with_speedups(timings),
         }
 
-    overhead, recorder, profiler = _measure_obs_overhead()
-    payload["obs_overhead"] = overhead
+    recorder, profiler = _record_flight()
 
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_engine.json"

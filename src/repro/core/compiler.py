@@ -406,7 +406,6 @@ def compile_program(
         primary = _build_pipeline(
             program, glossary, llm, enhanced_versions, stats, report,
         )
-    obs.incr("compile.programs")
     return CompiledProgram(
         program=program,
         glossary=glossary,

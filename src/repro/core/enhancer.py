@@ -115,16 +115,13 @@ class TemplateEnhancer:
             missing = missing_tokens(original, candidate)
             if not missing:
                 template.add_enhanced(candidate)
-                obs.incr("llm.enhanced_templates")
                 if report is not None:
                     report.enhanced += 1
                 return True
-            # Token guard tripped (Section 4.4): count the retry so the
-            # stats document shows how hard the model fought the guard.
-            obs.incr("llm.enhance_rejections")
+            # Token guard tripped (Section 4.4): the report keeps the
+            # rejection so the artifact shows how hard the model fought it.
             if report is not None:
                 report.record_rejection(name, missing)
-        obs.incr("llm.enhance_gave_up")
         return False
 
     def enhance_store(

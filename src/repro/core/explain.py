@@ -29,12 +29,10 @@ across many instances.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import count
 from typing import Mapping, Sequence
 
-from .. import obs
 from ..datalog.atoms import Fact
 from ..engine.chase import ChaseStepRecord
 from ..engine.provenance import DerivationSpine
@@ -248,20 +246,17 @@ class Explainer:
         there: they recurse through :meth:`_explain`, whose spines,
         mappings and rendered segments are memoized below it.
         """
-        started = time.perf_counter()
         key = (
             self._memo_scope, self.result.index.fact_key(query),
             prefer_enhanced, variant_index, include_side_branches,
         )
-        explanation = self._explain_region.get_or_create(
+        return self._explain_region.get_or_create(
             key,
             lambda: self._explain(
                 query, prefer_enhanced, variant_index, include_side_branches,
                 visited=set(),
             ),
         )
-        obs.observe("explain.serve_s", time.perf_counter() - started)
-        return explanation
 
     def _explain(
         self,

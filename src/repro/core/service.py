@@ -199,13 +199,11 @@ class ExplanationSession:
         return self.result.answers(predicate)
 
     def explain(self, query: Fact, **options) -> Explanation:
-        recorder = obs.get_flight()
-        with recorder.record(
+        with obs.flight_record(
             "explain", query=str(query),
             fingerprint=self.compiled.fingerprint,
-        ):
-            with _Timed(self.service.metrics, "explain"):
-                explanation = self.explainer.explain(query, **options)
+        ), _Timed(self.service.metrics, "explain"):
+            explanation = self.explainer.explain(query, **options)
         self.service.metrics.incr("explanations")
         return explanation
 
@@ -237,7 +235,7 @@ class ExplanationSession:
             return []
         budget = {} if bounded is None else {"deadline_s": bounded.budget_s}
         metrics = self.service.metrics
-        with obs.get_flight().record(
+        with obs.flight_record(
             "explain_batch", fingerprint=self.compiled.fingerprint,
             queries=len(chosen), **budget,
         ) as batch_record, _Timed(metrics, "explain_batch"):
@@ -255,7 +253,6 @@ class ExplanationSession:
                 if missed:
                     metrics.incr("explain_deadline_exceeded", missed)
                     batch_record.event("deadline_exceeded", missed=missed)
-        metrics.observe("explain_batch_size", len(chosen))
         return served
 
     def _bounded_one(
@@ -273,9 +270,7 @@ class ExplanationSession:
     def report(self, **options) -> BusinessReport:
         """A business report over this instance (see ReportBuilder)."""
         with _Timed(self.service.metrics, "report"):
-            report = ReportBuilder(self.explainer).build(**options)
-        self.service.metrics.incr("reports")
-        return report
+            return ReportBuilder(self.explainer).build(**options)
 
     def why(self, query: Fact) -> str:
         return self.explainer.why(query)
@@ -287,8 +282,7 @@ class ExplanationSession:
         shared LRU's ``whynot`` region, scoped by the explainer's memo
         scope so an updated session never serves stale reports.
         """
-        recorder = obs.get_flight()
-        with recorder.record(
+        with obs.flight_record(
             "why_not", query=str(query),
             fingerprint=self.compiled.fingerprint,
         ), _Timed(self.service.metrics, "why_not"):
@@ -299,7 +293,6 @@ class ExplanationSession:
                 ),
                 lambda: self._whynot_explainer().explain_why_not(query),
             )
-        self.service.metrics.incr("why_not")
         return answer
 
     def _whynot_explainer(self) -> WhyNotExplainer:
@@ -336,8 +329,7 @@ class ExplanationSession:
         """
         adds = tuple(adds)
         retracts = tuple(retracts)
-        recorder = obs.get_flight()
-        with recorder.record(
+        with obs.flight_record(
             "update", query=self.compiled.program.name,
             fingerprint=self.compiled.fingerprint,
             adds=len(adds), retracts=len(retracts),
@@ -355,8 +347,6 @@ class ExplanationSession:
                     cache=self.service.explanation_cache,
                 )
                 self._whynot = None
-        self.service.metrics.incr("updates")
-        self.service.metrics.incr(f"updates_{outcome.mode}")
         return outcome
 
 
@@ -440,7 +430,6 @@ class ExplanationService:
         """Pre-seed the compile cache with an existing artifact (e.g. one
         deserialized from disk); returns the artifact that is now cached."""
         self.compiled_cache.put(compiled.fingerprint, compiled)
-        self.metrics.incr("compile_installed")
         return compiled
 
     def warm_start(
@@ -484,8 +473,7 @@ class ExplanationService:
         program, chosen_glossary = _unpack_application(
             application_or_program, glossary
         )
-        recorder = obs.get_flight()
-        with recorder.record(
+        with obs.flight_record(
             "session", query=program.name, strategy=strategy
         ) as flight:
             compiled = self.compile(program, chosen_glossary, llm=llm)

@@ -379,7 +379,6 @@ class ChaseEngine:
                 program, previous, adds, retracts, max_rounds=self.max_rounds
             )
         except IncrementalFallback:
-            obs.incr("incremental.fallbacks")
             started = time.perf_counter()
             new_edb, added, retracted = resolve_delta(
                 previous, adds, retracts
@@ -407,10 +406,6 @@ class ChaseEngine:
         the lock-free :class:`ChaseStats` dicts.
         """
         obs.incr("chase.runs")
-        obs.incr("chase.facts_derived", stats.facts_derived)
-        obs.incr("chase.facts_deduplicated", stats.facts_deduplicated)
-        obs.incr("chase.constraint_checks", stats.constraint_checks)
-        obs.incr("chase.constraint_violations", stats.violations)
         for label, firings in stats.rule_firings.items():
             obs.incr(f"chase.firings.{label}", firings)
         obs.observe("chase.rounds", stats.rounds)

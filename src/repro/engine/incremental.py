@@ -216,11 +216,6 @@ def flush_update_metrics(outcome: UpdateOutcome) -> None:
     obs.incr("chase.delta_records_recomputed", outcome.recomputed)
     obs.incr("incremental.rederived_total", outcome.rederived)
     obs.observe("chase.delta_update_s", outcome.elapsed_s)
-    flight = obs.current_flight()
-    if flight is not None:
-        flight.count("chase_delta_updates")
-        flight.count("chase_delta_replayed", outcome.replayed)
-        flight.count("chase_delta_recomputed", outcome.recomputed)
 
 
 class _Replay:

@@ -60,7 +60,6 @@ class ProvenanceIndex:
             self._build(result)
             span.set(edges=self._edge_count)
         self.build_seconds = time.perf_counter() - started
-        obs.incr("explain.index_build")
         obs.observe("explain.index_build_s", self.build_seconds)
 
     def _build(self, result: ChaseResult) -> None:
@@ -186,9 +185,6 @@ class ProvenanceIndex:
             }
             span.set(edges=self._edge_count, **figures)
         self.build_seconds = time.perf_counter() - started
-        obs.incr("explain.index_rebind")
-        obs.observe("explain.index_rebind_s", self.build_seconds)
-        obs.incr("explain.index_touched", len(touched))
         return figures
 
     # ------------------------------------------------------------------

@@ -17,9 +17,6 @@ The second layer (per-query attribution, added in PR 7):
   dumpable as ``repro-flight/1`` JSON;
 * :mod:`repro.obs.profile` — per-rule-kernel wall time / rows / probes
   attribution feeding ``--metrics`` and ``repro-explain obs top``;
-* :mod:`repro.obs.slo` — declarative latency and error-rate objectives
-  evaluated against histogram snapshots, with health signals the
-  server's shedding breaker consumes;
 * :mod:`repro.obs.diff` — the stats-diff regression tool and threshold
   gates behind ``repro-explain obs diff``.
 
@@ -47,7 +44,6 @@ from contextlib import contextmanager
 from .export import (
     STATS_DOCUMENT_KEYS,
     STATS_FORMAT,
-    TRACE_FORMAT,
     parse_trace_jsonl,
     render_prometheus,
     span_aggregate,
@@ -65,31 +61,17 @@ from .flight import (
     FlightRecorder,
     write_flight,
 )
-from .metrics import (
-    DEFAULT_BUCKETS,
-    DEFAULT_REGISTRY,
-    Histogram,
-    MetricsRegistry,
-)
+from .metrics import DEFAULT_REGISTRY, Histogram, MetricsRegistry
 from .profile import NULL_PROFILER, KernelProfiler, render_top
-from .slo import (
-    ErrorRateObjective,
-    LatencyObjective,
-    SLOConfigError,
-    SLOEvaluator,
-    SLOReport,
-)
 from .trace import NULL_SPAN, NULL_TRACER, Span, Tracer
 
 __all__ = [
-    "DEFAULT_BUCKETS", "DEFAULT_REGISTRY", "ErrorRateObjective",
     "FLIGHT_FORMAT", "FlightRecord", "FlightRecorder", "Histogram",
-    "KernelProfiler", "LatencyObjective", "MetricsRegistry",
-    "NULL_FLIGHT_RECORD", "NULL_FLIGHT_RECORDER", "NULL_PROFILER",
+    "KernelProfiler", "MetricsRegistry",
+    "NULL_FLIGHT_RECORD", "NULL_FLIGHT_RECORDER",
     "NULL_SPAN", "NULL_TRACER", "STATS_DOCUMENT_KEYS", "STATS_FORMAT",
-    "SLOConfigError", "SLOEvaluator", "SLOReport", "Span",
-    "TRACE_FORMAT", "Tracer", "current_flight", "flight_event",
-    "get_flight", "get_metrics", "get_profiler", "get_tracer", "incr",
+    "Span", "Tracer", "current_flight", "flight_event", "flight_record",
+    "get_flight", "get_profiler", "get_tracer", "incr",
     "observe", "observed", "parse_trace_jsonl", "render_prometheus",
     "render_top", "set_gauge", "span", "span_aggregate", "span_tree", "stats_document",
     "trace_jsonl", "write_flight", "write_stats", "write_trace",
@@ -104,11 +86,6 @@ _active_profiler: KernelProfiler = NULL_PROFILER
 def get_tracer() -> Tracer:
     """The ambient tracer (disabled no-op outside ``observed`` blocks)."""
     return _active_tracer
-
-
-def get_metrics() -> MetricsRegistry:
-    """The ambient metrics registry."""
-    return _active_metrics
 
 
 def get_flight() -> FlightRecorder:
@@ -128,6 +105,31 @@ def current_flight() -> FlightRecord | None:
     hot paths (cache lookups, kernel executions) to call unconditionally.
     """
     return _active_flight.current()
+
+
+@contextmanager
+def flight_record(
+    kind: str,
+    query: str | None = None,
+    fingerprint: str | None = None,
+    **attrs,
+):
+    """The flight record one unit of service work reports into.
+
+    When the calling context already has a record open — a served
+    request, whose id the client holds as ``X-Query-Id`` — the work
+    joins it: identity and attributes land on that record and no child
+    is opened, so one request leaves one record.  Otherwise a record of
+    ``kind`` is opened (the shared no-op one while recording is off).
+    """
+    current = _active_flight.current()
+    if current is not None:
+        yield current.set(query=query, fingerprint=fingerprint, **attrs)
+        return
+    with _active_flight.record(
+        kind, query=query, fingerprint=fingerprint, **attrs
+    ) as record:
+        yield record
 
 
 def flight_event(kind: str, **data) -> None:

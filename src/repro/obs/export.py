@@ -124,18 +124,16 @@ def stats_document(
     chase: Any = None,
     meta: dict | None = None,
     profile: Any = None,
-    slo: Any = None,
 ) -> dict:
     """One structured JSON document describing an observed run.
 
     ``chase`` is a :class:`~repro.engine.chase.ChaseStats` (or anything
     with a ``snapshot()``); ``profile`` a
     :class:`~repro.obs.profile.KernelProfiler` (or its snapshot
-    mapping); ``slo`` an :class:`~repro.obs.slo.SLOReport`; ``meta``
-    carries free-form run identity (app name, argv, ...).  Every
-    document has the same top-level keys (:data:`STATS_DOCUMENT_KEYS`)
-    so downstream tooling can gate on presence without caring which
-    stages actually ran; ``slo`` joins only when a report is passed.
+    mapping); ``meta`` carries free-form run identity (app name, argv,
+    ...).  Every document has the same top-level keys
+    (:data:`STATS_DOCUMENT_KEYS`) so downstream tooling can gate on
+    presence without caring which stages actually ran.
     """
     snapshot = metrics.snapshot()
     document = {
@@ -159,10 +157,6 @@ def stats_document(
         document["profile"] = (
             profile.snapshot() if hasattr(profile, "snapshot")
             else dict(profile)
-        )
-    if slo is not None:
-        document["slo"] = (
-            slo.snapshot() if hasattr(slo, "snapshot") else dict(slo)
         )
     return document
 

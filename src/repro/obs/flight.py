@@ -131,10 +131,15 @@ class FlightRecord:
     def set(self, **attrs: Any) -> "FlightRecord":
         """Attach (or overwrite) identity attributes on an open record.
 
-        ``fingerprint`` is special-cased so the compile fingerprint can
-        be filled in once compilation resolves it.
+        ``query`` and ``fingerprint`` are special-cased (and ignored when
+        ``None``) so identity can be filled in once the work resolves it:
+        the compile fingerprint after compilation, the query when session
+        work joins a served request's record.
         """
         with self._lock:
+            query = attrs.pop("query", None)
+            if query is not None:
+                self.query = query
             fingerprint = attrs.pop("fingerprint", None)
             if fingerprint is not None:
                 self.fingerprint = fingerprint

@@ -3,7 +3,7 @@
 The serving layer the last four PRs built toward: a dependency-light
 asyncio HTTP server (:mod:`repro.serve.server`) over a pool of warm
 explanation workers (:mod:`repro.serve.workers`), with bounded
-admission and SLO-driven shedding (:mod:`repro.serve.admission`) and a
+admission and health-driven shedding (:mod:`repro.serve.admission`) and a
 canonical wire protocol whose response bodies are byte-identical to
 in-process serialization (:mod:`repro.serve.protocol`).
 
@@ -51,18 +51,12 @@ from .routes import (
     serve_session_request,
     serve_whynot,
 )
-from .server import (
-    DEFAULT_SLO_CONFIG,
-    ExplanationServer,
-    ServeConfig,
-    ServerHandle,
-)
+from .server import ExplanationServer, ServeConfig, ServerHandle
 from .workers import WorkerPool
 
 __all__ = [
     "AdmissionController",
     "BatchRequest",
-    "DEFAULT_SLO_CONFIG",
     "ExplainRequest",
     "ExplanationServer",
     "PARSERS",

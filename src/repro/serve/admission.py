@@ -11,8 +11,8 @@ Two independent reasons to shed:
   (in flight or queued for a worker) at once.  The bound is what turns
   a latency problem into a fast failure instead of an unbounded queue
   that serves every request late;
-* **open circuit** — the server's :class:`CircuitBreaker` is driven by
-  the SLO evaluator (:meth:`~repro.obs.slo.SLOEvaluator.drive_breaker`):
+* **open circuit** — the server's :class:`CircuitBreaker` is fed the
+  verdicts of :func:`healthy`, the server's one fixed health check:
   sustained p99/error-budget breaches open it, and while it is open
   every admission sheds, giving the workers a cooldown to drain.  After
   the cooldown it is half-open and admits again; the next healthy
@@ -41,6 +41,34 @@ HALF_OPEN = "half_open"
 #: Failure fraction of a full-enough window at which the breaker opens.
 FAILURE_THRESHOLD = 0.5
 
+#: Health check: p99 of the ``serve.request`` histogram stays at or
+#: under this many seconds.
+LATENCY_P99_MAX_S = 2.5
+
+#: Health check: ``serve.errors / (serve.ok + serve.errors)`` stays at or
+#: under this rate once at least :data:`ERROR_RATE_MIN_EVENTS` requests
+#: completed.  Client-requested deadline misses (504) are not errors: a
+#: client asking for an impossible budget is not server unhealth, and
+#: the latency bound already covers overload.
+ERROR_RATE_MAX = 0.05
+ERROR_RATE_MIN_EVENTS = 50
+
+
+def healthy(metrics: MetricsRegistry) -> bool:
+    """The server's health verdict over its own registry.
+
+    Healthy while p99 request latency is within
+    :data:`LATENCY_P99_MAX_S` (an empty histogram is healthy) and the
+    internal-error rate within :data:`ERROR_RATE_MAX` (healthy below
+    :data:`ERROR_RATE_MIN_EVENTS` completed requests).
+    """
+    latency = metrics.find_histogram("serve.request")
+    if latency is not None and latency.percentile(99) > LATENCY_P99_MAX_S:
+        return False
+    errors = metrics.counter_value("serve.errors")
+    total = metrics.counter_value("serve.ok") + errors
+    return total < ERROR_RATE_MIN_EVENTS or errors / total <= ERROR_RATE_MAX
+
 
 class CircuitBreaker:
     """Three-state breaker over a sliding window of health verdicts.
@@ -53,8 +81,8 @@ class CircuitBreaker:
     * **half-open** — admission lets requests through; the next verdict
       closes the breaker (healthy) or re-opens it for another cooldown.
 
-    Thread-safe: the SLO heartbeat, request completions and ``/healthz``
-    reach it from different threads.
+    Thread-safe: the health heartbeat, request completions and
+    ``/healthz`` reach it from different threads.
     """
 
     def __init__(
@@ -98,8 +126,7 @@ class CircuitBreaker:
         obs.flight_event(event)
 
     def observe_health(self, healthy: bool) -> None:
-        """Record one health verdict from the SLO evaluator
-        (:meth:`repro.obs.slo.SLOEvaluator.drive_breaker`)."""
+        """Record one verdict of the server's :func:`healthy` check."""
         with self._lock:
             if self._state == HALF_OPEN:
                 self._move_locked(CLOSED if healthy else OPEN)

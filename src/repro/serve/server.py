@@ -17,22 +17,22 @@ dependency — exposing the explanation service to network clients:
 
 Request lifecycle: the event loop parses the request and consults the
 :class:`~repro.serve.admission.AdmissionController` (bounded queue +
-SLO-driven circuit breaker — sheds answer ``503`` with ``Retry-After``
-before any work is queued); admitted requests run on a thread executor
-of ``ServeConfig.workers`` threads, all reading the
+health-driven circuit breaker — sheds answer ``503`` with
+``Retry-After`` before any work is queued); admitted requests run on a
+thread executor of ``ServeConfig.workers`` threads, all reading the
 :class:`~repro.serve.workers.WorkerPool`'s one warm session (compiled
 program + provenance index, booted once from a ``repro-db/1``
 snapshot; ``/update`` publishes its successor).  Every request carries a
 :class:`~repro.core.service.Deadline`; a spent budget answers
 ``504`` with whatever partial results were computed (the
-``explain_batch`` contract, now over HTTP).  Each request opens a
+``explain_batch`` contract, now over HTTP).  Each request leaves one
 flight record, so ``GET /flight/<qid>`` resolves a slow exemplar to
 its phase breakdown.
 
-The server periodically evaluates its SLOs
-(:meth:`~repro.obs.slo.SLOEvaluator.drive_breaker`): sustained p99 or
-error-budget breaches open the breaker and shed load until the cooldown
-ends and the next healthy verdict closes it.
+The server periodically runs its fixed health check
+(:func:`~repro.serve.admission.healthy`): sustained p99 or error-budget
+breaches open the breaker and shed load until the cooldown ends and the
+next healthy verdict closes it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 from .. import obs
 from ..apps.base import KGApplication
@@ -52,8 +52,13 @@ from ..engine.database import Database
 from ..io import dumps_database
 from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
-from ..obs.slo import SLOEvaluator
-from .admission import OPEN, AdmissionController, CircuitBreaker, ShedRequest
+from .admission import (
+    OPEN,
+    AdmissionController,
+    CircuitBreaker,
+    ShedRequest,
+    healthy,
+)
 from .procpool import ProcessWorkerPool
 from .protocol import (
     SERVE_FORMAT,
@@ -75,24 +80,6 @@ _REASONS = {
 MAX_BODY_BYTES = 4 * 1024 * 1024
 _MAX_HEADERS = 64
 
-#: Default SLOs driving the admission breaker: p99 request latency and
-#: the internal-error budget.  Client-requested deadline misses (504)
-#: are deliberately *not* in the error budget — a client asking for an
-#: impossible budget is not server unhealth; sustained latency breaches
-#: already cover the overload case.
-DEFAULT_SLO_CONFIG: tuple[dict, ...] = (
-    {
-        "kind": "latency", "name": "request-p99",
-        "histogram": "serve.request", "percentile": 99,
-        "threshold_s": 2.5,
-    },
-    {
-        "kind": "error_rate", "name": "error-budget",
-        "errors": "serve.errors", "total": "serve.ok",
-        "max_rate": 0.05, "min_events": 50,
-    },
-)
-
 
 @dataclass
 class ServeConfig:
@@ -105,10 +92,7 @@ class ServeConfig:
     queue_limit: int = 64              # admitted (in-flight + queued) bound
     default_deadline_s: float = 10.0   # per-request budget when unspecified
     retry_after_s: float = 1.0         # hint on queue sheds
-    slo_config: Sequence[dict] = field(
-        default_factory=lambda: list(DEFAULT_SLO_CONFIG)
-    )
-    slo_interval_requests: int = 32    # drive the breaker every N requests
+    slo_interval_requests: int = 32    # run the health check every N requests
     slo_period_s: float = 1.0          # ... and at least this often
     breaker_window: int = 16
     breaker_min_calls: int = 8
@@ -145,7 +129,6 @@ class ExplanationServer:
             min_calls=self.config.breaker_min_calls,
             cooldown_s=self.config.breaker_cooldown_s,
         )
-        self.slo = SLOEvaluator.from_config(list(self.config.slo_config))
         self.admission = AdmissionController(
             self.config.queue_limit, self.breaker, self.metrics,
             retry_after_s=self.config.retry_after_s,
@@ -289,12 +272,19 @@ class ExplanationServer:
             loop.call_soon_threadsafe(stop.set)
 
     async def _slo_heartbeat(self) -> None:
-        """Periodic SLO evaluation so an idle server still recovers
-        (request-count-driven evaluation alone would freeze an open
+        """Periodic health check so an idle server still recovers
+        (request-count-driven checks alone would freeze an open
         breaker's window when traffic stops arriving)."""
         while True:
             await asyncio.sleep(self.config.slo_period_s)
-            self.slo.drive_breaker(self.breaker, self.metrics)
+            self._check_health()
+
+    def _check_health(self) -> None:
+        """Feed one :func:`healthy` verdict to the breaker and publish it
+        as the ``slo.healthy`` gauge ``/healthz`` reports."""
+        verdict = healthy(self.metrics)
+        self.metrics.set_gauge("slo.healthy", 1.0 if verdict else 0.0)
+        self.breaker.observe_health(verdict)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -387,7 +377,13 @@ class ExplanationServer:
             headers[name.strip().lower()] = value.strip()
         else:
             raise ProtocolError("too many headers", status=400)
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ProtocolError(f"malformed Content-Length {declared!r}")
         if length > MAX_BODY_BYTES:
             raise ProtocolError(
                 f"request body of {length} bytes exceeds the "
@@ -538,7 +534,7 @@ class ExplanationServer:
         self._completed_since_slo += 1
         if self._completed_since_slo >= self.config.slo_interval_requests:
             self._completed_since_slo = 0
-            self.slo.drive_breaker(self.breaker, self.metrics)
+            self._check_health()
 
     # ------------------------------------------------------------------
     # Executor-side serving (runs on repro-serve worker threads)
@@ -547,9 +543,12 @@ class ExplanationServer:
         """Serve one routed request; returns (status, payload, qid).
 
         Runs entirely on an executor thread so the event loop never
-        blocks on explanation work; the flight record is opened here and
-        is therefore the thread's current record for the whole serve —
-        the session's own nested records and cache counters land on it.
+        blocks on explanation work.  The flight record opened here is the
+        request's one record, the one ``X-Query-Id`` names: the session
+        work joins it (:func:`repro.obs.flight_record`) instead of opening
+        children, so its phase, fingerprint and cache counts land on it.
+        On the process backend the child's record, named by the
+        ``worker_query_id`` attribute, carries them.
         The pool is backend-blind: parsing and route semantics live in
         :meth:`WorkerPool.serve` (and its process-backed counterpart),
         shared with the worker processes so responses stay

@@ -248,7 +248,7 @@ class TestMemoizedDrilldown:
             explainer = scenario.application.explainer(result)
             explainer.explain(scenario.target)
             explainer.explain(scenario.target)
-        assert metrics.counter_value("explain.index_build") == 1
+        assert metrics.find_histogram("explain.index_build_s").count == 1
         region = explainer._explain_region
         assert (region.stats.misses, region.stats.hits) == (1, 1)
 
@@ -303,7 +303,7 @@ class TestServiceServing:
             after = session.explain(scenario.target).text
             assert before != after
             assert "14" in after  # the new 5 + 9 aggregate
-            assert service.metrics.counter_value("updates") == 1
+            assert service.metrics.find_histogram("update").count == 1
 
     def test_why_not_memoized_per_session(self):
         application = figures.figure8_instance().application

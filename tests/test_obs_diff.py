@@ -42,10 +42,6 @@ ENGINE_PAYLOAD = {
         "ownership_network": {"planned_speedup_vs_naive": 3.9},
         "control_chain": {"planned_speedup_vs_naive": 11.6},
     },
-    "obs_overhead": {
-        "enabled_overhead_pct": 2.0,
-        "disabled_overhead_pct": 0.5,
-    },
 }
 SERVICE_PAYLOAD = {
     "workloads": {

@@ -1,5 +1,5 @@
 """Tests for the second obs layer: the query flight recorder, the kernel
-profiler, SLO evaluation, and their propagation through the service."""
+profiler, and their propagation through the service."""
 
 from __future__ import annotations
 
@@ -370,75 +370,3 @@ class TestFlightIntegration:
         linked = {entry["exemplar"] for entry in exemplars.values()}
         known = {record.query_id for record in recorder.records()}
         assert linked <= known
-
-
-class TestSLOEvaluator:
-    def _metrics_with_latency(self, name, values):
-        metrics = obs.MetricsRegistry()
-        for value in values:
-            metrics.observe(name, value)
-        return metrics
-
-    def test_latency_objective_breach_and_recovery(self):
-        evaluator = obs.SLOEvaluator.from_config([
-            {"kind": "latency", "name": "explain-p99",
-             "histogram": "explain", "percentile": 99,
-             "threshold_s": 0.1},
-        ])
-        slow = self._metrics_with_latency("explain", [0.5] * 10)
-        report = evaluator.evaluate(slow)
-        assert not report.healthy
-        assert report.breaches()[0].name == "explain-p99"
-        fast = self._metrics_with_latency("explain", [0.01] * 10)
-        assert evaluator.evaluate(fast).healthy
-
-    def test_empty_histogram_is_vacuously_healthy(self):
-        evaluator = obs.SLOEvaluator.from_config([
-            {"kind": "latency", "name": "explain-p99",
-             "histogram": "explain", "threshold_s": 0.1},
-        ])
-        assert evaluator.evaluate(obs.MetricsRegistry()).healthy
-
-    def test_error_rate_objective(self):
-        evaluator = obs.SLOEvaluator.from_config([
-            {"kind": "error_rate", "name": "deadline-budget",
-             "errors": "misses", "total": "served", "max_rate": 0.1,
-             "min_events": 5},
-        ])
-        metrics = obs.MetricsRegistry()
-        metrics.incr("served", 3)
-        assert evaluator.evaluate(metrics).healthy  # below min_events
-        metrics.incr("served", 15)
-        metrics.incr("misses", 9)
-        assert not evaluator.evaluate(metrics).healthy
-
-    def test_bad_config_raises_config_error(self):
-        with pytest.raises(obs.SLOConfigError):
-            obs.SLOEvaluator.from_config([{"kind": "latency"}])
-        with pytest.raises(obs.SLOConfigError):
-            obs.SLOEvaluator.from_config([{"kind": "nope", "name": "x"}])
-
-    def test_publish_sets_health_gauges(self):
-        evaluator = obs.SLOEvaluator.from_config([
-            {"kind": "latency", "name": "explain-p99",
-             "histogram": "explain", "threshold_s": 0.1},
-        ])
-        metrics = self._metrics_with_latency("explain", [0.5] * 4)
-        evaluator.publish(metrics)
-        gauges = metrics.snapshot()["gauges"]
-        assert gauges["slo.explain-p99.ok"] == 0.0
-        assert gauges["slo.healthy"] == 0.0
-        assert gauges["slo.explain-p99.value"] > 0.1
-
-    def test_drive_breaker_opens_on_sustained_breach(self):
-        evaluator = obs.SLOEvaluator.from_config([
-            {"kind": "latency", "name": "explain-p99",
-             "histogram": "explain", "threshold_s": 0.1},
-        ])
-        metrics = self._metrics_with_latency("explain", [0.5] * 4)
-        breaker = CircuitBreaker(
-            obs.MetricsRegistry(), window=4, min_calls=2, clock=lambda: 0.0
-        )
-        for _ in range(3):
-            evaluator.drive_breaker(breaker, metrics)
-        assert breaker.state == "open"

@@ -5,7 +5,10 @@ served bodies and direct in-process serialization."""
 
 import http.client
 import json
+import re
+import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +36,12 @@ from repro.serve import (
     parse_whynot_request,
     whynot_payload,
 )
-from repro.serve.admission import CircuitBreaker
+from repro.serve.admission import (
+    ERROR_RATE_MIN_EVENTS,
+    LATENCY_P99_MAX_S,
+    CircuitBreaker,
+    healthy,
+)
 
 
 def _body(payload: dict) -> bytes:
@@ -292,6 +300,23 @@ class TestEndpoints:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("declared", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, server, declared):
+        with socket.create_connection(
+            (server.host, server.port), timeout=30
+        ) as raw:
+            raw.sendall(
+                b"POST /explain HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: " + declared.encode() + b"\r\n\r\n"
+            )
+            answer = b""
+            while chunk := raw.recv(4096):  # the server closes after it
+                answer += chunk
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == "bad_request"
+
     def test_unknown_routes_and_methods(self, server):
         status, _headers, _data = _request(server, "GET", "/nope")
         assert status == 404
@@ -517,6 +542,160 @@ class TestCircuitBreaker:
         for _ in range(instance.config.breaker_min_calls):
             instance.breaker.observe_health(False)
         assert instance.metrics.counter_value("serve.breaker_opened") == 1
+
+
+class TestHealthCheck:
+    """The server's one fixed health check: p99 of ``serve.request`` and
+    the ``serve.errors`` rate, fed to the breaker."""
+
+    @staticmethod
+    def _latencies(value):
+        metrics = MetricsRegistry()
+        for _ in range(10):
+            metrics.observe("serve.request", value)
+        return metrics
+
+    def test_latency_breach_and_recovery(self):
+        assert not healthy(self._latencies(LATENCY_P99_MAX_S * 2))
+        assert healthy(self._latencies(LATENCY_P99_MAX_S / 100))
+
+    def test_empty_histogram_is_healthy(self):
+        metrics = MetricsRegistry()
+        assert healthy(metrics)
+        metrics.histogram("serve.request")  # created, never observed
+        assert healthy(metrics)
+
+    def test_error_rate_below_min_events_is_healthy(self):
+        metrics = MetricsRegistry()
+        metrics.incr("serve.errors", ERROR_RATE_MIN_EVENTS - 1)
+        assert healthy(metrics)  # every request failed, but too few
+        metrics.incr("serve.errors")
+        assert not healthy(metrics)
+        metrics.incr("serve.ok", 10_000)
+        assert healthy(metrics)  # 50 / 10,050 is within the budget
+
+    def test_sustained_breach_opens_breaker(self, scenario, snapshot):
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot, llm=None,
+        )
+        instance.metrics.observe("serve.request", LATENCY_P99_MAX_S * 2)
+        for _ in range(instance.config.breaker_min_calls):
+            instance._check_health()
+        assert instance.breaker.state == "open"
+        assert instance.metrics.gauge_value("slo.healthy") == 0.0
+        assert instance.health_payload()["slo_healthy"] is False
+
+
+# ----------------------------------------------------------------------
+# One flight record per served request
+# ----------------------------------------------------------------------
+
+#: route -> (body, the session phase its record must carry)
+FLIGHT_ROUTES = {
+    "/explain": ({"query": "Control(IrishBank, MadridCredit)"}, "explain"),
+    "/explain/batch": (
+        {"queries": ["Control(IrishBank, MadridCredit)"]}, "explain_batch",
+    ),
+    "/whynot": ({"query": "Control(Absentia0, Absentia1)"}, "why_not"),
+    "/update": ({"adds": ["Company(Absentia0)"]}, "update"),
+}
+
+
+class TestFlightRecordPerRequest:
+    @pytest.fixture()
+    def fresh(self, scenario, snapshot):
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(
+                workers=1, slo_period_s=60.0, slo_interval_requests=10_000,
+            ),
+            llm=None,
+        )
+        with instance.run_in_thread():
+            yield instance
+
+    @pytest.mark.parametrize("route", sorted(FLIGHT_ROUTES))
+    def test_request_leaves_one_record_naming_its_work(self, fresh, route):
+        body, phase = FLIGHT_ROUTES[route]
+        before = len(fresh.flight)
+        status, headers, _data = _request(fresh, "POST", route, body)
+        assert status == 200
+        assert len(fresh.flight) == before + 1
+        status, _headers, data = _request(
+            fresh, "GET", f"/flight/{headers['X-Query-Id']}"
+        )
+        assert status == 200
+        (record,) = json.loads(data)["records"]
+        assert record["kind"] == "serve." + route.strip("/").replace("/", "_")
+        assert phase in record["phases"]
+        assert record["fingerprint"]
+        if route != "/update":
+            assert any(name.startswith("cache.") for name in record["counts"])
+
+
+# ----------------------------------------------------------------------
+# Every metric the server records has a reader (DESIGN.md §7)
+# ----------------------------------------------------------------------
+
+def _reader_table_patterns() -> list[re.Pattern]:
+    """The metric names of DESIGN.md's metric-reader table, as patterns
+    (``<rule>``-style placeholders match one name segment or more)."""
+    design = Path(__file__).parent.parent / "DESIGN.md"
+    section = design.read_text(encoding="utf-8").split(
+        "### Who reads each metric", 1
+    )[1].split("\n#", 1)[0]
+    patterns = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            parts = re.split(r"<[^>]+>", name)
+            patterns.append(
+                re.compile(r"[\w.]+".join(map(re.escape, parts)) + "$")
+            )
+    return patterns
+
+
+class TestMetricReaders:
+    def test_served_workload_records_only_read_metrics(
+        self, scenario, snapshot
+    ):
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(
+                workers=1, slo_period_s=60.0, slo_interval_requests=1,
+            ),
+            llm=None,
+        )
+        with instance.run_in_thread():
+            for route in ("/explain", "/explain/batch", "/whynot", "/update"):
+                status, _headers, _data = _request(
+                    instance, "POST", route, FLIGHT_ROUTES[route][0]
+                )
+                assert status == 200
+            status, _headers, text = _request(instance, "GET", "/metrics")
+            assert status == 200
+        patterns = _reader_table_patterns()
+        snapshot_doc = instance.metrics.snapshot()
+        names = {
+            name
+            for kind in ("counters", "gauges", "histograms")
+            for name in snapshot_doc[kind]
+        }
+        assert "slo.healthy" in names and "serve.request" in names
+        unread = sorted(
+            name for name in names
+            if not any(pattern.match(name) for pattern in patterns)
+        )
+        assert not unread, f"metrics without a DESIGN.md reader: {unread}"
+        # The series bench/ scrapes and CI reads are still exported.
+        for series in (
+            "repro_serve_ok", "repro_serve_requests",
+            "repro_serve_request_count", 'repro_cache_evictions{cache="',
+            'repro_cache_region_hits{cache="explanation_cache",'
+            'region="explain"}',
+        ):
+            assert series.encode() in text, series
 
 
 # ----------------------------------------------------------------------
@@ -870,6 +1049,27 @@ class TestProcessBackend:
         ) or snapshot_doc["histograms"], snapshot_doc["counters"]
         boot = proc_server.metrics.find_histogram("serve.worker_boot")
         assert boot is not None and boot.count == 2
+
+    def test_worker_record_carries_the_request_work(
+        self, proc_server, scenario
+    ):
+        before = len(proc_server.flight)
+        status, headers, _data = _request(
+            proc_server, "POST", "/explain", {"query": str(scenario.target)}
+        )
+        assert status == 200
+        # The parent's record plus the one the worker shipped back.
+        assert len(proc_server.flight) == before + 2
+        parent = proc_server.flight.find(headers["X-Query-Id"])
+        worker_qid = parent.attrs["worker_query_id"]
+        status, _headers, data = _request(
+            proc_server, "GET", f"/flight/{worker_qid}"
+        )
+        assert status == 200
+        (record,) = json.loads(data)["records"]
+        assert "explain" in record["phases"]
+        assert record["fingerprint"]
+        assert any(name.startswith("cache.") for name in record["counts"])
 
     def test_worker_flight_records_ingested(self, proc_server, scenario):
         _request(

@@ -133,9 +133,9 @@ class TestSessions:
         assert len(report) == 1
         answer = session.why_not(fact("Control", "B", "A"))
         assert "does not hold" in answer.text
-        counters = service.metrics_snapshot()["counters"]
-        assert counters["reports"] == 1
-        assert counters["why_not"] == 1
+        histograms = service.metrics_snapshot()["histograms"]
+        assert histograms["report"]["count"] == 1
+        assert histograms["why_not"]["count"] == 1
 
     def test_latency_counters_recorded(self, service, control_app):
         session = service.session(

@@ -3,8 +3,8 @@
 One claim under measurement: a CPU-bound request mix (distinct why-not
 probes, every one a memo miss doing real counterfactual search) is
 driven against the same snapshot twice: once on the ``thread`` backend
-(all sessions behind one GIL) and once on the ``process`` backend at
-1/2/4 workers.  On a ≥4-core machine the process backend is expected to
+(one session, why-nots on threads beside the event loop) and once on
+the ``process`` backend at 1/2/4 workers.  On a ≥4-core machine the process backend is expected to
 clear **2x** the thread backend's throughput at 4 workers; on smaller
 machines the speedup key is omitted and the gate skips (``optional:
 true`` in ``gates.json``).
@@ -117,6 +117,7 @@ def _measure_backend(scenario, snapshot, backend, workers, duration_s,
         llm=None,
     )
     handle = server.run_in_thread()
+    pool_size = len(server.pool)
     try:
         started = time.perf_counter()
         stop_at = started + duration_s
@@ -140,7 +141,7 @@ def _measure_backend(scenario, snapshot, backend, workers, duration_s,
     failures = [f for client in clients for f in client.failures]
     return {
         "backend": backend,
-        "workers": workers,
+        "workers": pool_size,
         "duration_s": round(elapsed, 3),
         "requests": requests,
         "errors": errors,
@@ -154,9 +155,9 @@ def _serve_sweep(duration_s, concurrency, phases):
     snapshot = dumps_database(scenario.database)
     runs = []
     with phases.phase("serve_thread"):
+        # One session: the thread backend has no size to sweep.
         thread_run = _measure_backend(
-            scenario, snapshot, "thread", max(WORKER_SWEEP),
-            duration_s, concurrency,
+            scenario, snapshot, "thread", None, duration_s, concurrency,
         )
         runs.append(thread_run)
     with phases.phase("serve_process"):
@@ -172,7 +173,7 @@ def _serve_sweep(duration_s, concurrency, phases):
     section = {
         "cores": cores,
         "concurrency": concurrency,
-        "thread_rps_4w": thread_run["throughput_rps"],
+        "thread_rps": thread_run["throughput_rps"],
         "process_rps": {
             str(workers): run["throughput_rps"]
             for workers, run in process_runs.items()
@@ -220,7 +221,7 @@ def check(payload):
     """Zero errors is unconditional; the speedup is core-gated."""
     serve = payload["serve"]
     assert serve["errors"] == 0, f"serve errors: {serve['failures']}"
-    assert serve["thread_rps_4w"] > 0
+    assert serve["thread_rps"] > 0
     assert all(rps > 0 for rps in serve["process_rps"].values())
     if serve["cores"] >= 4:
         assert "speedup_process_vs_thread_4w" in serve

@@ -153,7 +153,7 @@ class _Client(threading.Thread):
             connection.close()
 
 
-def _run_load(duration_s, concurrency, workers, phases):
+def _run_load(duration_s, concurrency, phases):
     scenario = LOAD_SCENARIO()
     snapshot = dumps_database(scenario.database)
 
@@ -172,8 +172,7 @@ def _run_load(duration_s, concurrency, workers, phases):
     server = ExplanationServer(
         scenario.application, snapshot=snapshot,
         config=ServeConfig(
-            workers=workers, queue_limit=max(64, concurrency * 4),
-            default_deadline_s=30.0,
+            queue_limit=max(64, concurrency * 4), default_deadline_s=30.0,
         ),
         llm=None,
     )
@@ -226,7 +225,7 @@ def _run_load(duration_s, concurrency, workers, phases):
     load = {
         "duration_s": round(elapsed, 3),
         "concurrency": concurrency,
-        "workers": workers,
+        "workers": warm_start.get("workers"),
         "distinct_queries": len(queries),
         "requests": requests,
         "mix": counts,
@@ -278,7 +277,7 @@ def _parity_sweep():
         ] or [scenario.target]
         server = ExplanationServer(
             scenario.application, snapshot=snapshot,
-            config=ServeConfig(workers=1),
+            config=ServeConfig(),
             llm=None,
         )
         handle = server.run_in_thread()
@@ -358,11 +357,10 @@ def _parity_sweep():
 def run(quick=False):
     duration_s = 2.0 if quick else 8.0
     concurrency = 4 if quick else 8
-    workers = 2 if quick else 4
     payload = {"quick": quick}
     phases = Phases()
     load, warm, metrics, flight_document = _run_load(
-        duration_s, concurrency, workers, phases
+        duration_s, concurrency, phases
     )
     payload["load"] = load
     payload["warm_start"] = warm
@@ -399,7 +397,8 @@ def check(payload):
         f"a mix class never ran: {load['mix']}"
     )
     warm = payload["warm_start"]
-    assert warm["workers"] == load["workers"]
+    # The thread backend serves every request from one warm session.
+    assert warm["workers"] == load["workers"] == 1
     assert warm["max_s"] is not None and warm["max_s"] >= 0
     parity = payload["parity"]
     assert parity["identical"], f"HTTP parity diverged: {parity}"

@@ -296,8 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listening port; 0 picks an ephemeral one (default: %(default)s)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2,
-        help="requests served at once (default: %(default)s)",
+        "--workers", type=int, default=None,
+        help="worker processes of the 'process' backend (default: 2); "
+             "the 'thread' backend serves from one session and rejects it",
     )
     serve.add_argument(
         "--backend", choices=("thread", "process"), default="thread",
@@ -308,8 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--queue-limit", type=int, default=64, dest="queue_limit",
-        help="bound on admitted (in-flight) requests; beyond it requests "
-             "shed with 503 + Retry-After (default: %(default)s)",
+        help="bound on admitted requests, served or waiting for their "
+             "turn; beyond it requests shed with 503 + Retry-After "
+             "(default: %(default)s)",
     )
     serve.add_argument(
         "--deadline", type=float, default=10.0, dest="deadline_s",
@@ -554,6 +556,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ExplanationServer, ServeConfig
 
+    if args.workers is not None and args.backend == "thread":
+        print(
+            "error: --workers sizes the process backend; pass "
+            "--backend process",
+            file=sys.stderr,
+        )
+        return 2
     scenario = _APP_SCENARIOS[args.app](args)
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
@@ -567,9 +576,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def announce(ready: ExplanationServer) -> None:
         warm = max(ready.pool.warm_start_s) if ready.pool else 0.0
+        workers = len(ready.pool) if ready.pool else 0
         print(
             f"serving {args.app} on http://{ready.host}:{ready.port} "
-            f"({config.workers} {config.backend} workers, "
+            f"({workers} {config.backend} worker"
+            f"{'' if workers == 1 else 's'}, "
             f"warm-start {warm:.3f}s; Ctrl-C or SIGTERM to stop)",
             flush=True,
         )

@@ -1,8 +1,9 @@
 """``repro.serve`` — the network-facing explanation service.
 
-The serving layer the last four PRs built toward: a dependency-light
-asyncio HTTP server (:mod:`repro.serve.server`) over a pool of warm
-explanation workers (:mod:`repro.serve.workers`), with bounded
+The serving layer: a dependency-light asyncio HTTP server
+(:mod:`repro.serve.server`) over one warm explanation session
+(:mod:`repro.serve.workers`; :mod:`repro.serve.procpool` boots one per
+worker process instead), with bounded
 admission and health-driven shedding (:mod:`repro.serve.admission`) and a
 canonical wire protocol whose response bodies are byte-identical to
 in-process serialization (:mod:`repro.serve.protocol`).
@@ -15,7 +16,9 @@ Quick start::
     app, scenario = build_application()
     server = ExplanationServer(
         app, database=scenario.database,
-        config=ServeConfig(port=8080, workers=4),
+        config=ServeConfig(port=8080),
+        # or ServeConfig(port=8080, backend="process", workers=4):
+        # four worker processes, one warm session each
     )
     server.run()          # blocks; SIGINT/SIGTERM shut down cleanly
 

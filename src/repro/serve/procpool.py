@@ -1,8 +1,8 @@
 """Process-backed serving workers: N processes, one warm session each.
 
-The thread-backed :class:`~repro.serve.workers.WorkerPool` keeps every
-session on one interpreter, so explanation work serializes behind the
-GIL no matter how many workers the pool holds.  This module scales the
+The thread-backed :class:`~repro.serve.workers.WorkerPool` keeps its one
+session on the server's interpreter, so explanation work serializes
+behind the GIL.  This module scales the
 same serving contract across cores: each worker is a **separate
 process** booted from the shared ``repro-db/1`` snapshot, answering the
 same routes through the same :mod:`repro.serve.routes` functions — so
@@ -65,9 +65,9 @@ def _worker_main(conn, spec: tuple) -> None:
 
     ``spec`` is the picklable boot tuple shipped through the spawn
     boundary: (application, snapshot, worker index, default deadline,
-    llm).  The child reuses :class:`WorkerPool` with a single
-    worker, which buys boot timing, route serving and incremental
-    updates without a second implementation.
+    llm).  The child reuses :class:`WorkerPool`, which buys boot timing,
+    route serving and incremental updates without a second
+    implementation.
     """
     from .. import obs  # local import keeps the spawn preamble minimal
 
@@ -81,7 +81,7 @@ def _worker_main(conn, spec: tuple) -> None:
     try:
         with obs.observed(metrics=metrics, flight=flight):
             pool = WorkerPool(
-                application, snapshot, workers=1, llm=llm, metrics=metrics,
+                application, snapshot, llm=llm, metrics=metrics,
                 default_deadline_s=default_deadline_s,
             )
             conn.send((
@@ -274,18 +274,14 @@ class ProcessWorkerPool:
 
         Mirrors :meth:`WorkerPool.serve` exactly — including raising
         :class:`ProtocolError` for malformed bodies — so the HTTP server
-        is backend-blind.
+        is backend-blind.  ``timeout_s`` bounds the worker's answer; the
+        wait for a free worker is unbounded (the server's admission
+        bounds how many requests wait).
         """
         if route == "update":
             parse_update_request(body)  # ProtocolError propagates
             return self._broadcast_update(body, record, timeout_s)
-        try:
-            handle = self._available.get(timeout=timeout_s)
-        except queue.Empty:
-            raise RuntimeError(
-                f"no worker process became available within "
-                f"{timeout_s:.1f}s (pool size {len(self._handles)})"
-            )
+        handle = self._available.get()
         try:
             kind, status, payload, meta = handle.request(
                 ("serve", route, body), timeout_s

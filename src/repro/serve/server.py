@@ -18,11 +18,21 @@ dependency — exposing the explanation service to network clients:
 Request lifecycle: the event loop parses the request and consults the
 :class:`~repro.serve.admission.AdmissionController` (bounded queue +
 health-driven circuit breaker — sheds answer ``503`` with
-``Retry-After`` before any work is queued); admitted requests run on a
-thread executor of ``ServeConfig.workers`` threads, all reading the
-:class:`~repro.serve.workers.WorkerPool`'s one warm session (compiled
-program + provenance index, booted once from a ``repro-db/1``
-snapshot; ``/update`` publishes its successor).  Every request carries a
+``Retry-After`` before any work is queued).  On the thread backend an
+admitted ``/explain`` or ``/explain/batch`` is served on the event-loop
+thread itself from the :class:`~repro.serve.workers.WorkerPool`'s one
+warm session (compiled program + provenance index, booted once from a
+``repro-db/1`` snapshot): a memo hit is a lookup plus a substitution,
+and a thread hop under one interpreter lock would only add hand-offs.
+Before it runs, the request yields the loop once, so every request
+that became ready in the same loop iteration is admitted first: what
+waits for the loop is counted against the admission bound and timed in
+``serve.request``, which the health check reads.  Work that can block
+leaves the loop through :func:`asyncio.to_thread`: a ``/whynot``
+searches and an ``/update`` chases on a background thread beside the
+readers (the update then publishes its successor session), and every
+request on the process backend waits there for a free worker process
+and its answer.  Every request carries a
 :class:`~repro.core.service.Deadline`; a spent budget answers
 ``504`` with whatever partial results were computed (the
 ``explain_batch`` contract, now over HTTP).  Each request leaves one
@@ -42,7 +52,6 @@ import math
 import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,9 +96,9 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                      # 0 = ephemeral (tests, benchmarks)
-    workers: int = 2
+    workers: int | None = None         # process-backend children (2)
     backend: str = "thread"            # "thread" | "process"
-    queue_limit: int = 64              # admitted (in-flight + queued) bound
+    queue_limit: int = 64              # admitted (served + waiting) bound
     default_deadline_s: float = 10.0   # per-request budget when unspecified
     retry_after_s: float = 1.0         # hint on queue sheds
     slo_interval_requests: int = 32    # run the health check every N requests
@@ -138,10 +147,14 @@ class ExplanationServer:
                 f"backend must be 'thread' or 'process', "
                 f"got {self.config.backend!r}"
             )
+        if self.config.backend == "thread" and self.config.workers is not None:
+            raise ValueError(
+                "workers sizes the process backend; the thread backend "
+                "serves from one session"
+            )
         self.pool: WorkerPool | ProcessWorkerPool | None = None
         self.host = self.config.host
         self.port = self.config.port
-        self._executor: ThreadPoolExecutor | None = None
         self._server: asyncio.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
@@ -156,9 +169,10 @@ class ExplanationServer:
         """Boot the worker pool and bind the listening socket."""
         if self.pool is None:
             if self.config.backend == "process":
+                workers = self.config.workers
                 self.pool = ProcessWorkerPool(
                     self.application, self.snapshot,
-                    workers=self.config.workers,
+                    workers=2 if workers is None else workers,
                     llm=self.llm, metrics=self.metrics,
                     default_deadline_s=self.config.default_deadline_s,
                     flight=self.flight,
@@ -166,14 +180,9 @@ class ExplanationServer:
             else:
                 self.pool = WorkerPool(
                     self.application, self.snapshot,
-                    workers=self.config.workers,
                     llm=self.llm, metrics=self.metrics,
                     default_deadline_s=self.config.default_deadline_s,
                 )
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="repro-serve",
-            )
             self.metrics.set_gauge("serve.workers", float(len(self.pool)))
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host,
@@ -197,9 +206,9 @@ class ExplanationServer:
         for writer in list(self._connections):
             writer.close()
         await asyncio.sleep(0)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        # Let requests in flight on asyncio.to_thread finish before the
+        # pool they use goes away.
+        await asyncio.get_running_loop().shutdown_default_executor()
         if self.pool is not None:
             self.pool.shutdown()
             self.pool = None
@@ -377,6 +386,12 @@ class ExplanationServer:
             headers[name.strip().lower()] = value.strip()
         else:
             raise ProtocolError("too many headers", status=400)
+        if "transfer-encoding" in headers:
+            # Only Content-Length frames a body here; reading a chunked
+            # body as empty would parse its chunks as the next request.
+            raise ProtocolError(
+                "Transfer-Encoding is not supported; send Content-Length"
+            )
         declared = headers.get("content-length", "0") or "0"
         try:
             length = int(declared)
@@ -490,6 +505,11 @@ class ExplanationServer:
         "/update": "update",
     }
 
+    #: Thread-backend routes served beside the loop, not on it: a
+    #: why-not search and an update's chase take as long as the instance
+    #: makes them, with no deadline to bound how long they would hold it.
+    _OFF_LOOP = frozenset({"whynot", "update"})
+
     async def _dispatch_post(
         self, path: str, body: bytes
     ) -> tuple[int, bytes, str, list[tuple[str, str]]]:
@@ -508,13 +528,21 @@ class ExplanationServer:
                 error_payload("shed", shed.reason),
                 extra=[("Retry-After", str(retry_after))],
             )
-        loop = asyncio.get_running_loop()
         started = time.perf_counter()
         try:
-            assert self._executor is not None  # started before serving
-            status, payload, query_id = await loop.run_in_executor(
-                self._executor, self._execute, route, body
-            )
+            if route in self._OFF_LOOP or self.config.backend == "process":
+                # A process-backend answer comes back over a pipe; the
+                # thread waits there, or for a free worker, admitted.
+                status, payload, query_id = await asyncio.to_thread(
+                    self._execute, route, body
+                )
+            else:
+                # Yield once so every request ready in this loop
+                # iteration is admitted before any is served: the loop
+                # is the queue, and its wait must count against
+                # queue_limit and in serve.request.
+                await asyncio.sleep(0)
+                status, payload, query_id = self._execute(route, body)
         finally:
             token.release()
             self._tick_slo()
@@ -537,16 +565,19 @@ class ExplanationServer:
             self._check_health()
 
     # ------------------------------------------------------------------
-    # Executor-side serving (runs on repro-serve worker threads)
+    # Serving one routed request (on the loop, or beside it)
     # ------------------------------------------------------------------
     def _execute(self, route: str, body: bytes) -> tuple[int, dict, str]:
         """Serve one routed request; returns (status, payload, qid).
 
-        Runs entirely on an executor thread so the event loop never
-        blocks on explanation work.  The flight record opened here is the
-        request's one record, the one ``X-Query-Id`` names: the session
-        work joins it (:func:`repro.obs.flight_record`) instead of opening
-        children, so its phase, fingerprint and cache counts land on it.
+        The one serving path, whichever thread :meth:`_dispatch_post`
+        runs it on: thread-backend explains run here on the event-loop
+        thread; why-nots, updates and process-backend requests on a
+        thread of :func:`asyncio.to_thread`.  The flight record opened
+        here is the request's one record, the one ``X-Query-Id`` names:
+        the session work joins it (:func:`repro.obs.flight_record`)
+        instead of opening children, so its phase, fingerprint and cache
+        counts land on it.
         On the process backend the child's record, named by the
         ``worker_query_id`` attribute, carries them.
         The pool is backend-blind: parsing and route semantics live in

@@ -1,4 +1,4 @@
-"""One warm reasoning state per pool, read by every serving thread.
+"""One warm reasoning state per pool, read by every request.
 
 The pool boots exactly one :class:`~repro.core.service.ExplanationSession`
 — a compiled program bound to a materialized instance with its
@@ -9,16 +9,18 @@ and keeps it **warm**, so requests pay only the memoized serving path:
   (:func:`repro.io.loads_database`), chased once and indexed once, and
   the index is materialized during boot, not on the first unlucky
   request;
-* every serving thread reads that one session.  Between updates its
-  chase result and index are read-only apart from memo inserts, which
-  are thread-safe, so a chase step one thread rendered is a memo hit for
-  every other;
-* ``/update`` runs beside the readers, serialised only against other
-  updates: it applies the delta to a shallow copy of the session (a fresh
-  chase result, a rebound copy of the index, a fresh explainer — nothing
-  a reader holds is mutated) and publishes the copy with one reference
-  assignment.  A request in flight finishes on the session it started
-  with; later requests see the new one.
+* every read is served from that one session: explains on the
+  server's event-loop thread, why-nots on a thread beside it.  Between
+  updates its chase result and index are read-only apart from memo
+  inserts, which are thread-safe, so a chase step one request rendered
+  is a memo hit for every other;
+* ``/update`` runs on a background thread beside the readers, serialised
+  only against other updates: it applies the delta to a shallow copy of
+  the session (a fresh chase result, a rebound copy of the index, a
+  fresh explainer — nothing a reader holds is mutated) and publishes
+  the copy with one reference assignment.  A request in flight
+  finishes on the session it started with; later requests see the new
+  one.
 
 Boot seconds land in ``serve.worker_warm_start`` — the number the
 restart story is judged by.
@@ -46,21 +48,17 @@ T = TypeVar("T")
 
 
 class WorkerPool:
-    """One warm session, served by ``workers`` threads at once."""
+    """One warm session: the thread backend's one worker."""
 
     def __init__(
         self,
         application: KGApplication,
         snapshot: str,
-        workers: int = 2,
         llm: object | None = None,
         metrics: MetricsRegistry | None = None,
         default_deadline_s: float = 10.0,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.application = application
-        self.workers = workers
         self.default_deadline_s = default_deadline_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.service = ExplanationService(llm=llm, metrics=self.metrics)
@@ -175,11 +173,11 @@ class WorkerPool:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self.workers
+        return 1
 
     def snapshot_stats(self) -> dict:
         return {
-            "workers": self.workers,
+            "workers": 1,
             "warm_start_s": [round(s, 6) for s in self.warm_start_s],
             "warm_start_max_s": round(max(self.warm_start_s), 6),
             "boot_rows": [dict(row) for row in self.boot_rows],

@@ -8,6 +8,8 @@ import json
 import re
 import socket
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from repro.apps import figures, generators
 from repro.core import ExplanationService
 from repro.io import dumps_database, loads_database, parse_fact
-from repro.core.service import Deadline
+from repro.core.service import Deadline, ExplanationSession
 from repro.obs import MetricsRegistry
 from repro.serve import (
     SERVE_FORMAT,
@@ -26,6 +28,7 @@ from repro.serve import (
     ServeConfig,
     UpdateRequest,
     WhyNotRequest,
+    WorkerPool,
     batch_payload,
     encode_body,
     error_payload,
@@ -207,7 +210,6 @@ def server(scenario, snapshot):
     instance = ExplanationServer(
         scenario.application, snapshot=snapshot,
         config=ServeConfig(
-            workers=1,
             slo_period_s=60.0, slo_interval_requests=10_000,
         ),
         llm=None,
@@ -317,6 +319,29 @@ class TestEndpoints:
         assert b"Connection: close" in head
         assert json.loads(body)["status"] == "bad_request"
 
+    def test_transfer_encoding_is_one_400_then_close(self, server, scenario):
+        # A chunked body read as an empty one left its chunks to parse as
+        # a second request: two answers to one request.
+        chunk = _body({"query": str(scenario.target)})
+        with socket.create_connection(
+            (server.host, server.port), timeout=30
+        ) as raw:
+            raw.sendall(
+                b"POST /explain HTTP/1.1\r\nHost: test\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + b"%x\r\n" % len(chunk) + chunk + b"\r\n0\r\n\r\n"
+            )
+            answer = b""
+            while data := raw.recv(4096):  # the server closes after it
+                answer += data
+        assert answer.count(b"HTTP/1.1 ") == 1
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        payload = json.loads(body)
+        assert payload["status"] == "bad_request"
+        assert "Transfer-Encoding" in payload["error"]
+
     def test_unknown_routes_and_methods(self, server):
         status, _headers, _data = _request(server, "GET", "/nope")
         assert status == 404
@@ -404,7 +429,7 @@ class TestAdmission:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=1, queue_limit=0, retry_after_s=2.0,
+                queue_limit=0, retry_after_s=2.0,
                 slo_period_s=60.0, slo_interval_requests=10_000,
             ),
             llm=None,
@@ -421,11 +446,75 @@ class TestAdmission:
             assert "queue" in payload["error"]
             assert instance.metrics.counter_value("serve.shed_queue") == 1
 
+    def test_reads_waiting_for_the_loop_shed_past_the_limit(
+        self, scenario, snapshot, monkeypatch
+    ):
+        # An explain holds the loop while more arrive; they wait for it
+        # admitted, so those past the bound shed instead of queuing
+        # unseen behind it.
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(
+                queue_limit=2,
+                slo_period_s=60.0, slo_interval_requests=10_000,
+            ),
+            llm=None,
+        )
+        entered, release = threading.Event(), threading.Event()
+        explain = ExplanationSession.explain
+
+        def holding_once(session, *args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(30)
+            return explain(session, *args, **kwargs)
+
+        monkeypatch.setattr(ExplanationSession, "explain", holding_once)
+        body = _body({"query": str(scenario.target)})
+        headers = {"Content-Type": "application/json"}
+        with instance.run_in_thread():
+            connections = [
+                http.client.HTTPConnection(
+                    instance.host, instance.port, timeout=30
+                )
+                for _ in range(7)
+            ]
+            try:
+                for connection in connections:  # accepted, now idle
+                    status, _headers, _data = _request(
+                        instance, "GET", "/healthz", connection=connection
+                    )
+                    assert status == 200
+                holder, *waiting = connections
+                holder.request("POST", "/explain", body=body, headers=headers)
+                assert entered.wait(30)
+                for connection in waiting:
+                    connection.request(
+                        "POST", "/explain", body=body, headers=headers
+                    )
+                # Let the requests reach the server's sockets before the
+                # loop is let go.
+                time.sleep(0.2)
+                release.set()
+                assert holder.getresponse().status == 200
+                responses = [
+                    connection.getresponse() for connection in waiting
+                ]
+                statuses = sorted(response.status for response in responses)
+            finally:
+                release.set()
+                for connection in connections:
+                    connection.close()
+        assert set(statuses) == {200, 503}, statuses
+        assert (
+            instance.metrics.counter_value("serve.shed_queue")
+            == statuses.count(503)
+        )
+
     def test_open_breaker_sheds_503(self, scenario, snapshot):
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=1,
                 breaker_window=4, breaker_min_calls=2,
                 breaker_cooldown_s=60.0,
                 slo_period_s=60.0, slo_interval_requests=10_000,
@@ -607,7 +696,7 @@ class TestFlightRecordPerRequest:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=1, slo_period_s=60.0, slo_interval_requests=10_000,
+                slo_period_s=60.0, slo_interval_requests=10_000,
             ),
             llm=None,
         )
@@ -663,7 +752,7 @@ class TestMetricReaders:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=1, slo_period_s=60.0, slo_interval_requests=1,
+                slo_period_s=60.0, slo_interval_requests=1,
             ),
             llm=None,
         )
@@ -726,7 +815,7 @@ class TestByteParity:
         )
         instance = ExplanationServer(
             parity_scenario.application, snapshot=parity_snapshot,
-            config=ServeConfig(workers=1),
+            config=ServeConfig(),
             llm=None,
         )
         try:
@@ -789,7 +878,6 @@ class TestUpdateEndpoint:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=1,
                 breaker_window=4, breaker_min_calls=2,
                 breaker_cooldown_s=60.0,
                 slo_period_s=60.0, slo_interval_requests=10_000,
@@ -893,6 +981,106 @@ class TestUpdateEndpoint:
         assert "circuit open" in payload["error"]
 
 
+class TestDispatchThreads:
+    """Where a request runs, by call site rather than by clock: thread-
+    backend explains on the event-loop thread, ``/whynot`` and
+    ``/update`` on a thread beside it, so a slow search or update never
+    holds the readers."""
+
+    @pytest.fixture()
+    def fresh(self, scenario, snapshot):
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(
+                slo_period_s=60.0, slo_interval_requests=10_000,
+            ),
+            llm=None,
+        )
+        with instance.run_in_thread() as handle:
+            yield instance, handle.thread
+
+    def test_explains_run_on_the_loop_and_the_rest_beside_it(
+        self, fresh, scenario, monkeypatch
+    ):
+        instance, loop_thread = fresh
+        threads: dict[str, threading.Thread] = {}
+        serve = WorkerPool.serve
+
+        def recording(pool, route, body, record=None):
+            threads[route] = threading.current_thread()
+            return serve(pool, route, body, record=record)
+
+        monkeypatch.setattr(WorkerPool, "serve", recording)
+        target = str(scenario.target)
+        for path, payload in (
+            ("/explain", {"query": target}),
+            ("/explain/batch", {"queries": [target]}),
+            ("/whynot", {"query": "Control(Absentia0, Absentia1)"}),
+            ("/update", {"adds": ["Company(Absentia0)"]}),
+        ):
+            status, _headers, _data = _request(
+                instance, "POST", path, payload
+            )
+            assert status == 200, path
+        assert threads["explain"] is loop_thread
+        assert threads["explain_batch"] is loop_thread
+        assert threads["whynot"] is not loop_thread
+        assert threads["update"] is not loop_thread
+        assert not any(
+            isinstance(value, ThreadPoolExecutor)
+            for value in vars(instance).values()
+        )
+
+    @pytest.mark.parametrize("path, method, payload, answered", [
+        ("/update", "update", {"adds": ["Company(Absentia0)"]}, "added"),
+        ("/whynot", "why_not", {"query": "Control(Absentia0, Absentia1)"},
+         "query"),
+    ])
+    def test_a_blocked_search_or_update_does_not_hold_the_loop(
+        self, fresh, scenario, monkeypatch, path, method, payload, answered
+    ):
+        instance, _loop_thread = fresh
+        entered, release = threading.Event(), threading.Event()
+        work = getattr(ExplanationSession, method)
+
+        def blocking(session, *args, **kwargs):
+            entered.set()
+            assert release.wait(30)
+            return work(session, *args, **kwargs)
+
+        monkeypatch.setattr(ExplanationSession, method, blocking)
+        answer: list = []
+        client = threading.Thread(target=lambda: answer.append(
+            _request(instance, "POST", path, payload)
+        ))
+        client.start()
+        try:
+            assert entered.wait(30)
+            status, _headers, _data = _request(instance, "GET", "/healthz")
+            assert status == 200
+            status, _headers, data = _request(
+                instance, "POST", "/explain", {"query": str(scenario.target)}
+            )
+            assert status == 200
+            assert json.loads(data)["status"] == "ok"
+            assert not answer  # the blocked request is still blocked
+        finally:
+            release.set()
+            client.join(timeout=30)
+        assert not client.is_alive()
+        status, _headers, data = answer[0]
+        assert status == 200
+        assert answered in json.loads(data)
+
+
+def test_workers_size_the_process_backend_only(scenario, snapshot):
+    with pytest.raises(ValueError, match="process backend"):
+        ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(workers=2),
+        )
+
+
 # ----------------------------------------------------------------------
 # Satellite fixes: integer Retry-After, breaker cooldown in /healthz,
 # per-worker boot telemetry
@@ -904,7 +1092,6 @@ class TestRetryAfterAndCooldown:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=1,
                 breaker_window=4, breaker_min_calls=2,
                 breaker_cooldown_s=45.5,
                 slo_period_s=60.0, slo_interval_requests=10_000,
@@ -1023,6 +1210,29 @@ class TestProcessBackend:
             whynot_payload(direct.why_not(parse_fact(absent)))
         )
         assert served == expected
+
+    def test_a_request_waits_for_a_free_worker_untimed(
+        self, proc_server, scenario
+    ):
+        # Every worker busy: a request queues for one without failing on
+        # the answer timeout, then is served once a worker frees up.
+        pool = proc_server.pool
+        busy = [pool._available.get() for _ in range(len(pool))]
+        answers: list = []
+        body = _body({"query": str(scenario.target)})
+        waiter = threading.Thread(target=lambda: answers.append(
+            pool.serve("explain", body, timeout_s=0.5)
+        ))
+        waiter.start()
+        try:
+            waiter.join(timeout=2.0)
+            assert waiter.is_alive() and not answers
+        finally:
+            for handle in busy:
+                pool._available.put(handle)
+        waiter.join(timeout=30)
+        status, _payload = answers[0]
+        assert status == 200
 
     def test_malformed_body_is_400(self, proc_server):
         connection = http.client.HTTPConnection(
@@ -1163,7 +1373,6 @@ class TestUpdateRacesKeepAlive:
         instance = ExplanationServer(
             scenario.application, snapshot=snapshot,
             config=ServeConfig(
-                workers=2,
                 slo_period_s=60.0, slo_interval_requests=10_000,
             ),
             llm=None,

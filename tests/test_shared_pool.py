@@ -1,7 +1,7 @@
 """One reasoning state per pool: the shared session and its updates.
 
-* Booting a pool loads, chases and indexes once, whatever ``workers``
-  is; one update runs one session update; a chase step one thread
+* Booting a pool loads, chases and indexes once; one update runs one
+  session update; a chase step one thread
   rendered is a memo hit for the next.  Call counts, not clocks.
 * Readers racing an updater only ever see the bytes a fresh session
   serves over the pre-update or the post-update database, and never a
@@ -144,17 +144,18 @@ class TestOneStatePerPool:
         builds = _count_calls(
             monkeypatch, provenance_index.ProvenanceIndex, "__init__"
         )
-        pool = WorkerPool(APP, snapshot, workers=2)
+        pool = WorkerPool(APP, snapshot)
         assert (runs["calls"], loads["calls"], builds["calls"]) == (1, 1, 1)
-        assert len(pool) == 2
+        # One session is the thread backend's one worker.
+        assert len(pool) == 1
         stats = pool.snapshot_stats()
-        assert stats["workers"] == 2
+        assert stats["workers"] == 1
         assert len(stats["warm_start_s"]) == len(stats["boot_rows"]) == 1
 
     def test_one_update_updates_one_session(
         self, monkeypatch, snapshot, graph
     ):
-        pool = WorkerPool(APP, snapshot, workers=2)
+        pool = WorkerPool(APP, snapshot)
         sessions = _count_calls(monkeypatch, ExplanationSession, "update")
         chases = _count_calls(monkeypatch, ChaseEngine, "update")
         route, body = _update(graph[1], retract=True)
@@ -165,7 +166,7 @@ class TestOneStatePerPool:
     def test_update_publishes_a_successor_and_leaves_the_old_state(
         self, snapshot, graph, states
     ):
-        pool = WorkerPool(APP, snapshot, workers=2)
+        pool = WorkerPool(APP, snapshot)
         before = pool.session
         index, explainer = before.result.index, before.explainer
         records = before.result.chase_result.records
@@ -186,7 +187,7 @@ class TestOneStatePerPool:
             )
 
     def test_rejected_delta_publishes_nothing(self, snapshot):
-        pool = WorkerPool(APP, snapshot, workers=2)
+        pool = WorkerPool(APP, snapshot)
         before = pool.session
         derived = next(
             fact for fact in before.answers() if fact.terms[0] != fact.terms[1]
@@ -201,7 +202,7 @@ class TestOneStatePerPool:
         self, monkeypatch
     ):
         scenario = generators.control_chain(12)
-        pool = WorkerPool.from_database(APP, scenario.database, workers=2)
+        pool = WorkerPool.from_database(APP, scenario.database)
         body = _body({
             "queries": [str(fact) for fact in pool.session.answers()],
         })
@@ -243,13 +244,11 @@ def test_racing_readers_see_the_bytes_of_one_whole_state(
     expected = {
         read: {_expected(state, *read) for state in states} for read in reads
     }
-    # More serving threads than this host's two cores, one per client.
+    # The readers are served on the event loop, the updates on a thread
+    # beside it.
     server = ExplanationServer(
         APP, snapshot=snapshot,
-        config=ServeConfig(
-            workers=READERS + 1,
-            slo_period_s=60.0, slo_interval_requests=10_000,
-        ),
+        config=ServeConfig(slo_period_s=60.0, slo_interval_requests=10_000),
     )
     served: list[tuple[tuple[str, bytes], int, bytes]] = []
     errors: list[BaseException] = []
@@ -401,8 +400,8 @@ def test_thread_and_process_backends_answer_one_stream_alike(
         stream.extend(_reads(states, rng, 8))
         stream.append(_update(graph[1], retract=turn % 2 == 0))
     stream.extend(_reads(states, rng, 8))
-    thread_pool = WorkerPool(APP, snapshot, workers=2)
-    process_pool = ProcessWorkerPool(APP, snapshot, workers=2)
+    thread_pool = WorkerPool(APP, snapshot)
+    process_pool = ProcessWorkerPool(APP, snapshot)
     try:
         for route, body in stream:
             bodies = []

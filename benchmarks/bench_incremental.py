@@ -1,13 +1,15 @@
 """Incremental maintenance: delta add/retract vs full re-chase.
 
 The live-update story (DESIGN.md §13): a shareholding edge changes and
-the session absorbs it through :meth:`ChaseEngine.update` — semi-naive
-delta insertion plus DRed-style delete–rederive — while the
-:class:`~repro.engine.provenance_index.ProvenanceIndex` is rebound in
-place.  This benchmark measures that path against the status quo it
-replaces (a fresh planned chase plus a from-scratch index build) on the
-largest bundled workload, and sweeps randomized add/retract schedules
-across the bundled applications asserting byte-identical results.
+the session absorbs it through :meth:`ChaseEngine.update`, which
+maintains the result over the delta's forward closure, while the
+:class:`~repro.engine.provenance_index.ProvenanceIndex` is rebound over
+that closure.  This benchmark measures that path against the status quo
+it replaces (a fresh planned chase plus a from-scratch index build) on
+a generated ownership graph of 1,533 EDB facts, flipping the head edge
+of a 16-hop control ladder, and sweeps randomized add/retract schedules
+across the bundled applications asserting the parity contract against
+the naive oracle.
 
 Emits ``BENCH_incremental.json`` with single-edge add/retract timings,
 their speedups over full re-chase, and the parity verdict.  Runs
@@ -22,6 +24,7 @@ import argparse
 import json
 import random
 import time
+from dataclasses import replace
 
 from repro import obs
 from repro.apps import (
@@ -37,37 +40,47 @@ from repro.engine.reasoning import reason
 
 from _harness import RESULTS_DIR, append_history, emit_stats, once
 
-#: The largest bundled workload (same instance the engine-scaling bench
-#: calls ``ownership_network``): 30 entities, 90 ownership edges.
-LARGEST = {"app": "company_control", "entities": 30, "edges": 90, "seed": 11}
+#: The timed workload (:func:`repro.apps.generators.network_with_ladder`):
+#: a random ownership network of 500 companies and 1,000 edges plus one
+#: control ladder of 16 majority hops, whose head edge the update flips.
+#: At 30 entities the gate timed fixed overhead.
+LARGEST = {
+    "app": "company_control", "entities": 500, "edges": 1000,
+    "ladder_hops": 16, "seed": 11,
+}
 
 
 def _largest_workload():
-    application = company_control.build()
-    database = generators.random_ownership_database(
-        entities=LARGEST["entities"], edges=LARGEST["edges"],
+    """(application, EDB facts, the ladder's head edge)."""
+    scenario = generators.network_with_ladder(
+        LARGEST["entities"], LARGEST["edges"], LARGEST["ladder_hops"],
         seed=LARGEST["seed"],
     )
-    return application, database
+    facts = scenario.database.facts()
+    head = next(
+        f for f in facts
+        if f.predicate == "Own" and f.terms[0] == scenario.target.terms[0]
+    )
+    return scenario.application, facts, head
 
 
 def _measure_single_edge(repeats: int) -> dict:
-    """Best-of-``repeats`` single-edge add and retract on the largest
+    """Best-of-``repeats`` single-edge retract and add on the timed
     workload, incremental (update + index rebind) vs full (fresh chase +
     fresh index build).
 
-    Each trial adds one new ownership edge then retracts it again, so
-    every repetition starts from the same materialized base state; the
-    incremental side times :meth:`ChaseEngine.update` *plus*
-    :meth:`ReasoningResult.updated` (the provenance index is part
-    of what must stay fresh), and the full side times the chase plus the
-    index build it would replace.
+    Each trial retracts the ladder's head edge, which takes the whole
+    ladder's control down, then adds it back, so every repetition starts
+    from the same materialized base state; the incremental side times
+    :meth:`ChaseEngine.update` *plus* :meth:`ReasoningResult.updated`
+    (the provenance index is part of what must stay fresh), and the full
+    side times the chase plus the index build it would replace.
     """
-    application, database = _largest_workload()
+    application, database, edge = _largest_workload()
     engine = ChaseEngine(strategy="planned")
     result = reason(application.program, database, strategy="planned")
     result.index  # materialize: updates carry it over, rebound
-    edge = company_control.own("Invest0", "Gruppo1", 0.55)
+    replayed: list[int] = []
 
     def timed(action) -> float:
         started = time.perf_counter()
@@ -80,41 +93,24 @@ def _measure_single_edge(repeats: int) -> dict:
     }
     modes: dict[str, int] = {}
     for _ in range(repeats):
-        def apply_add() -> None:
-            nonlocal result
-            outcome = engine.update(
-                application.program, result.chase_result, adds=[edge]
-            )
-            modes[outcome.mode] = modes.get(outcome.mode, 0) + 1
-            result = result.updated(outcome.result)
+        for kind in ("retract", "add"):
+            def apply() -> None:
+                nonlocal result
+                outcome = engine.update(
+                    application.program, result.chase_result,
+                    **{f"{kind}s": [edge]},
+                )
+                modes[outcome.mode] = modes.get(outcome.mode, 0) + 1
+                replayed.append(outcome.replayed)
+                result = result.updated(outcome.result, outcome.touched)
 
-        samples["add_incremental"].append(timed(apply_add))
-        post_add = extensional_facts(result.chase_result)
+            samples[f"{kind}_incremental"].append(timed(apply))
+            after = extensional_facts(result.chase_result)
 
-        def full_add() -> None:
-            fresh = reason(application.program, post_add, strategy="planned")
-            fresh.index
+            def full() -> None:
+                reason(application.program, after, strategy="planned").index
 
-        samples["add_full"].append(timed(full_add))
-
-        def apply_retract() -> None:
-            nonlocal result
-            outcome = engine.update(
-                application.program, result.chase_result, retracts=[edge]
-            )
-            modes[outcome.mode] = modes.get(outcome.mode, 0) + 1
-            result = result.updated(outcome.result)
-
-        samples["retract_incremental"].append(timed(apply_retract))
-        post_retract = extensional_facts(result.chase_result)
-
-        def full_retract() -> None:
-            fresh = reason(
-                application.program, post_retract, strategy="planned"
-            )
-            fresh.index
-
-        samples["retract_full"].append(timed(full_retract))
+            samples[f"{kind}_full"].append(timed(full))
 
     def entry(kind: str) -> dict:
         incremental_s = min(samples[f"{kind}_incremental"])
@@ -129,7 +125,9 @@ def _measure_single_edge(repeats: int) -> dict:
 
     return {
         "workload": dict(LARGEST),
+        "edb_facts": len(database),
         "derivations": len(result.chase_result.records),
+        "replayed": max(replayed),
         "repeats": repeats,
         "modes": modes,
         "add": entry("add"),
@@ -176,16 +174,15 @@ def _parity_workloads(quick: bool):
 
 
 def _parity_sweep(quick: bool) -> dict:
-    """Randomized add/retract schedules: incremental must equal a fresh
-    chase on the post-delta EDB — same fact tuple (order included), same
-    records, same supersessions, same violations.  The reference runs
-    the planned strategy (naive/planned record parity is a tier-1
-    invariant asserted elsewhere; the test battery in
-    ``tests/test_incremental.py`` also checks against naive)."""
+    """Randomized add/retract schedules under the parity contract
+    (DESIGN §13): the maintained result equals a fresh naive chase on the
+    post-delta EDB — the same fact tuple (order included), per fact the
+    same record up to its id (binding item order included), the same
+    supersessions, violations, rounds and rounds per stratum."""
     steps = 6 if quick else 10
     seeds = (0, 1) if quick else (0, 1, 2)
     engine = ChaseEngine(strategy="planned")
-    reference = ChaseEngine(strategy="planned")
+    reference = ChaseEngine(strategy="naive")
     schedules = 0
     mismatches: list[str] = []
     for name, application, edb in _parity_workloads(quick):
@@ -221,14 +218,7 @@ def _parity_sweep(quick: bool) -> dict:
                 fresh = reference.run(
                     program, Database(extensional_facts(current))
                 )
-                identical = (
-                    tuple(current.database.facts())
-                    == tuple(fresh.database.facts())
-                    and current.records == fresh.records
-                    and current.superseded == fresh.superseded
-                    and current.rounds == fresh.rounds
-                )
-                if not identical:
+                if not _same_result(current, fresh):
                     mismatches.append(f"{name}/seed{seed}/step{step}")
     return {
         "identical": not mismatches,
@@ -236,6 +226,31 @@ def _parity_sweep(quick: bool) -> dict:
         "steps_per_schedule": steps,
         "mismatches": mismatches,
     }
+
+
+def _same_result(maintained, fresh) -> bool:
+    """The parity contract: everything but record ids."""
+    def records(result):
+        return [
+            (
+                replace(record, index=0), list(record.binding.items()),
+                [list(c.binding.items()) for c in record.contributors],
+            )
+            for record in result.records
+        ]
+
+    def violations(result):
+        return [(v.constraint.label, v.witnesses) for v in result.violations]
+
+    return (
+        tuple(maintained.database.facts()) == tuple(fresh.database.facts())
+        and records(maintained) == records(fresh)
+        and maintained.superseded == fresh.superseded
+        and violations(maintained) == violations(fresh)
+        and maintained.rounds == fresh.rounds
+        and maintained.stats.rounds_per_stratum
+        == fresh.stats.rounds_per_stratum
+    )
 
 
 def run(quick: bool = False) -> dict:

@@ -153,6 +153,30 @@ def control_with_steps(steps: int, seed: int = 0) -> ScenarioInstance:
     return control_chain(steps, seed=seed)
 
 
+def network_with_ladder(
+    entities: int, edges: int, hops: int, seed: int = 0
+) -> ScenarioInstance:
+    """A random ownership network plus one control ladder of ``hops``
+    majority hops under names of its own, last in the EDB.  The target is
+    the ladder's end-to-end control; retracting its head edge — the first
+    ``Own`` fact whose owner is the target's controller — takes the whole
+    ladder's control down.  The live-update workload in miniature."""
+    chain = control_chain(hops, seed=seed, include_companies=True)
+    facts = list(random_ownership_database(entities, edges, seed).facts())
+    facts += [
+        fact(f.predicate, *(f"Ladder{t.value}" for t in f.terms[:2]), *f.terms[2:])
+        for f in chain.database.facts()
+    ]
+    target = chain.target
+    return ScenarioInstance(
+        application=chain.application,
+        database=Database(facts),
+        target=fact("Control", *(f"Ladder{t.value}" for t in target.terms)),
+        expected_steps=hops,
+        description=f"{hops}-hop ladder in a network of {entities} companies",
+    )
+
+
 def random_ownership_database(
     entities: int,
     edges: int,

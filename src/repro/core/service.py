@@ -312,10 +312,10 @@ class ExplanationSession:
         """Apply an extensional add/retract delta to this session, live.
 
         The chase result is maintained incrementally
-        (:mod:`repro.engine.incremental`, which replays every stored
-        record and runs joins only for the delta's consequences), a copy
-        of the provenance index is rebound
-        (memoized spines/proofs for untouched subtrees survive), and a
+        (:mod:`repro.engine.incremental`: the work is the delta's forward
+        closure, and records outside it are never visited), a copy of
+        the provenance index is rebound over that closure only
+        (memoized spines/proofs outside it survive), and a
         fresh explainer takes a fresh memo scope so stale explanation and
         why-not entries are scoped out: every cache key of the old
         instance carries the old binding id, so those entries can never
@@ -324,7 +324,7 @@ class ExplanationSession:
         shallow copy of a session can be updated while readers keep
         serving from the original.  The returned
         :class:`~repro.engine.incremental.UpdateOutcome` reports the
-        effective delta and whether the replay ran or fell back to a
+        effective delta and whether it was maintained or fell back to a
         full re-chase.
         """
         adds = tuple(adds)
@@ -341,7 +341,9 @@ class ExplanationSession:
             )
             flight.set(mode=outcome.mode)
             if outcome.mode != "noop":
-                self.result = self.result.updated(outcome.result)
+                self.result = self.result.updated(
+                    outcome.result, outcome.touched
+                )
                 self.explainer = Explainer(
                     self.result, compiled=self.compiled,
                     cache=self.service.explanation_cache,

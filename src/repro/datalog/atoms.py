@@ -8,7 +8,7 @@ chase are facts in this sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import ArityError
@@ -36,10 +36,20 @@ class Atom:
 
     predicate: str
     terms: tuple[Term, ...]
+    #: The hash, computed once: facts key every index of the engine.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.predicate:
             raise ArityError("atom predicate name must be non-empty")
+        object.__setattr__(self, "_hash", hash((self.predicate, self.terms)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, never ship it.
+        return (Atom, (self.predicate, self.terms))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -8,7 +8,11 @@ implementation:
   kernels (:mod:`repro.engine.planner`, :mod:`repro.engine.kernels`), each
   rule re-joining only the facts added since its own last turn; matches
   fire in insertion-sequence order, which makes runs fully deterministic
-  and byte-identical to the naive oracle (:mod:`repro.engine.reference`);
+  and byte-identical to the naive oracle (:mod:`repro.engine.reference`).
+  That order is canonical: an EDB fact ranks by its EDB position, a
+  derived fact by (round, rule position, its parents' ranks), which is
+  what lets :meth:`ChaseEngine.update` maintain a result that agrees
+  with a fresh run by construction;
 * supports **monotonic aggregations**: an aggregate rule is evaluated
   set-at-a-time per group; when recursion lets a group's aggregate grow, a
   new fact with the larger value is derived and the previous fact from the
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import time
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .. import obs
@@ -195,7 +199,12 @@ class ChaseStats:
 
 @dataclass
 class ChaseResult:
-    """Outcome of a chase run: the materialized instance plus provenance."""
+    """Outcome of a chase run: the materialized instance plus provenance.
+
+    ``records`` are in canonical order.  A record's ``index`` is an id,
+    unique within the result: a fresh run numbers records in order, an
+    update numbers the ones it writes from ``next_index`` on.
+    """
 
     program: Program
     database: Database
@@ -205,6 +214,22 @@ class ChaseResult:
     violations: list[ConstraintViolation] = field(default_factory=list)
     rounds: int = 0
     stats: ChaseStats = field(default_factory=ChaseStats)
+    next_index: int = 0
+    _children: dict[Fact, list[ChaseStepRecord]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def children(self) -> dict[Fact, list[ChaseStepRecord]]:
+        """Fact -> the records that consumed it, in canonical order (built
+        on first use; an update patches a copy).  Read-only."""
+        children = self._children
+        if children is None:
+            children = {}
+            for record in self.records:
+                for parent in record.parents:
+                    children.setdefault(parent, []).append(record)
+            self._children = children
+        return children
 
     # ------------------------------------------------------------------
     # Queries over the materialized instance
@@ -358,44 +383,33 @@ class ChaseEngine:
         """Apply an extensional add/retract delta to a previous result.
 
         Returns an :class:`repro.engine.incremental.UpdateOutcome` whose
-        ``result`` is byte-identical (facts, records, explanations) to a
-        fresh :meth:`run` over the post-delta EDB.  The delta is replayed
-        incrementally (:mod:`repro.engine.incremental`): joins run only
-        for its consequences, but the replay visits every stored record,
-        so the cost grows with the whole result, not with the delta.
-        Programs outside the replayable fragment (existential rules) fall
-        back to a full chase transparently.
+        ``result`` equals a fresh :meth:`run` over the post-delta EDB
+        (DESIGN §13 states the parity contract; only record ids differ).
+        The result is maintained in time proportional to the delta's
+        forward closure (:mod:`repro.engine.incremental`): records outside
+        it are never visited, and ``previous`` is left whole for readers.
+        Programs outside the maintained fragment (existential rules,
+        aggregates that supersede their own values) fall back to a full
+        chase transparently.
         """
-        from .incremental import (
-            IncrementalFallback,
-            UpdateOutcome,
-            flush_update_metrics,
-            incremental_update,
-            resolve_delta,
-        )
+        from . import incremental
 
         try:
-            return incremental_update(
+            return incremental.incremental_update(
                 program, previous, adds, retracts, max_rounds=self.max_rounds
             )
-        except IncrementalFallback:
+        except incremental.IncrementalFallback:
+            # Raised only after the delta resolved to a change.
             started = time.perf_counter()
-            new_edb, added, retracted = resolve_delta(
+            new_edb, added, retracted = incremental.resolve_delta(
                 previous, adds, retracts
             )
-            if not added and not retracted:
-                return UpdateOutcome(
-                    result=previous, mode="noop", added=(), retracted=()
-                )
-            result = self.run(program, Database(new_edb))
-            outcome = UpdateOutcome(
-                result=result,
-                mode="full",
-                added=added,
-                retracted=retracted,
+            outcome = incremental.UpdateOutcome(
+                result=self.run(program, Database(new_edb)), mode="full",
+                added=added, retracted=retracted,
                 elapsed_s=time.perf_counter() - started,
             )
-            flush_update_metrics(outcome)
+            incremental.flush_update_metrics(outcome)
             return outcome
 
     @staticmethod
@@ -541,7 +555,7 @@ class ChaseEngine:
                     touched = table.update(
                         matches, superseded_log, database.sequence
                     )
-                    fired, _ = fire_groups(
+                    fired = fire_groups(
                         rule, touched, result, aggregate_state,
                         rounds_so_far + round_number,
                     )
@@ -751,54 +765,38 @@ def fire_groups(
     result: ChaseResult,
     aggregate_state: dict[tuple[str, tuple[Term, ...]], Fact],
     round_number: int,
-    recorded: Mapping[tuple[Term, ...], ChaseStepRecord] | None = None,
-) -> tuple[
-    list[tuple[tuple[Term, ...], Fact, Fact | None]], list[tuple[Term, ...]]
-]:
+) -> list[tuple[tuple[Term, ...], Fact, Fact | None]]:
     """Evaluate aggregate groups, given in first-contribution order, and
-    fire those whose head changed: the one emission step of the engine,
-    the oracle and incremental replay.  Replay passes in ``recorded`` the
-    old run's record of every group whose trajectory it found intact;
-    such a record fires again (re-indexed) instead of being evaluated.
+    fire those whose head changed: the one emission step of the engine
+    and the oracle.
 
-    Returns ``(fired, deduplicated)``: per fired group its key, the
-    derived fact and the fact it superseded (``None`` for a first
-    value), and the keys of groups whose head was in the instance
-    already — those neither update the group state nor supersede.
+    Returns, per fired group, its key, the derived fact and the fact it
+    superseded (``None`` for a first value).  A group whose head is in
+    the instance already neither updates the group state nor supersedes.
     """
     label = rule.label
     fired: list[tuple[tuple[Term, ...], Fact, Fact | None]] = []
-    deduplicated: list[tuple[Term, ...]] = []
     for key, contributions in groups:
         previous = aggregate_state.get((label, key))
-        record = recorded.get(key) if recorded else None
-        if record is None:
-            evaluated = aggregate_group_head(rule, key, contributions)
-            if evaluated is None:
-                continue
-            derived, value, group_binding = evaluated
-            if derived == previous:
-                continue
-        else:
-            derived = record.fact
+        evaluated = aggregate_group_head(rule, key, contributions)
+        if evaluated is None:
+            continue
+        derived, value, group_binding = evaluated
+        if derived == previous:
+            continue
         if not result.database.add(derived):
             result.stats.facts_deduplicated += 1
-            deduplicated.append(key)
             continue
-        index = len(result.records)
-        if record is None:
-            record = ChaseStepRecord(
-                index=index,
-                round=round_number,
-                rule=rule,
-                fact=derived,
-                parents=dedupe_parents(contributions),
-                binding=group_binding,
-                contributors=contributions,
-                aggregate_value=value,
-            )
-        elif record.index != index or record.round != round_number:
-            record = replace(record, index=index, round=round_number)
+        record = ChaseStepRecord(
+            index=len(result.records),
+            round=round_number,
+            rule=rule,
+            fact=derived,
+            parents=dedupe_parents(contributions),
+            binding=group_binding,
+            contributors=contributions,
+            aggregate_value=value,
+        )
         result.records.append(record)
         result.derivation[derived] = record
         result.stats.record_firing(label, derived.predicate)
@@ -808,7 +806,7 @@ def fire_groups(
             result.superseded.add(previous)
         aggregate_state[(label, key)] = derived
         fired.append((key, derived, previous))
-    return fired, deduplicated
+    return fired
 
 
 def dedupe_parents(contributions: Iterable[Contribution]) -> tuple[Fact, ...]:

@@ -85,16 +85,17 @@ class ChaseGraph:
         records; they appear only as parents of the returned steps.
         """
         derivation = self.result.derivation
-        collected: dict[int, ChaseStepRecord] = {}
+        collected: dict[Fact, ChaseStepRecord] = {}
         frontier = [target]
         while frontier:
             current = frontier.pop()
             record = derivation.get(current)
-            if record is None or record.index in collected:
+            if record is None or current in collected:
                 continue
-            collected[record.index] = record
+            collected[current] = record
             frontier.extend(record.parents)
-        return [collected[index] for index in sorted(collected)]
+        rank = self.result.database.sequence
+        return [collected[fact] for fact in sorted(collected, key=rank)]
 
     def proof_facts(self, target: Fact) -> tuple[Fact, ...]:
         """All facts (EDB and derived) in the proof of ``target``."""

@@ -18,21 +18,23 @@ representations:
   materializes.
 
 Single-column constant lookups go through an id-keyed
-``(predicate, position, id)`` index; multi-column hash joins probe
+``(position, id)`` index per predicate; multi-column hash joins probe
 lazily built **composite** indexes (:meth:`index_on`) whose buckets hold
 row numbers keyed by id (bare int for one position, int tuples
 otherwise), maintained incrementally by :meth:`add`.
 
-Every fact also carries its global insertion *sequence number*
-(:meth:`Database.sequence`, reverse-mapped by :meth:`fact_at`): the
-planned strategy sorts hash-join output by the sequence tuple of the
-matched body facts, which reproduces the naive engine's depth-first
-enumeration order exactly and keeps derived facts and provenance
-byte-identical across strategies.
+Every fact also carries its global *sequence number*
+(:meth:`Database.sequence`, reverse-mapped by :meth:`fact_at`): its rank
+by insertion, or after :meth:`reorder` in the order a fresh chase would
+have inserted it in.  The planned strategy sorts hash-join output by the
+sequence tuple of the matched body facts, which reproduces the naive
+engine's depth-first enumeration order exactly and keeps derived facts
+and provenance byte-identical across strategies.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, Sequence
 
 from ..datalog.atoms import Atom, Fact
@@ -65,9 +67,8 @@ class Database:
         self._columns: dict[str, tuple[list[int], ...]] = {}
         # Row-aligned global sequence numbers per predicate.
         self._row_seq: dict[str, list[int]] = {}
-        # Global sequence -> (predicate, row): the reverse of sequence().
-        self._loc: list[tuple[str, int]] = []
-        self._by_position: dict[tuple[str, int, int], list[Fact]] = {}
+        # predicate -> (position, id) -> facts, in sequence order.
+        self._by_position: dict[str, dict[tuple[int, int], list[Fact]]] = {}
         # Composite indexes: predicate -> positions -> id key -> rows.
         # Built on first use (index_on) and maintained incrementally by add.
         self._composite: dict[
@@ -76,6 +77,10 @@ class Database:
         # Memoized tuples handed out by facts(); invalidated per predicate.
         self._facts_cache: dict[str | None, tuple[Fact, ...]] = {}
         self._arities: dict[str, int] = {}
+        # Predicates whose row stores are shared with a copy (see copy()),
+        # and per owned predicate the position lists still shared.
+        self._shared: set[str] = set()
+        self._borrowed: dict[str, set[tuple[int, int]]] = {}
         for current in facts:
             self.add(current)
 
@@ -102,6 +107,8 @@ class Database:
             )
         if new_fact in self._facts:
             return False
+        if predicate in self._shared:
+            self._own(predicate)
         sequence = len(self._facts)
         self._facts[new_fact] = sequence
         rows = self._by_predicate.get(predicate)
@@ -111,17 +118,26 @@ class Database:
                 [] for _ in range(new_fact.arity)
             )
             self._row_seq[predicate] = []
+            self._by_position[predicate] = {}
         row = len(rows)
         rows.append(new_fact)
         self._row_seq[predicate].append(sequence)
-        self._loc.append((predicate, row))
         intern = self._symbols.intern
         ids = tuple(intern(term) for term in new_fact.terms)
         columns = self._columns[predicate]
+        by_position = self._by_position[predicate]
+        borrowed = self._borrowed.get(predicate)
         for position, symbol_id in enumerate(ids):
             columns[position].append(symbol_id)
-            key = (predicate, position, symbol_id)
-            self._by_position.setdefault(key, []).append(new_fact)
+            key = (position, symbol_id)
+            bucket = by_position.get(key)
+            if bucket is None:
+                by_position[key] = [new_fact]
+            elif borrowed and key in borrowed:
+                borrowed.discard(key)
+                by_position[key] = bucket + [new_fact]
+            else:
+                bucket.append(new_fact)
         composite = self._composite.get(predicate)
         if composite:
             for positions, buckets in composite.items():
@@ -138,6 +154,100 @@ class Database:
     def add_all(self, facts: Iterable[Fact]) -> int:
         """Insert many facts; returns how many were new."""
         return sum(1 for current in facts if self.add(current))
+
+    def _own(self, predicate: str) -> None:
+        """Copy a shared predicate's stores (position lists one at a
+        time, on their first append; composite indexes are dropped)."""
+        self._shared.discard(predicate)
+        self._by_predicate[predicate] = list(self._by_predicate[predicate])
+        self._columns[predicate] = tuple(
+            list(column) for column in self._columns[predicate]
+        )
+        self._row_seq[predicate] = list(self._row_seq[predicate])
+        by_position = self._by_position[predicate] = dict(
+            self._by_position[predicate]
+        )
+        self._borrowed[predicate] = set(by_position)
+        self._composite.pop(predicate, None)  # shared ones rebuild lazily
+
+    def reorder(self, order: Sequence[int], moved: Iterable[Fact]) -> None:
+        """Renumber the instance in place: ``order`` lists the current
+        sequence numbers of the facts that stay, in their new order.
+
+        ``moved`` names every stored fact added, dropped or ranked anew;
+        the others keep their relative order, so only the rows of the
+        predicates ``moved`` touches are re-sorted.  A maintained
+        instance then enumerates exactly like a fresh one.
+        """
+        stored = tuple(self._facts)
+        remap = [-1] * len(stored)
+        for new, old in enumerate(order):
+            remap[old] = new
+        facts = self._facts = dict(
+            zip(map(stored.__getitem__, order), range(len(order)))
+        )
+        rank = facts.__getitem__
+        shifted_by: dict[str, set[Fact]] = {}
+        for current in moved:
+            shifted_by.setdefault(current.predicate, set()).add(current)
+        for predicate in list(self._by_predicate):
+            sequences = [remap[old] for old in self._row_seq[predicate]]
+            shifted = shifted_by.get(predicate)
+            if not shifted:
+                self._row_seq[predicate] = sequences
+                continue
+            if predicate in self._shared:
+                self._own(predicate)
+            place = sorted(
+                (row for row, new in enumerate(sequences) if new >= 0),
+                key=sequences.__getitem__,
+            )
+            if not place:
+                for store in (
+                    self._by_predicate, self._columns, self._row_seq,
+                    self._by_position, self._arities, self._composite,
+                    self._borrowed,
+                ):
+                    store.pop(predicate, None)
+                continue
+            old_rows = self._by_predicate[predicate]
+            self._by_predicate[predicate] = [old_rows[row] for row in place]
+            self._row_seq[predicate] = [sequences[row] for row in place]
+            self._columns[predicate] = tuple(
+                [column[row] for row in place]
+                for column in self._columns[predicate]
+            )
+            new_row = [-1] * len(old_rows)
+            for row, old in enumerate(place):
+                new_row[old] = row
+            composite = self._composite.get(predicate)
+            if composite:
+                self._composite[predicate] = {
+                    positions: {
+                        bucket_key: [
+                            new_row[row] for row in bucket if new_row[row] >= 0
+                        ]
+                        for bucket_key, bucket in buckets.items()
+                    }
+                    for positions, buckets in composite.items()
+                }
+            by_position = self._by_position[predicate]
+            borrowed = self._borrowed.setdefault(predicate, set())
+            for position_key in {
+                (position, self._symbols.lookup(term))
+                for current in shifted
+                for position, term in enumerate(current.terms)
+            }:
+                borrowed.discard(position_key)
+                kept = sorted(
+                    (f for f in by_position.get(position_key, ()) if f in facts),
+                    key=rank,
+                )
+                if kept:
+                    by_position[position_key] = kept
+                else:
+                    by_position.pop(position_key, None)
+        self._facts_cache = {}
 
     # ------------------------------------------------------------------
     # Lookup
@@ -184,14 +294,16 @@ class Database:
 
     def fact_at(self, sequence: int) -> Fact:
         """The stored fact with the given sequence number (the inverse of
-        :meth:`sequence`); lets provenance layers key their structures by
-        int and decode only at the rendering boundary."""
-        predicate, row = self._loc[sequence]
-        return self._by_predicate[predicate][row]
+        :meth:`sequence`)."""
+        return self.facts()[sequence]
 
     def location(self, current: Fact) -> tuple[str, int]:
-        """``(predicate, row)`` of a stored fact in the column store."""
-        return self._loc[self._facts[current]]
+        """``(predicate, row)`` of a stored fact in the column store (rows
+        are in sequence order)."""
+        predicate = current.predicate
+        return predicate, bisect_left(
+            self._row_seq[predicate], self._facts[current]
+        )
 
     # ------------------------------------------------------------------
     # Columnar views (read-only, live — used by the compiled kernels)
@@ -199,8 +311,9 @@ class Database:
     def columns(self, predicate: str) -> tuple[list[int], ...]:
         """The id columns of a predicate, one list per argument position.
 
-        Live views: they grow in place on :meth:`add`, so references
-        captured at kernel-compile time stay valid.  Never mutate them.
+        Live views: they grow in place on :meth:`add` until the first
+        write after a :meth:`copy` gives the predicate its own lists.
+        Never mutate them.
         """
         return self._columns.get(predicate, _NO_COLUMNS)
 
@@ -228,6 +341,9 @@ class Database:
         """
         best: Sequence[Fact] | None = None
         lookup = self._symbols.lookup
+        by_position = self._by_position.get(pattern.predicate)
+        if by_position is None:
+            return _EMPTY
         for position, term in enumerate(pattern.terms):
             if isinstance(term, Variable):
                 term = binding.get(term, term)
@@ -235,9 +351,7 @@ class Database:
                 symbol_id = lookup(term)
                 if symbol_id is None:
                     return _EMPTY
-                indexed = self._by_position.get(
-                    (pattern.predicate, position, symbol_id)
-                )
+                indexed = by_position.get((position, symbol_id))
                 if indexed is None:
                     return _EMPTY
                 if best is None or len(indexed) < len(best):
@@ -253,7 +367,8 @@ class Database:
 
         Keys are interned ids — the bare id for a single position, an id
         tuple otherwise; values are row numbers into ``rows(predicate)``
-        in insertion order.  Built from the current columns on first use
+        (ascending, unless :meth:`reorder` moved rows; kernels sort their
+        output, so bucket order never shows).  Built from the current columns on first use
         and maintained incrementally by :meth:`add` afterwards.
         ``positions`` must be strictly increasing.
         """
@@ -297,41 +412,35 @@ class Database:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def copy(self) -> "Database":
-        """An independent copy of this database.
+    def copy(self, indexes: bool = False) -> "Database":
+        """An independent copy of this database, copy-on-write.
 
-        Facts are immutable, so the row and column stores can be
-        duplicated structurally (dict/list shallow copies) instead of
-        re-deriving them fact by fact through :meth:`add` — O(facts +
-        index entries) with no hashing or arity re-checks.  The symbol
-        table is *shared*, not copied: it is append-only, so both sides
-        keep identical encodings however they diverge afterwards.
-        Composite indexes and memoized fact tuples are caches; the copy
-        starts without them and rebuilds on demand.  Mutating either
-        database afterwards never affects the other.
+        Both share every predicate's stores until one adds a fact to it,
+        which copies that predicate's lists first (:meth:`_own`).  The
+        symbol table is shared for good: it is append-only.  Composite
+        indexes and memoized fact tuples are caches the copy rebuilds on
+        demand, unless ``indexes`` shares the indexes copy-on-write too
+        (an incremental update, which writes to few predicates, does).
         """
         clone = Database.__new__(Database)
         clone._symbols = self._symbols
         clone._facts = dict(self._facts)
-        clone._by_predicate = {
-            predicate: list(facts)
-            for predicate, facts in self._by_predicate.items()
-        }
-        clone._columns = {
-            predicate: tuple(list(column) for column in columns)
-            for predicate, columns in self._columns.items()
-        }
-        clone._row_seq = {
-            predicate: list(sequences)
-            for predicate, sequences in self._row_seq.items()
-        }
-        clone._loc = list(self._loc)
-        clone._by_position = {
-            key: list(facts) for key, facts in self._by_position.items()
-        }
-        clone._composite = {}
+        clone._by_predicate = dict(self._by_predicate)
+        clone._columns = dict(self._columns)
+        clone._row_seq = dict(self._row_seq)
+        clone._by_position = dict(self._by_position)
+        clone._composite = (
+            {
+                predicate: dict(by_positions)
+                for predicate, by_positions in self._composite.items()
+            }
+            if indexes else {}
+        )
         clone._facts_cache = {}
         clone._arities = dict(self._arities)
+        clone._borrowed = {}
+        self._shared.update(self._by_predicate)
+        clone._shared = set(self._by_predicate)
         return clone
 
     def describe(self, limit: int | None = None) -> str:

@@ -602,17 +602,18 @@ class RuleKernel:
             stats["pruned"] = stats.get("pruned", 0) + counters[2]
             stats["matches"] = stats.get("matches", 0) + counters[3]
             stats["kernel_execs"] = stats.get("kernel_execs", 0) + 1
-        matches: list[Match] = []
-        body_sources = self.body_sources
-        assignments = self.assignments
-        for _seqs, facts in entries:
-            binding: MutableSubstitution = {}
-            for variable, atom_index, position in body_sources:
-                binding[variable] = facts[atom_index].terms[position]
-            for variable, expression in assignments:
-                binding[variable] = evaluate_assignment(expression, binding)
-            matches.append((binding, facts))
-        return matches
+        return [(self.binding(facts), facts) for _seqs, facts in entries]
+
+    def binding(self, facts: tuple[Fact, ...]) -> MutableSubstitution:
+        """The binding of the match ``facts`` (body order) exactly as
+        naive matching builds it (see module docstring)."""
+        binding: MutableSubstitution = {
+            variable: facts[atom_index].terms[position]
+            for variable, atom_index, position in self.body_sources
+        }
+        for variable, expression in self.assignments:
+            binding[variable] = evaluate_assignment(expression, binding)
+        return binding
 
 
 def compile_rule_kernel(rule_plan: RulePlan, database: Database) -> RuleKernel:

@@ -18,7 +18,6 @@ the provenance records:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ..datalog.atoms import Fact
 from .chase import ChaseResult, ChaseStepRecord
@@ -103,32 +102,7 @@ class ProvenanceTracker:
     def __init__(self, result: ChaseResult):
         self.result = result
         self._intensional = result.program.intensional_predicates()
-
-        # Depth memoization is keyed by the fact's global insertion
-        # sequence (an int the columnar store already maintains) instead
-        # of hashing whole fact tuples on every cache probe; facts are
-        # decoded only to follow parent links.
-        database = result.database
-        sequence = database.sequence
-
-        @lru_cache(maxsize=None)
-        def depth_at(seq: int) -> int:
-            record = self.result.derivation.get(database.fact_at(seq))
-            if record is None:
-                return 0
-            parents = self._intensional_parents(record)
-            if not parents:
-                return 1
-            return 1 + max(depth_at(sequence(parent)) for parent in parents)
-
-        def depth(current: Fact) -> int:
-            try:
-                seq = sequence(current)
-            except KeyError:
-                return 0
-            return depth_at(seq)
-
-        self._depth = depth
+        self._depths: dict[Fact, int] = {}
 
     # ------------------------------------------------------------------
     # Helpers
@@ -142,23 +116,30 @@ class ProvenanceTracker:
 
     def depth(self, current: Fact) -> int:
         """Length of the longest derivation chain below ``current``."""
-        return self._depth(current)
+        depth = self._depths.get(current)
+        if depth is None:
+            record = self.result.derivation.get(current)
+            depth = self._depths[current] = 0 if record is None else 1 + max(
+                map(self.depth, self._intensional_parents(record)), default=0
+            )
+        return depth
 
     # ------------------------------------------------------------------
     # Proof DAG
     # ------------------------------------------------------------------
     def proof_records(self, target: Fact) -> list[ChaseStepRecord]:
         """All chase steps in the proof of ``target``, in chase order."""
-        collected: dict[int, ChaseStepRecord] = {}
+        collected: dict[Fact, ChaseStepRecord] = {}
         frontier = [target]
         while frontier:
             current = frontier.pop()
             record = self.result.derivation.get(current)
-            if record is None or record.index in collected:
+            if record is None or current in collected:
                 continue
-            collected[record.index] = record
+            collected[current] = record
             frontier.extend(record.parents)
-        return [collected[index] for index in sorted(collected)]
+        rank = self.result.database.sequence
+        return [collected[fact] for fact in sorted(collected, key=rank)]
 
     def proof_size(self, target: Fact) -> int:
         """Number of chase steps in the proof (Figures 17/18 x axis)."""
@@ -198,7 +179,7 @@ class ProvenanceTracker:
             parents = self._intensional_parents(record)
             if parents:
                 spine_parent = max(
-                    parents, key=lambda p: (self._depth(p), -record.parents.index(p))
+                    parents, key=lambda p: (self.depth(p), -record.parents.index(p))
                 )
                 side = tuple(
                     self.result.derivation[p].rule_label

@@ -17,7 +17,8 @@ provides O(1) access to
 * the deriving step of a fact (``record``) and its precomputed
   *intensional* parents (``intensional_parents`` — the filter the spine
   walk and side-branch absorption used to redo per visit);
-* reverse adjacency (``children`` — every step consuming a fact);
+* reverse adjacency (``children`` — every step consuming a fact, the
+  chase result's own map, shared);
 * per-predicate derivation buckets (``records_for_predicate``);
 * derivation depth (``depth``);
 * interned fact keys (``fact_key``) — stable strings shared across
@@ -32,7 +33,8 @@ answer is identical to the unindexed reference walks of
 :class:`~repro.engine.provenance.ProvenanceTracker`, which serves only as
 the test oracle (``tests/test_explain_serving.py`` asserts the parity).
 One index is built per chase session — see ``ReasoningResult.index`` —
-and rebound, not rebuilt, when an update re-reasons over new data.
+and rebound, not rebuilt, when an update re-reasons over new data: the
+rebind patches only the update's forward closure.
 """
 
 from __future__ import annotations
@@ -58,49 +60,14 @@ class ProvenanceIndex:
         ) as span:
             self.result = result
             self._build(result)
-            span.set(edges=self._edge_count)
         self.build_seconds = time.perf_counter() - started
         obs.observe("explain.index_build_s", self.build_seconds)
 
     def _build(self, result: ChaseResult) -> None:
-        intensional = result.program.intensional_predicates()
-        derivation = result.derivation
-        # Adjacency and depth are keyed by the columnar store's global
-        # insertion sequence — dense ints instead of fact-tuple hashes —
-        # and translated at the public-method boundary.
-        sequence = result.database.sequence
-        parents: dict[int, tuple[Fact, ...]] = {}
-        children: dict[int, list[ChaseStepRecord]] = {}
-        buckets: dict[str, list[ChaseStepRecord]] = {}
-        depth: dict[int, int] = {}
-        edges = 0
-        # Records are index-ordered and every parent of a record was
-        # materialized before it fired, so one forward pass computes
-        # intensional-parent tuples and depths without recursion.
-        for record in result.records:
-            intensional_parents = tuple(
-                parent for parent in record.parents
-                if parent.predicate in intensional and parent in derivation
-            )
-            parents[record.index] = intensional_parents
-            if intensional_parents:
-                depth[sequence(record.fact)] = 1 + max(
-                    depth[sequence(parent)]
-                    for parent in intensional_parents
-                )
-            else:
-                depth[sequence(record.fact)] = 1
-            for parent in record.parents:
-                children.setdefault(sequence(parent), []).append(record)
-                edges += 1
-            buckets.setdefault(record.fact.predicate, []).append(record)
-        self._sequence = sequence
-        self._derivation = derivation
-        self._parents = parents
-        self._children = children
-        self._buckets = buckets
-        self._depth = depth
-        self._edge_count = edges
+        self._intensional = result.program.intensional_predicates()
+        self._parents: dict[Fact, tuple[Fact, ...]] = {}
+        self._depth: dict[Fact, int] = {}
+        self._bind(result, result.records)
         # Memoized per-fact views, shared by every query of the session.
         self._keys: dict[Fact, str] = {}
         self._spines: dict[Fact, DerivationSpine] = {}
@@ -108,21 +75,37 @@ class ProvenanceIndex:
         self._proof_constants: dict[Fact, tuple[str, ...]] = {}
         self._lock = threading.Lock()
 
+    def _bind(self, result: ChaseResult, records) -> None:
+        """Point at ``result`` and index ``records`` (canonical order).
+
+        Every parent of a record was materialized before it fired, so one
+        forward pass computes intensional-parent tuples and depths
+        without recursion.
+        """
+        derivation = self._derivation = result.derivation
+        self._sequence = result.database.sequence
+        self._children = result.children()
+        intensional, parents, depth = self._intensional, self._parents, self._depth
+        for record in records:
+            intensional_parents = parents[record.fact] = tuple(
+                parent for parent in record.parents
+                if parent.predicate in intensional and parent in derivation
+            )
+            depth[record.fact] = 1 + max(
+                (depth[parent] for parent in intensional_parents), default=0
+            )
+
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def rebind(self, new_result: ChaseResult) -> dict:
+    def rebind(self, new_result: ChaseResult, touched: frozenset[Fact]) -> dict:
         """Re-point the index at an incrementally updated chase result.
 
-        Adjacency, buckets and depths are rebuilt in one linear pass
-        (they are the cheap part of the index), while the expensive
-        memoized views — spines, proof DAGs, proof constants, interned
-        keys — are retained for every fact whose derivation subtree is
-        untouched by the update.  A fact is *touched* when its deriving
-        record changed content or numbering, when it was added or
-        removed, or when any ancestor was; the touched set is the
-        forward closure of the changed records over the new reverse
-        adjacency.  Returns invalidation figures for stats documents.
+        Only the forward closure of ``touched`` (the update's changed
+        facts, :attr:`~repro.engine.incremental.UpdateOutcome.touched`)
+        can differ: its parents and depths are recomputed, and every
+        memo — spines, proof DAGs, constants, keys — outside it is kept.
+        Returns invalidation figures for stats documents.
 
         Readers keep inserting into the old memo dicts, so they are read
         under the old lock.  Rebinding a ``copy.copy`` of an index leaves
@@ -134,56 +117,40 @@ class ProvenanceIndex:
             "explain.index_rebind", program=new_result.program.name,
             records=len(new_result.records),
         ) as span:
-            old_derivation = self._derivation
-            old_lock = self._lock
-            old_keys = self._keys
-            old_spines = self._spines
-            old_proofs = self._proofs
-            old_proof_constants = self._proof_constants
             self.result = new_result
-            self._build(new_result)
-            changed = [
-                fact
-                for fact, record in self._derivation.items()
-                if old_derivation.get(fact) != record
-            ]
-            touched = set(changed)
-            touched.update(
-                fact for fact in old_derivation
-                if fact not in self._derivation
-            )
-            frontier = list(changed)
+            closure = set(touched)
+            frontier = list(touched)
             while frontier:
-                for record in self.children(frontier.pop()):
-                    child = record.fact
-                    if child not in touched:
-                        touched.add(child)
-                        frontier.append(child)
-            live = self._derivation
-            with old_lock:
-                self._keys = {
-                    fact: key for fact, key in old_keys.items()
-                    if fact not in touched
-                }
-                self._spines = {
-                    fact: spine for fact, spine in old_spines.items()
-                    if fact in live and fact not in touched
-                }
-                self._proofs = {
-                    fact: proof for fact, proof in old_proofs.items()
-                    if fact in live and fact not in touched
-                }
-                self._proof_constants = {
-                    fact: constants
-                    for fact, constants in old_proof_constants.items()
-                    if fact in live and fact not in touched
-                }
+                for record in new_result.children().get(frontier.pop(), ()):
+                    if record.fact not in closure:
+                        closure.add(record.fact)
+                        frontier.append(record.fact)
+            self._parents, self._depth = dict(self._parents), dict(self._depth)
+            for fact in closure:
+                self._parents.pop(fact, None)
+                self._depth.pop(fact, None)
+            sequence = new_result.database.sequence
+            self._bind(new_result, sorted(
+                (new_result.derivation[f] for f in closure
+                 if f in new_result.derivation),
+                key=lambda record: sequence(record.fact),
+            ))
+            with self._lock:  # ``touched`` holds every fact that went
+                memos = [dict(memo) for memo in (
+                    self._keys, self._spines, self._proofs,
+                    self._proof_constants,
+                )]
+            for memo in memos:
+                for fact in closure:
+                    memo.pop(fact, None)
+            self._keys, self._spines, self._proofs, self._proof_constants = memos
+            self._lock = threading.Lock()
             figures = {
-                "touched": len(touched),
+                "touched": len(closure),
                 "spines_retained": len(self._spines),
                 "proofs_retained": len(self._proofs),
             }
-            span.set(edges=self._edge_count, **figures)
+            span.set(**figures)
         self.build_seconds = time.perf_counter() - started
         return figures
 
@@ -202,28 +169,22 @@ class ProvenanceIndex:
 
     def intensional_parents(self, record: ChaseStepRecord) -> tuple[Fact, ...]:
         """The record's parents that are themselves derived (precomputed)."""
-        return self._parents.get(record.index, ())
+        return self._parents.get(record.fact, ())
 
     def children(self, current: Fact) -> tuple[ChaseStepRecord, ...]:
         """Every chase step that consumed ``current`` (reverse adjacency)."""
-        try:
-            seq = self._sequence(current)
-        except KeyError:
-            return ()
-        return tuple(self._children.get(seq, ()))
+        return tuple(self._children.get(current, ()))
 
     def records_for_predicate(self, predicate: str) -> tuple[ChaseStepRecord, ...]:
         """All derivation steps producing ``predicate`` facts, in order."""
-        return tuple(self._buckets.get(predicate, ()))
+        return tuple(
+            r for r in self.result.records if r.fact.predicate == predicate
+        )
 
     def depth(self, current: Fact) -> int:
         """Length of the longest derivation chain below ``current``
         (0 for extensional facts)."""
-        try:
-            seq = self._sequence(current)
-        except KeyError:
-            return 0
-        return self._depth.get(seq, 0)
+        return self._depth.get(current, 0)
 
     def fact_key(self, current: Fact) -> str:
         """An interned string key for ``current``.
@@ -257,13 +218,12 @@ class ProvenanceIndex:
         current: Fact | None = target
         while current is not None:
             record = self._derivation[current]
-            parents = self._parents.get(record.index, ())
+            parents = self._parents.get(record.fact, ())
             if parents:
                 depth = self._depth
-                sequence = self._sequence
                 spine_parent = max(
                     parents,
-                    key=lambda p: (depth[sequence(p)], -record.parents.index(p)),
+                    key=lambda p: (depth[p], -record.parents.index(p)),
                 )
                 side = tuple(
                     self._derivation[p].rule_label
@@ -295,16 +255,18 @@ class ProvenanceIndex:
         cached = self._proofs.get(target)
         if cached is not None:
             return cached
-        collected: dict[int, ChaseStepRecord] = {}
+        collected: dict[Fact, ChaseStepRecord] = {}
         frontier = [target]
         while frontier:
             current = frontier.pop()
             record = self._derivation.get(current)
-            if record is None or record.index in collected:
+            if record is None or current in collected:
                 continue
-            collected[record.index] = record
+            collected[current] = record
             frontier.extend(record.parents)
-        proof = tuple(collected[index] for index in sorted(collected))
+        proof = tuple(
+            collected[fact] for fact in sorted(collected, key=self._sequence)
+        )
         with self._lock:
             return self._proofs.setdefault(target, proof)
 
@@ -336,8 +298,6 @@ class ProvenanceIndex:
         with self._lock:
             return {
                 "records": len(self.result.records),
-                "edges": self._edge_count,
-                "predicates": len(self._buckets),
                 "build_s": self.build_seconds,
                 "spines_memoized": len(self._spines),
                 "proofs_memoized": len(self._proofs),

@@ -52,21 +52,28 @@ class ReasoningResult:
     def database(self) -> Database:
         return self.chase_result.database
 
-    def updated(self, new_chase_result: ChaseResult) -> "ReasoningResult":
+    def updated(
+        self,
+        new_chase_result: ChaseResult,
+        touched: frozenset[Fact] | None = None,
+    ) -> "ReasoningResult":
         """The result of an incrementally updated chase, leaving this one
         untouched for the readers still holding it.
 
         The chase graph is a thin wrapper and is rebuilt lazily; the
         provenance index — the expensive view — is carried over as a copy
-        rebound via :meth:`ProvenanceIndex.rebind`, so memoized spines and
-        proof DAGs for untouched subtrees survive the update.
+        rebound via :meth:`ProvenanceIndex.rebind`, which patches only the
+        forward closure of ``touched`` (the update's changed facts), so
+        memoized spines and proof DAGs outside it survive the update.
+        After a full re-chase (``touched`` is ``None``) it is rebuilt.
         """
         successor = ReasoningResult(self.program, new_chase_result)
-        index = self.__dict__.get("index")
-        if index is not None:
-            rebound = copy.copy(index)
-            rebound.rebind(new_chase_result)
-            successor.__dict__["index"] = rebound
+        if "index" in self.__dict__:
+            if touched is None:
+                successor.index  # built now, not on the first read
+            else:
+                successor.__dict__["index"] = copy.copy(self.index)
+                successor.index.rebind(new_chase_result, touched)
         return successor
 
     # ------------------------------------------------------------------

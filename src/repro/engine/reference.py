@@ -11,7 +11,7 @@ round.
 The walk itself *is* production code where no compiled plan exists:
 negative constraints are checked with it once per run, and incremental
 maintenance (:mod:`repro.engine.incremental`) uses it with a seed
-binding for its head- and group-bound selective probes.
+binding for its head-, group- and negation-bound selective probes.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ def naive_stratum(
     database = result.database
     for round_number in range(1, max_rounds + 1):
         changed = False
+        before = len(result.records)
         for rule in rules:
             # Materialize matches first: firing must not see this turn's
             # output.
@@ -108,6 +109,7 @@ def naive_stratum(
                     rule, matches, result, nulls,
                     rounds_so_far + round_number,
                 )
+        result.stats.delta_sizes.append(len(result.records) - before)
         if not changed:
             return round_number
     raise ChaseError(
@@ -134,7 +136,7 @@ def fire_aggregate(
     for binding, used in matches:
         key, contribution = group_contribution(rule, binding, used)
         groups.setdefault(key, []).append(contribution)
-    fired, _ = fire_groups(
+    fired = fire_groups(
         rule,
         ((key, tuple(members)) for key, members in groups.items()),
         result, aggregate_state, round_number,

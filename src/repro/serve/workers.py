@@ -16,11 +16,12 @@ and keeps it **warm**, so requests pay only the memoized serving path:
   is a memo hit for every other;
 * ``/update`` runs on a background thread beside the readers, serialised
   only against other updates: it applies the delta to a shallow copy of
-  the session (a fresh chase result, a rebound copy of the index, a
-  fresh explainer — nothing a reader holds is mutated) and publishes
-  the copy with one reference assignment.  A request in flight
-  finishes on the session it started with; later requests see the new
-  one.
+  the session (a chase result maintained over the delta's forward
+  closure, an index copy rebound over that closure, a fresh explainer —
+  nothing a reader holds is mutated) and publishes the copy with one
+  reference assignment.  A request in flight finishes on the session it
+  started with; later requests see the new one.  A delta the program
+  rejects publishes nothing and answers 400.
 
 Boot seconds land in ``serve.worker_warm_start`` — the number the
 restart story is judged by.
@@ -36,6 +37,7 @@ from typing import Callable, Iterable, TypeVar
 from ..apps.base import KGApplication
 from ..core.service import ExplanationService, ExplanationSession
 from ..datalog.atoms import Fact
+from ..datalog.errors import DatalogError
 from ..engine.database import Database
 from ..engine.incremental import UpdateOutcome
 from ..io import dumps_database, loads_database
@@ -130,10 +132,10 @@ class WorkerPool:
                 )
             try:
                 outcome = self.update(request.adds, request.retracts)
-            except ValueError as error:
-                # A semantically invalid delta (e.g. retracting a
-                # derived fact) is the client's mistake, not server
-                # unhealth.
+            except (ValueError, DatalogError) as error:
+                # A delta the program rejects (retracting a derived fact,
+                # a wrong arity, a share the rules cannot add up) is the
+                # client's mistake, not server unhealth.
                 self.metrics.incr("serve.bad_requests")
                 return 400, error_payload("bad_request", str(error))
             if record is not None:
@@ -159,8 +161,10 @@ class WorkerPool:
 
         Readers are never waited for: the delta is applied to a shallow
         copy of the current session, and the copy replaces it in one
-        assignment.  A rejected delta (e.g. retracting a derived fact)
-        raises :class:`ValueError` before anything is published.
+        assignment.  A rejected delta raises before anything is
+        published: :class:`ValueError` (e.g. retracting a derived fact)
+        or :class:`~repro.datalog.errors.DatalogError` (e.g. a wrong
+        arity, or a value an aggregate cannot combine).
         """
         with self._update_lock:
             successor = copy.copy(self.session)

@@ -249,6 +249,54 @@ class TestCopy:
         matches = [m for m, _ in clone.match(Atom("Own", (v("x"), v("y"), v("s"))))]
         assert matches == list(original.facts("Own"))
 
+    def test_copy_on_write_keeps_both_sides_whole(self):
+        original = Database([fact("Own", "A", "B", 0.6)])
+        original.index_on("Own", (0,))
+        clone = original.copy(indexes=True)
+        pattern = Atom("Own", (Constant("A"), v("y"), v("s")))
+        clone.add(fact("Own", "A", "C", 0.9))
+        original.add(fact("Own", "A", "D", 0.2))
+        key = original.symbols.lookup(Constant("A"))
+        assert [f.terms[1].value for f in clone.candidates(pattern, {})] == [
+            "B", "C",
+        ]
+        assert [f.terms[1].value for f in original.candidates(pattern, {})] == [
+            "B", "D",
+        ]
+        assert len(clone.index_on("Own", (0,))[key]) == 2
+        assert len(original.index_on("Own", (0,))[key]) == 2
+        assert clone.rows("Own")[1] != original.rows("Own")[1]
+
+    def test_reorder_renumbers_and_drops(self):
+        facts = [
+            fact("P", "A"), fact("Q", "X"), fact("P", "B"), fact("P", "C"),
+        ]
+        database = Database(facts).copy()
+        database.index_on("P", (0,))
+        # Drop P(B), move P(A) last: the order a fresh database would have.
+        order = [database.sequence(f) for f in (facts[1], facts[3], facts[0])]
+        database.reorder(order, [facts[0], facts[2]])
+        fresh = Database([facts[1], facts[3], facts[0]])
+        assert database.facts() == fresh.facts()
+        assert database.facts("P") == fresh.facts("P")
+        assert [database.sequence(f) for f in fresh.facts()] == [0, 1, 2]
+        assert database.row_sequences("P") == fresh.row_sequences("P")
+        assert [
+            [database.symbols.term(i) for i in column]
+            for column in database.columns("P")
+        ] == [[f.terms[0] for f in fresh.facts("P")]]
+        assert fact("P", "B") not in database
+        pattern = Atom("P", (Constant("B"),))
+        assert list(database.candidates(pattern, {})) == []
+        for current in database.facts():
+            predicate, row = database.location(current)
+            assert database.rows(predicate)[row] == current
+            assert database.fact_at(database.sequence(current)) == current
+        key = database.symbols.lookup(Constant("A"))
+        assert [database.rows("P")[r] for r in database.index_on("P", (0,))[key]] == [
+            fact("P", "A")
+        ]
+
     def test_copy_preserves_arity_checks(self):
         clone = Database([fact("P", "A")]).copy()
         with pytest.raises(ArityError):

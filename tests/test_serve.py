@@ -958,6 +958,29 @@ class TestUpdateEndpoint:
         assert "derived" in payload["error"]
         assert instance.metrics.counter_value("serve.bad_requests") == 1
 
+    @pytest.mark.parametrize("adds", [
+        ["Own(IrishBank, MadridCredit)"],  # the wrong arity
+        ['Own(IrishBank, MadridCredit, "x")'],  # a share sigma3 cannot sum
+    ])
+    def test_a_delta_the_program_rejects_is_400(self, setup, scenario, adds):
+        instance, mirror = setup
+        status, _headers, data = _request(
+            instance, "POST", "/update", {"adds": adds}
+        )
+        assert status == 400
+        assert json.loads(data)["status"] == "bad_request"
+        assert instance.metrics.counter_value("serve.bad_requests") == 1
+        assert instance.metrics.counter_value("serve.errors") == 0
+        assert instance.metrics.counter_value("serve.updates") == 0
+        # Nothing was published: the old state still serves.
+        status, _headers, served = _request(
+            instance, "POST", "/explain", {"query": str(scenario.target)}
+        )
+        assert status == 200
+        assert served == encode_body(
+            explanation_payload(mirror.explain(scenario.target))
+        )
+
     def test_empty_delta_is_400(self, setup):
         instance, _mirror = setup
         status, _headers, data = _request(
@@ -1347,6 +1370,31 @@ class TestProcessUpdateBroadcast:
         )
         assert status == 400
         assert "derived" in json.loads(data)["error"]
+        expected = encode_body(
+            explanation_payload(mirror.explain(scenario.target))
+        )
+        for _ in range(4):
+            status, _headers, served = _request(
+                instance, "POST", "/explain", {"query": str(scenario.target)}
+            )
+            assert status == 200
+            assert served == expected
+
+
+    @pytest.mark.parametrize("adds,reason", [
+        (["Own(IrishBank, MadridCredit)"], "arity"),
+        (['Own(IrishBank, MadridCredit, "x")'], "'x'"),
+    ])
+    def test_a_delta_the_program_rejects_is_400_on_every_worker(
+        self, setup, scenario, adds, reason
+    ):
+        instance, mirror = setup
+        status, _headers, data = _request(
+            instance, "POST", "/update", {"adds": adds}
+        )
+        assert status == 400
+        assert reason in json.loads(data)["error"]
+        assert instance.metrics.counter_value("serve.errors") == 0
         expected = encode_body(
             explanation_payload(mirror.explain(scenario.target))
         )

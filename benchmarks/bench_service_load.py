@@ -397,7 +397,7 @@ def check(payload):
         f"a mix class never ran: {load['mix']}"
     )
     warm = payload["warm_start"]
-    # The thread backend serves every request from one warm session.
+    # The server serves every request from one warm session.
     assert warm["workers"] == load["workers"] == 1
     assert warm["max_s"] is not None and warm["max_s"] >= 0
     parity = payload["parity"]

@@ -296,18 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listening port; 0 picks an ephemeral one (default: %(default)s)",
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes of the 'process' backend (default: 2); "
-             "the 'thread' backend serves from one session and rejects it",
-    )
-    serve.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="worker backend: 'thread' serves every request from one "
-             "in-process session (GIL-bound); 'process' boots one worker process per "
-             "worker from the shared snapshot and scales across cores "
-             "(default: %(default)s)",
-    )
-    serve.add_argument(
         "--queue-limit", type=int, default=64, dest="queue_limit",
         help="bound on admitted requests, served or waiting for their "
              "turn; beyond it requests shed with 503 + Retry-After "
@@ -556,17 +544,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ExplanationServer, ServeConfig
 
-    if args.workers is not None and args.backend == "thread":
-        print(
-            "error: --workers sizes the process backend; pass "
-            "--backend process",
-            file=sys.stderr,
-        )
-        return 2
     scenario = _APP_SCENARIOS[args.app](args)
     config = ServeConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        backend=args.backend,
+        host=args.host, port=args.port,
         queue_limit=args.queue_limit, default_deadline_s=args.deadline_s,
     )
     server = ExplanationServer(
@@ -576,12 +556,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def announce(ready: ExplanationServer) -> None:
         warm = max(ready.pool.warm_start_s) if ready.pool else 0.0
-        workers = len(ready.pool) if ready.pool else 0
         print(
             f"serving {args.app} on http://{ready.host}:{ready.port} "
-            f"({workers} {config.backend} worker"
-            f"{'' if workers == 1 else 's'}, "
-            f"warm-start {warm:.3f}s; Ctrl-C or SIGTERM to stop)",
+            f"(warm-start {warm:.3f}s; Ctrl-C or SIGTERM to stop)",
             flush=True,
         )
 

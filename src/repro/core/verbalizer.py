@@ -299,9 +299,6 @@ class Verbalizer:
         }
         return entry.render_atom(atom, token_of).rstrip(".")
 
-    # Backwards-compatible alias for the pre-service-layer private name.
-    _ground_atom_text = ground_atom_text
-
     def _ground_condition_text(
         self, condition: Comparison, record: ChaseStepRecord
     ) -> str | None:

@@ -132,12 +132,22 @@ class _TokenStream:
 # ----------------------------------------------------------------------
 
 
+def _number(token: _Token, stream: _TokenStream) -> int | float:
+    try:
+        return float(token.text) if "." in token.text else int(token.text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(
+            f"number literal of {len(token.text)} characters is too long",
+            stream._text, token.position,
+        )
+
+
 def _parse_term(stream: _TokenStream) -> Term:
     # Constants are pooled (terms.intern_constant): repeated literals in
     # programs and fact files share one object per (type, value).
     token = stream.next()
     if token.kind == "NUMBER":
-        return intern_constant(float(token.text) if "." in token.text else int(token.text))
+        return intern_constant(_number(token, stream))
     if token.kind == "STRING":
         return intern_constant(token.text[1:-1])
     if token.kind == "IDENT":
@@ -145,9 +155,7 @@ def _parse_term(stream: _TokenStream) -> Term:
             return Variable(token.text)
         return intern_constant(token.text)
     if token.kind == "MINUS":
-        number = stream.expect("NUMBER")
-        value = float(number.text) if "." in number.text else int(number.text)
-        return intern_constant(-value)
+        return intern_constant(-_number(stream.expect("NUMBER"), stream))
     raise ParseError(f"expected a term, found {token.text!r}", stream._text, token.position)
 
 

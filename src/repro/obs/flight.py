@@ -250,11 +250,6 @@ class FlightRecorder:
         When ``False``, :meth:`record` returns the shared no-op record
         and :meth:`current` returns ``None`` — the documented
         near-zero-overhead mode for production hot paths.
-    id_prefix:
-        Prepended to every minted query id.  Process-backed serving
-        workers pass ``"w3-"`` so ids stay globally unique after the
-        parent ingests their records (``w3-q12`` vs the parent's
-        ``q-12``).
     """
 
     def __init__(
@@ -262,12 +257,10 @@ class FlightRecorder:
         capacity: int = 256,
         max_events: int = 64,
         enabled: bool = True,
-        id_prefix: str = "",
     ):
         self.enabled = enabled
         self.capacity = capacity
         self.max_events = max_events
-        self.id_prefix = id_prefix
         self.epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._next_id = 1
@@ -303,7 +296,7 @@ class FlightRecorder:
             return NULL_FLIGHT_RECORD
         if query_id is None:
             with self._lock:
-                query_id = f"{self.id_prefix}q-{self._next_id}"
+                query_id = f"q-{self._next_id}"
                 self._next_id += 1
         parent = self.current()
         return FlightRecord(
@@ -348,52 +341,6 @@ class FlightRecorder:
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
-
-    # ------------------------------------------------------------------
-    # Cross-process shipping
-    # ------------------------------------------------------------------
-    def drain(self) -> list[dict]:
-        """Closed records as dicts, clearing the ring.
-
-        The worker-side half of process-backed serving: after each
-        request the child drains its recorder and ships the payload to
-        the parent, which folds it back in with :meth:`ingest`.
-        """
-        with self._lock:
-            records = tuple(self._ring)
-            self._ring.clear()
-        return [record.to_dict() for record in records]
-
-    def ingest(self, payloads: list[dict]) -> None:
-        """Rebuild drained record dicts into this recorder's ring.
-
-        Reconstructed records are closed (never thread-current).  Their
-        ``start_s`` offsets are kept verbatim, relative to the sending
-        recorder's epoch; they are not rebased onto this one.  That is
-        fine for inspection, since each record's ``duration_s`` and
-        phases are what matter downstream.
-        """
-        rebuilt = []
-        for payload in payloads:
-            record = FlightRecord(
-                self,
-                payload.get("query_id", "?"),
-                payload.get("kind", "?"),
-                query=payload.get("query"),
-                fingerprint=payload.get("fingerprint"),
-                parent_id=payload.get("parent"),
-            )
-            record.start_s = payload.get("start_s", 0.0)
-            record.end_s = record.start_s + payload.get("duration_s", 0.0)
-            record.status = payload.get("status", "ok")
-            record.phases = dict(payload.get("phases", {}))
-            record.counts = dict(payload.get("counts", {}))
-            record.events = [dict(event) for event in payload.get("events", [])]
-            record.events_dropped = payload.get("events_dropped", 0)
-            record.attrs = dict(payload.get("attrs", {}))
-            rebuilt.append(record)
-        with self._lock:
-            self._ring.extend(rebuilt)
 
     def __len__(self) -> int:
         with self._lock:

@@ -43,7 +43,7 @@ class Histogram:
     """
 
     __slots__ = ("bounds", "counts", "count", "total", "minimum", "maximum",
-                 "_exemplars", "_delta", "_lock")
+                 "_exemplars", "_lock")
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS):
         self.bounds = tuple(sorted(buckets))
@@ -55,8 +55,6 @@ class Histogram:
         self.minimum = float("inf")
         self.maximum = float("-inf")
         self._exemplars: dict[int, tuple[float, str]] | None = None
-        # Shadow accumulator for delta shipping (see enable_delta).
-        self._delta: dict | None = None
         self._lock = threading.Lock()
 
     def observe(self, value: float, exemplar: str | None = None) -> None:
@@ -78,86 +76,6 @@ class Histogram:
                 held = self._exemplars.get(index)
                 if held is None or value >= held[0]:
                     self._exemplars[index] = (value, exemplar)
-            delta = self._delta
-            if delta is not None:
-                delta["counts"][index] = delta["counts"].get(index, 0) + 1
-                delta["count"] += 1
-                delta["total"] += value
-                if value < delta["min"]:
-                    delta["min"] = value
-                if value > delta["max"]:
-                    delta["max"] = value
-                if exemplar is not None:
-                    held = delta["exemplars"].get(index)
-                    if held is None or value >= held[0]:
-                        delta["exemplars"][index] = (value, exemplar)
-
-    # ------------------------------------------------------------------
-    # Delta shipping (cross-process metric merge)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _fresh_delta() -> dict:
-        return {
-            "counts": {}, "count": 0, "total": 0.0,
-            "min": float("inf"), "max": float("-inf"), "exemplars": {},
-        }
-
-    def enable_delta(self) -> None:
-        """Start shadow-accumulating samples for :meth:`drain_delta`.
-
-        Used by process-backed serving workers: the child observes into
-        its own histogram as usual, then ships only the samples recorded
-        since the last drain back to the parent after each request.
-        """
-        with self._lock:
-            if self._delta is None:
-                self._delta = self._fresh_delta()
-
-    def drain_delta(self) -> dict | None:
-        """Return-and-reset the shadow state (None when empty).
-
-        The returned dict is a plain-JSON/pickle value understood by
-        :meth:`merge_state` on the receiving side.
-        """
-        with self._lock:
-            delta = self._delta
-            if delta is None or not delta["count"]:
-                return None
-            self._delta = self._fresh_delta()
-        return {
-            "counts": {
-                str(index): count for index, count in delta["counts"].items()
-            },
-            "count": delta["count"],
-            "total": delta["total"],
-            "min": delta["min"],
-            "max": delta["max"],
-            "exemplars": {
-                str(index): [value, exemplar]
-                for index, (value, exemplar) in delta["exemplars"].items()
-            },
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold a drained shadow state from another histogram into this
-        one.  Bucket layouts must match (both sides use the registry's
-        default bounds)."""
-        with self._lock:
-            for index, count in state.get("counts", {}).items():
-                self.counts[int(index)] += count
-            self.count += state.get("count", 0)
-            self.total += state.get("total", 0.0)
-            if state.get("count", 0):
-                if state["min"] < self.minimum:
-                    self.minimum = state["min"]
-                if state["max"] > self.maximum:
-                    self.maximum = state["max"]
-            for index, (value, exemplar) in state.get("exemplars", {}).items():
-                if self._exemplars is None:
-                    self._exemplars = {}
-                held = self._exemplars.get(int(index))
-                if held is None or value >= held[0]:
-                    self._exemplars[int(index)] = (value, exemplar)
 
     def exemplars(self) -> dict[str, dict]:
         """Per-bucket max-latency exemplars, keyed by upper bound.
@@ -244,8 +162,6 @@ class MetricsRegistry:
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
         self._caches: dict[str, Any] = {}
-        self._delta_enabled = False
-        self._counter_baseline: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Recording
@@ -269,8 +185,6 @@ class MetricsRegistry:
             found = self._histograms.get(name)
             if found is None:
                 found = Histogram(self._buckets)
-                if self._delta_enabled:
-                    found.enable_delta()
                 self._histograms[name] = found
             return found
 
@@ -286,52 +200,6 @@ class MetricsRegistry:
         every registry snapshot under ``caches.<name>``."""
         with self._lock:
             self._caches[name] = cache
-
-    # ------------------------------------------------------------------
-    # Delta shipping (cross-process metric merge)
-    # ------------------------------------------------------------------
-    def enable_delta(self) -> None:
-        """Switch this registry into delta-shipping mode.
-
-        Process-backed serving workers call this once at boot: every
-        subsequent :meth:`drain_delta` returns only what was recorded
-        since the previous drain, as a picklable payload the parent
-        folds back in with :meth:`merge_delta`.
-        """
-        with self._lock:
-            self._delta_enabled = True
-            histograms = list(self._histograms.values())
-        for histogram in histograms:
-            histogram.enable_delta()
-
-    def drain_delta(self) -> dict:
-        """Counters/gauges/histogram samples recorded since last drain."""
-        with self._lock:
-            counters = {}
-            for name, value in self._counters.items():
-                delta = value - self._counter_baseline.get(name, 0)
-                if delta:
-                    counters[name] = delta
-                self._counter_baseline[name] = value
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        drained = {}
-        for name, histogram in histograms.items():
-            state = histogram.drain_delta()
-            if state is not None:
-                drained[name] = state
-        return {"counters": counters, "gauges": gauges,
-                "histograms": drained}
-
-    def merge_delta(self, payload: dict) -> None:
-        """Fold a :meth:`drain_delta` payload from another process into
-        this registry."""
-        for name, delta in payload.get("counters", {}).items():
-            self.incr(name, delta)
-        for name, value in payload.get("gauges", {}).items():
-            self.set_gauge(name, value)
-        for name, state in payload.get("histograms", {}).items():
-            self.histogram(name).merge_state(state)
 
     # ------------------------------------------------------------------
     # Reading

@@ -2,11 +2,10 @@
 
 The serving layer: a dependency-light asyncio HTTP server
 (:mod:`repro.serve.server`) over one warm explanation session
-(:mod:`repro.serve.workers`; :mod:`repro.serve.procpool` boots one per
-worker process instead), with bounded
-admission and health-driven shedding (:mod:`repro.serve.admission`) and a
-canonical wire protocol whose response bodies are byte-identical to
-in-process serialization (:mod:`repro.serve.protocol`).
+(:mod:`repro.serve.workers`), with bounded admission and health-driven
+shedding (:mod:`repro.serve.admission`) and a canonical wire protocol
+whose response bodies are byte-identical to in-process serialization
+(:mod:`repro.serve.protocol`).
 
 Quick start::
 
@@ -17,8 +16,6 @@ Quick start::
     server = ExplanationServer(
         app, database=scenario.database,
         config=ServeConfig(port=8080),
-        # or ServeConfig(port=8080, backend="process", workers=4):
-        # four worker processes, one warm session each
     )
     server.run()          # blocks; SIGINT/SIGTERM shut down cleanly
 
@@ -46,7 +43,6 @@ from .protocol import (
     update_payload,
     whynot_payload,
 )
-from .procpool import ProcessWorkerPool
 from .routes import (
     PARSERS,
     serve_batch,
@@ -63,7 +59,6 @@ __all__ = [
     "ExplainRequest",
     "ExplanationServer",
     "PARSERS",
-    "ProcessWorkerPool",
     "ProtocolError",
     "SERVE_FORMAT",
     "ServeConfig",

@@ -94,6 +94,10 @@ def _decode_json(body: bytes) -> dict:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise ProtocolError(f"request body is not valid JSON: {error}")
+    except RecursionError:
+        # A body of nested brackets well under MAX_BODY_BYTES exhausts
+        # the decoder's stack: a malformed request, not server trouble.
+        raise ProtocolError("request body nests too deeply")
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"request body must be a JSON object, got "

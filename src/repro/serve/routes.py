@@ -1,14 +1,13 @@
-"""Backend-agnostic request serving: parse + serve one session request.
+"""Request serving: parse + serve one session request.
 
-The HTTP server, the thread-backed :class:`~repro.serve.workers.WorkerPool`
-and the process-backed :class:`~repro.serve.procpool.ProcessWorkerPool`
-all answer the same four routes with the same canonical-JSON payloads.
-This module is the single definition of that behaviour: a route-name →
-parser table plus one function per route turning a parsed request and a
-warm :class:`~repro.core.service.ExplanationSession` into an HTTP
-``(status, payload)`` pair.  Because worker processes import this module
-too, thread- and process-backend responses are byte-identical by
-construction — there is only one serializer to diverge from.
+The HTTP server answers four routes with canonical-JSON payloads
+through :class:`~repro.serve.workers.WorkerPool`.  This module is the
+single definition of that behaviour: a route-name → parser table plus
+one function per route turning a parsed request and a warm
+:class:`~repro.core.service.ExplanationSession` into an HTTP
+``(status, payload)`` pair.  The payload builders are the ones
+in-process callers use (:mod:`repro.serve.protocol`), so served bytes
+are byte-identical to in-process serialization.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The network front end: an asyncio HTTP server over warm workers.
+"""The network front end: an asyncio HTTP server over one warm session.
 
 A dependency-light HTTP/1.1 server built directly on stdlib
 :func:`asyncio.start_server` streams — no web framework, no ASGI
@@ -18,10 +18,10 @@ dependency — exposing the explanation service to network clients:
 Request lifecycle: the event loop parses the request and consults the
 :class:`~repro.serve.admission.AdmissionController` (bounded queue +
 health-driven circuit breaker — sheds answer ``503`` with
-``Retry-After`` before any work is queued).  On the thread backend an
-admitted ``/explain`` or ``/explain/batch`` is served on the event-loop
-thread itself from the :class:`~repro.serve.workers.WorkerPool`'s one
-warm session (compiled program + provenance index, booted once from a
+``Retry-After`` before any work is queued).  An admitted ``/explain``
+or ``/explain/batch`` is served on the event-loop thread itself from
+the :class:`~repro.serve.workers.WorkerPool`'s one warm session
+(compiled program + provenance index, booted once from a
 ``repro-db/1`` snapshot): a memo hit is a lookup plus a substitution,
 and a thread hop under one interpreter lock would only add hand-offs.
 Before it runs, the request yields the loop once, so every request
@@ -30,12 +30,10 @@ waits for the loop is counted against the admission bound and timed in
 ``serve.request``, which the health check reads.  Work that can block
 leaves the loop through :func:`asyncio.to_thread`: a ``/whynot``
 searches and an ``/update`` chases on a background thread beside the
-readers (the update then publishes its successor session), and every
-request on the process backend waits there for a free worker process
-and its answer.  Every request carries a
-:class:`~repro.core.service.Deadline`; a spent budget answers
-``504`` with whatever partial results were computed (the
-``explain_batch`` contract, now over HTTP).  Each request leaves one
+readers (the update then publishes its successor session).  Every
+request carries a :class:`~repro.core.service.Deadline`; a spent
+budget answers ``504`` with whatever partial results were computed
+(the ``explain_batch`` contract, now over HTTP).  Each request leaves one
 flight record, so ``GET /flight/<qid>`` resolves a slow exemplar to
 its phase breakdown.
 
@@ -68,7 +66,6 @@ from .admission import (
     ShedRequest,
     healthy,
 )
-from .procpool import ProcessWorkerPool
 from .protocol import (
     SERVE_FORMAT,
     ProtocolError,
@@ -96,8 +93,6 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 0                      # 0 = ephemeral (tests, benchmarks)
-    workers: int | None = None         # process-backend children (2)
-    backend: str = "thread"            # "thread" | "process"
     queue_limit: int = 64              # admitted (served + waiting) bound
     default_deadline_s: float = 10.0   # per-request budget when unspecified
     retry_after_s: float = 1.0         # hint on queue sheds
@@ -110,7 +105,7 @@ class ServeConfig:
 
 
 class ExplanationServer:
-    """One application served over HTTP from a warm worker pool."""
+    """One application served over HTTP from one warm session."""
 
     def __init__(
         self,
@@ -142,17 +137,7 @@ class ExplanationServer:
             self.config.queue_limit, self.breaker, self.metrics,
             retry_after_s=self.config.retry_after_s,
         )
-        if self.config.backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be 'thread' or 'process', "
-                f"got {self.config.backend!r}"
-            )
-        if self.config.backend == "thread" and self.config.workers is not None:
-            raise ValueError(
-                "workers sizes the process backend; the thread backend "
-                "serves from one session"
-            )
-        self.pool: WorkerPool | ProcessWorkerPool | None = None
+        self.pool: WorkerPool | None = None
         self.host = self.config.host
         self.port = self.config.port
         self._server: asyncio.Server | None = None
@@ -168,22 +153,11 @@ class ExplanationServer:
     async def start(self) -> None:
         """Boot the worker pool and bind the listening socket."""
         if self.pool is None:
-            if self.config.backend == "process":
-                workers = self.config.workers
-                self.pool = ProcessWorkerPool(
-                    self.application, self.snapshot,
-                    workers=2 if workers is None else workers,
-                    llm=self.llm, metrics=self.metrics,
-                    default_deadline_s=self.config.default_deadline_s,
-                    flight=self.flight,
-                )
-            else:
-                self.pool = WorkerPool(
-                    self.application, self.snapshot,
-                    llm=self.llm, metrics=self.metrics,
-                    default_deadline_s=self.config.default_deadline_s,
-                )
-            self.metrics.set_gauge("serve.workers", float(len(self.pool)))
+            self.pool = WorkerPool(
+                self.application, self.snapshot,
+                llm=self.llm, metrics=self.metrics,
+                default_deadline_s=self.config.default_deadline_s,
+            )
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host,
             port=self.config.port,
@@ -483,7 +457,6 @@ class ExplanationServer:
             "format": SERVE_FORMAT,
             "status": "shedding" if breaker["state"] == OPEN else "ok",
             "app": self.application.name,
-            "backend": self.config.backend,
             "breaker_cooldown_remaining_s": breaker["cooldown_remaining_s"],
             "workers": len(self.pool) if self.pool is not None else 0,
             "warm_start": (
@@ -505,9 +478,9 @@ class ExplanationServer:
         "/update": "update",
     }
 
-    #: Thread-backend routes served beside the loop, not on it: a
-    #: why-not search and an update's chase take as long as the instance
-    #: makes them, with no deadline to bound how long they would hold it.
+    #: Routes served beside the loop, not on it: a why-not search and an
+    #: update's chase take as long as the instance makes them, with no
+    #: deadline to bound how long they would hold it.
     _OFF_LOOP = frozenset({"whynot", "update"})
 
     async def _dispatch_post(
@@ -530,9 +503,7 @@ class ExplanationServer:
             )
         started = time.perf_counter()
         try:
-            if route in self._OFF_LOOP or self.config.backend == "process":
-                # A process-backend answer comes back over a pipe; the
-                # thread waits there, or for a free worker, admitted.
+            if route in self._OFF_LOOP:
                 status, payload, query_id = await asyncio.to_thread(
                     self._execute, route, body
                 )
@@ -571,19 +542,13 @@ class ExplanationServer:
         """Serve one routed request; returns (status, payload, qid).
 
         The one serving path, whichever thread :meth:`_dispatch_post`
-        runs it on: thread-backend explains run here on the event-loop
-        thread; why-nots, updates and process-backend requests on a
-        thread of :func:`asyncio.to_thread`.  The flight record opened
-        here is the request's one record, the one ``X-Query-Id`` names:
-        the session work joins it (:func:`repro.obs.flight_record`)
-        instead of opening children, so its phase, fingerprint and cache
-        counts land on it.
-        On the process backend the child's record, named by the
-        ``worker_query_id`` attribute, carries them.
-        The pool is backend-blind: parsing and route semantics live in
-        :meth:`WorkerPool.serve` (and its process-backed counterpart),
-        shared with the worker processes so responses stay
-        byte-identical across backends.  A
+        runs it on: explains run here on the event-loop thread; why-nots
+        and updates on a thread of :func:`asyncio.to_thread`.  The flight
+        record opened here is the request's one record, the one
+        ``X-Query-Id`` names: the session work joins it
+        (:func:`repro.obs.flight_record`) instead of opening children, so
+        its phase, fingerprint and cache counts land on it.  Parsing and
+        route semantics live in :meth:`WorkerPool.serve`.  A
         :class:`~repro.serve.protocol.ProtocolError` propagates to
         ``_dispatch`` (400 + ``serve.bad_requests``).
         """

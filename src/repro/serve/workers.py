@@ -50,7 +50,7 @@ T = TypeVar("T")
 
 
 class WorkerPool:
-    """One warm session: the thread backend's one worker."""
+    """One warm session, shared by every request the server serves."""
 
     def __init__(
         self,
@@ -117,11 +117,8 @@ class WorkerPool:
     ) -> tuple[int, dict]:
         """Parse ``body`` for ``route`` and serve it: (status, payload).
 
-        The entry point the HTTP server calls.
-        :class:`~repro.serve.procpool.ProcessWorkerPool` is a separate
-        class with a ``serve`` of the same signature that ships the work
-        over a pipe, so the server never checks which backend it holds.
-        A :class:`~repro.serve.protocol.ProtocolError` from the parser
+        The entry point the HTTP server calls.  A
+        :class:`~repro.serve.protocol.ProtocolError` from the parser
         propagates (the server answers 400).
         """
         request = PARSERS[route](body)

@@ -356,10 +356,13 @@ class TestStrategyFlag:
         with pytest.raises(SystemExit):
             main(["explain", "--app", "figure8", "--strategy", retired])
 
-    def test_serve_workers_need_the_process_backend(self, capsys):
-        assert main(["serve", "--app", "figure8", "--workers", "2"]) == 2
-        assert "--backend process" in capsys.readouterr().err
-
     def test_serve_takes_no_strategy(self):
         with pytest.raises(SystemExit):
             main(["serve", "--app", "figure8", "--strategy", "planned"])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--backend", "process"), ("--workers", "2"),
+    ])
+    def test_serve_takes_no_backend_or_workers(self, flag, value):
+        with pytest.raises(SystemExit):
+            main(["serve", "--app", "figure8", flag, value])

@@ -142,7 +142,6 @@ class TestGateConfig:
         gates = load_gates(str(GATES_PATH))
         assert set(gates["suites"]) == {
             "engine", "service", "explain", "load", "incremental",
-            "parallel",
         }
 
     def test_engine_suite_reproduces_planned_gates(self):

@@ -13,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps import figures, generators
 from repro.core import ExplanationService
@@ -20,6 +22,7 @@ from repro.io import dumps_database, loads_database, parse_fact
 from repro.core.service import Deadline, ExplanationSession
 from repro.obs import MetricsRegistry
 from repro.serve import (
+    PARSERS,
     SERVE_FORMAT,
     BatchRequest,
     ExplainRequest,
@@ -191,6 +194,68 @@ class TestProtocolRoundTrips:
         assert payload["results"] == [{"x": 1}]
 
 
+#: A request body nested far deeper than the JSON decoder's stack, and
+#: far under the server's body bound.
+DEEP_BODY = b"[" * 100_000
+
+#: Route name -> the request dataclass its parser returns.
+REQUEST_TYPES = {
+    "explain": ExplainRequest,
+    "explain_batch": BatchRequest,
+    "whynot": WhyNotRequest,
+    "update": UpdateRequest,
+}
+
+_atom_texts = st.one_of(
+    st.text(max_size=40),
+    st.from_regex(r"[A-Z][a-z]{0,6}\((\s*[A-Za-z0-9_.\-\"]{1,8}\s*,?){0,4}\)",
+                  fullmatch=True),
+    st.integers(min_value=1, max_value=6_000).map(
+        lambda digits: "Own(A, B, " + "9" * digits + ")"
+    ),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _atom_texts,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_fields = st.sampled_from([
+    "query", "queries", "adds", "retracts", "deadline_s",
+    "prefer_enhanced", "audit",
+])
+_request_bodies = st.one_of(
+    st.binary(max_size=200),
+    _json_values.map(lambda value: json.dumps(value).encode("utf-8")),
+    st.dictionaries(
+        _fields, _json_values | st.lists(_atom_texts, max_size=4),
+        max_size=4,
+    ).map(lambda value: json.dumps(value).encode("utf-8")),
+    st.tuples(
+        st.sampled_from(["[", "{\"query\": ", "{\"adds\": ["]),
+        st.integers(min_value=1, max_value=60_000),
+    ).map(lambda shape: (shape[0] * shape[1]).encode("utf-8")),
+)
+
+
+class TestParserProperties:
+    """Every parser, on any byte body, returns its request or raises a
+    :class:`ProtocolError`: nothing else may reach the server, which
+    answers anything else 500 and counts it against the error budget."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(route=st.sampled_from(sorted(PARSERS)), body=_request_bodies)
+    @example(route="explain", body=DEEP_BODY)
+    @example(route="update", body=b'{"adds": ["Own(A, B, ' + b"9" * 5000 + b')"]}')
+    def test_a_body_parses_or_is_a_protocol_error(self, route, body):
+        try:
+            request = PARSERS[route](body)
+        except ProtocolError as error:
+            assert error.status == 400
+        else:
+            assert isinstance(request, REQUEST_TYPES[route])
+
+
 # ----------------------------------------------------------------------
 # A shared warm server over the Figure 15 company-control instance
 # ----------------------------------------------------------------------
@@ -236,13 +301,15 @@ class TestEndpoints:
         assert payload["format"] == SERVE_FORMAT
         assert payload["status"] == "ok"
         assert payload["workers"] == 1
+        assert "backend" not in payload  # one backend: nothing to name
         assert payload["admission"]["limit"] == server.config.queue_limit
         assert payload["warm_start"]["warm_start_max_s"] >= 0
         # Serving has one engine: no strategy to report or to set.
         assert "strategy" not in payload
         assert "strategy" not in payload["warm_start"]
-        with pytest.raises(TypeError):
-            ServeConfig(strategy="planned")
+        for retired in ("strategy", "backend", "workers"):
+            with pytest.raises(TypeError):
+                ServeConfig(**{retired: None})
 
     def test_explain_and_flight_lookup(self, server, scenario):
         status, headers, data = _request(
@@ -301,6 +368,27 @@ class TestEndpoints:
             assert payload["status"] == "bad_request"
         finally:
             connection.close()
+
+    @pytest.mark.parametrize(
+        "path", ["/explain", "/explain/batch", "/whynot", "/update"]
+    )
+    def test_a_deeply_nested_body_is_400_not_a_server_error(
+        self, server, path
+    ):
+        errors = server.metrics.counter_value("serve.errors")
+        bad = server.metrics.counter_value("serve.bad_requests")
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=30
+        )
+        try:
+            connection.request("POST", path, body=DEEP_BODY)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert json.loads(response.read())["status"] == "bad_request"
+        finally:
+            connection.close()
+        assert server.metrics.counter_value("serve.errors") == errors
+        assert server.metrics.counter_value("serve.bad_requests") == bad + 1
 
     @pytest.mark.parametrize("declared", ["abc", "-5"])
     def test_malformed_content_length_is_400(self, server, declared):
@@ -1005,8 +1093,8 @@ class TestUpdateEndpoint:
 
 
 class TestDispatchThreads:
-    """Where a request runs, by call site rather than by clock: thread-
-    backend explains on the event-loop thread, ``/whynot`` and
+    """Where a request runs, by call site rather than by clock:
+    explains on the event-loop thread, ``/whynot`` and
     ``/update`` on a thread beside it, so a slow search or update never
     holds the readers."""
 
@@ -1096,14 +1184,6 @@ class TestDispatchThreads:
         assert answered in json.loads(data)
 
 
-def test_workers_size_the_process_backend_only(scenario, snapshot):
-    with pytest.raises(ValueError, match="process backend"):
-        ExplanationServer(
-            scenario.application, snapshot=snapshot,
-            config=ServeConfig(workers=2),
-        )
-
-
 # ----------------------------------------------------------------------
 # Satellite fixes: integer Retry-After, breaker cooldown in /healthz,
 # per-worker boot telemetry
@@ -1152,11 +1232,6 @@ class TestRetryAfterAndCooldown:
         nested = payload["admission"]["breaker"]["cooldown_remaining_s"]
         assert abs(nested - remaining) < 0.5
 
-    def test_healthz_names_backend(self, server):
-        _status, _headers, data = _request(server, "GET", "/healthz")
-        payload = json.loads(data)
-        assert payload["backend"] == "thread"
-
 
 class TestWorkerBootTelemetry:
     def test_boot_rows_in_healthz(self, server):
@@ -1177,233 +1252,6 @@ class TestWorkerBootTelemetry:
             histogram = server.metrics.find_histogram(name)
             assert histogram is not None, name
             assert histogram.count == 1
-
-
-# ----------------------------------------------------------------------
-# Process backend: byte parity, telemetry merge, update broadcast
-# ----------------------------------------------------------------------
-
-class TestProcessBackend:
-    @pytest.fixture(scope="class")
-    def proc_server(self, scenario, snapshot):
-        instance = ExplanationServer(
-            scenario.application, snapshot=snapshot,
-            config=ServeConfig(
-                workers=2, backend="process",
-                slo_period_s=60.0, slo_interval_requests=10_000,
-            ),
-            llm=None,
-        )
-        with instance.run_in_thread():
-            yield instance
-
-    def test_healthz_reports_process_backend(self, proc_server):
-        status, _headers, data = _request(proc_server, "GET", "/healthz")
-        payload = json.loads(data)
-        assert status == 200
-        assert payload["backend"] == "process"
-        assert payload["workers"] == 2
-        rows = payload["warm_start"]["boot_rows"]
-        assert sorted(row["worker"] for row in rows) == [0, 1]
-
-    def test_explain_byte_parity_with_thread_backend(
-        self, proc_server, direct, scenario
-    ):
-        status, headers, served = _request(
-            proc_server, "POST", "/explain", {"query": str(scenario.target)}
-        )
-        assert status == 200
-        expected = encode_body(
-            explanation_payload(direct.explain(scenario.target))
-        )
-        assert served == expected
-        assert headers.get("X-Query-Id")
-
-    def test_whynot_byte_parity(self, proc_server, direct, scenario):
-        arity = scenario.target.arity
-        absent = "{}({})".format(
-            scenario.target.predicate,
-            ", ".join(f"Absentia{n}" for n in range(arity)),
-        )
-        status, _headers, served = _request(
-            proc_server, "POST", "/whynot", {"query": absent}
-        )
-        assert status == 200
-        expected = encode_body(
-            whynot_payload(direct.why_not(parse_fact(absent)))
-        )
-        assert served == expected
-
-    def test_a_request_waits_for_a_free_worker_untimed(
-        self, proc_server, scenario
-    ):
-        # Every worker busy: a request queues for one without failing on
-        # the answer timeout, then is served once a worker frees up.
-        pool = proc_server.pool
-        busy = [pool._available.get() for _ in range(len(pool))]
-        answers: list = []
-        body = _body({"query": str(scenario.target)})
-        waiter = threading.Thread(target=lambda: answers.append(
-            pool.serve("explain", body, timeout_s=0.5)
-        ))
-        waiter.start()
-        try:
-            waiter.join(timeout=2.0)
-            assert waiter.is_alive() and not answers
-        finally:
-            for handle in busy:
-                pool._available.put(handle)
-        waiter.join(timeout=30)
-        status, _payload = answers[0]
-        assert status == 200
-
-    def test_malformed_body_is_400(self, proc_server):
-        connection = http.client.HTTPConnection(
-            proc_server.host, proc_server.port, timeout=30
-        )
-        try:
-            connection.request("POST", "/explain", body=b'{"nope": 1}')
-            response = connection.getresponse()
-            assert response.status == 400
-            assert json.loads(response.read())["status"] == "bad_request"
-        finally:
-            connection.close()
-
-    def test_worker_metrics_merge_into_parent(self, proc_server, scenario):
-        _request(
-            proc_server, "POST", "/explain", {"query": str(scenario.target)}
-        )
-        # Session-level counters only exist inside the worker processes;
-        # seeing them in the parent registry proves the delta shipping.
-        snapshot_doc = proc_server.metrics.snapshot()
-        assert any(
-            name.startswith(("explain", "session", "serve.worker"))
-            for name in snapshot_doc["counters"]
-        ) or snapshot_doc["histograms"], snapshot_doc["counters"]
-        boot = proc_server.metrics.find_histogram("serve.worker_boot")
-        assert boot is not None and boot.count == 2
-
-    def test_worker_record_carries_the_request_work(
-        self, proc_server, scenario
-    ):
-        before = len(proc_server.flight)
-        status, headers, _data = _request(
-            proc_server, "POST", "/explain", {"query": str(scenario.target)}
-        )
-        assert status == 200
-        # The parent's record plus the one the worker shipped back.
-        assert len(proc_server.flight) == before + 2
-        parent = proc_server.flight.find(headers["X-Query-Id"])
-        worker_qid = parent.attrs["worker_query_id"]
-        status, _headers, data = _request(
-            proc_server, "GET", f"/flight/{worker_qid}"
-        )
-        assert status == 200
-        (record,) = json.loads(data)["records"]
-        assert "explain" in record["phases"]
-        assert record["fingerprint"]
-        assert any(name.startswith("cache.") for name in record["counts"])
-
-    def test_worker_flight_records_ingested(self, proc_server, scenario):
-        _request(
-            proc_server, "POST", "/explain", {"query": str(scenario.target)}
-        )
-        prefixed = [
-            record.query_id
-            for record in proc_server.flight.records()
-            if record.query_id.startswith("w")
-        ]
-        assert prefixed, "expected w<i>- prefixed worker flight records"
-
-
-class TestProcessUpdateBroadcast:
-    @pytest.fixture()
-    def setup(self, scenario, snapshot):
-        instance = ExplanationServer(
-            scenario.application, snapshot=snapshot,
-            config=ServeConfig(
-                workers=2, backend="process",
-                slo_period_s=60.0, slo_interval_requests=10_000,
-            ),
-            llm=None,
-        )
-        service = ExplanationService(llm=None)
-        mirror = service.session(
-            scenario.application, loads_database(snapshot),
-            strategy="planned",
-        )
-        try:
-            with instance.run_in_thread():
-                yield instance, mirror
-        finally:
-            service.shutdown()
-
-    def test_update_broadcasts_to_every_worker(self, setup):
-        instance, mirror = setup
-        adds = ["Company(Absentia0)", "Own(IrishBank, Absentia0, 0.9)"]
-        status, _headers, data = _request(
-            instance, "POST", "/update", {"adds": adds}
-        )
-        assert status == 200
-        assert json.loads(data)["mode"] == "incremental"
-        mirror.update(adds=[parse_fact(entry) for entry in adds])
-        derived = "Control(IrishBank, Absentia0)"
-        expected = encode_body(
-            explanation_payload(mirror.explain(parse_fact(derived)))
-        )
-        # Every worker process must serve the post-update state: with 2
-        # workers, 4 sequential requests hit both.
-        for _ in range(4):
-            status, _headers, served = _request(
-                instance, "POST", "/explain", {"query": derived}
-            )
-            assert status == 200
-            assert served == expected
-
-    def test_rejected_delta_leaves_every_worker_untouched(
-        self, setup, scenario
-    ):
-        instance, mirror = setup
-        status, _headers, data = _request(
-            instance, "POST", "/update",
-            {"retracts": ["Control(IrishBank, FondoItaliano)"]},
-        )
-        assert status == 400
-        assert "derived" in json.loads(data)["error"]
-        expected = encode_body(
-            explanation_payload(mirror.explain(scenario.target))
-        )
-        for _ in range(4):
-            status, _headers, served = _request(
-                instance, "POST", "/explain", {"query": str(scenario.target)}
-            )
-            assert status == 200
-            assert served == expected
-
-
-    @pytest.mark.parametrize("adds,reason", [
-        (["Own(IrishBank, MadridCredit)"], "arity"),
-        (['Own(IrishBank, MadridCredit, "x")'], "'x'"),
-    ])
-    def test_a_delta_the_program_rejects_is_400_on_every_worker(
-        self, setup, scenario, adds, reason
-    ):
-        instance, mirror = setup
-        status, _headers, data = _request(
-            instance, "POST", "/update", {"adds": adds}
-        )
-        assert status == 400
-        assert reason in json.loads(data)["error"]
-        assert instance.metrics.counter_value("serve.errors") == 0
-        expected = encode_body(
-            explanation_payload(mirror.explain(scenario.target))
-        )
-        for _ in range(4):
-            status, _headers, served = _request(
-                instance, "POST", "/explain", {"query": str(scenario.target)}
-            )
-            assert status == 200
-            assert served == expected
 
 
 # ----------------------------------------------------------------------

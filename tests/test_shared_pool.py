@@ -8,8 +8,6 @@
   500.
 * ``ReasoningResult.updated`` rebinds a copy of the provenance index
   while readers keep filling the original's memos.
-* The thread and process backends answer one seeded request stream,
-  updates interleaved, byte for byte alike.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     PARSERS,
     ExplanationServer,
-    ProcessWorkerPool,
     ServeConfig,
     WorkerPool,
     encode_body,
@@ -385,30 +382,3 @@ def test_rebinding_a_copy_beside_readers_of_the_original(graph):
         for fact in facts_of.derivation:
             assert old.spine(fact) == new.spine(fact)
             assert old.proof_constants(fact) == new.proof_constants(fact)
-
-
-# ----------------------------------------------------------------------
-# Thread and process backends agree (ROADMAP 8(b))
-# ----------------------------------------------------------------------
-
-def test_thread_and_process_backends_answer_one_stream_alike(
-    graph, snapshot, states
-):
-    rng = random.Random(8)
-    stream: list[tuple[str, bytes]] = []
-    for turn in range(4):
-        stream.extend(_reads(states, rng, 8))
-        stream.append(_update(graph[1], retract=turn % 2 == 0))
-    stream.extend(_reads(states, rng, 8))
-    thread_pool = WorkerPool(APP, snapshot)
-    process_pool = ProcessWorkerPool(APP, snapshot)
-    try:
-        for route, body in stream:
-            bodies = []
-            for pool in (thread_pool, process_pool):
-                status, payload = pool.serve(route, body)
-                bodies.append((status, encode_body(payload)))
-            assert bodies[0] == bodies[1], (route, body)
-    finally:
-        process_pool.shutdown()
-        thread_pool.shutdown()

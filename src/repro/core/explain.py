@@ -29,7 +29,7 @@ across many instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Mapping, Sequence
 
@@ -63,6 +63,12 @@ class Explanation:
     segments: tuple[SegmentMatch, ...]
     instantiations: tuple[InstantiatedExplanation, ...]
     side_explanations: tuple["Explanation", ...] = ()
+    #: What the serving layer kept of this explanation's response body,
+    #: per audit flag (:func:`repro.serve.protocol.explanation_response`).
+    #: Not part of the value; set only on explanations that were served.
+    served: tuple = field(
+        default=(None, None), init=False, compare=False, repr=False
+    )
 
     def paths_used(self) -> tuple[str, ...]:
         """Names of the reasoning paths composing this explanation, e.g.

@@ -421,6 +421,76 @@ def parse_constraint(text: str, label: str = "c1") -> Constraint:
     return constraint
 
 
+# ----------------------------------------------------------------------
+# Ground atoms: one regex scan, the token path as its fallback
+# ----------------------------------------------------------------------
+
+# The common shape of a served query or fact-file line — a predicate and
+# its comma-separated constants, optional whitespace and trailing dot —
+# recognised in one scan.  Built from the tokenizer's own patterns, so
+# every text the scan accepts splits into exactly the tokens _tokenize
+# would give it.  Anything else (comments, variables, malformed input)
+# takes the token path, which owns every error message.
+_SPEC = dict(_TOKEN_SPEC)
+_WS = f"(?:{_SPEC['WS']})?"
+_GROUND_TERM = (
+    f"(-{_WS})?({_SPEC['NUMBER']})|({_SPEC['STRING']})|({_SPEC['IDENT']})"
+)
+_GROUND_TERM_RE = re.compile(_GROUND_TERM)
+_GROUND_ATOM_RE = re.compile(
+    rf"{_WS}({_SPEC['IDENT']}){_WS}\({_WS}"
+    rf"((?:{_GROUND_TERM})(?:{_WS},{_WS}(?:{_GROUND_TERM}))*)"
+    rf"{_WS}\){_WS}(?:\.{_WS})?"
+)
+
+
+def _scan_fact(text: str) -> Atom | None:
+    """The fact ``text`` spells, or ``None`` when the scan does not
+    apply and the token path must decide."""
+    match = _GROUND_ATOM_RE.fullmatch(text)
+    if match is None:
+        return None
+    terms: list[Term] = []
+    for minus, number, string, ident in _GROUND_TERM_RE.findall(match[2]):
+        if number:
+            try:
+                value = float(number) if "." in number else int(number)
+            except ValueError:  # too long for int(): the token path says so
+                return None
+            terms.append(intern_constant(-value if minus else value))
+        elif string:
+            terms.append(intern_constant(string[1:-1]))
+        elif ident[0].isupper():
+            terms.append(intern_constant(ident))
+        else:  # a variable: the token path rejects it
+            return None
+    return Atom(match[1], tuple(terms))
+
+
+def _parse_fact_tokens(text: str) -> Atom:
+    """:func:`parse_fact` through the tokenizer and the atom parser."""
+    stream = _TokenStream(_tokenize(text), text)
+    atom = _parse_atom(stream)
+    if stream.peek() is not None and stream.peek().kind == "DOT":  # type: ignore[union-attr]
+        stream.next()
+    if not stream.at_end():
+        raise ParseError("trailing input after fact", text, 0)
+    if not atom.is_fact():
+        raise ParseError(f"fact {atom} contains variables", text, 0)
+    return atom
+
+
+def parse_fact(text: str) -> Atom:
+    """Parse one ground atom, e.g. ``Own(A, B, 0.6)`` (trailing dot ok).
+
+    Equal to the token path on every input — the same fact, the same
+    constant types, the same :class:`ParseError` — but a plain ground
+    atom costs one regex scan instead of a tokenizer pass.
+    """
+    atom = _scan_fact(text)
+    return atom if atom is not None else _parse_fact_tokens(text)
+
+
 def _iter_statements(text: str) -> Iterator[Rule | Constraint]:
     stream = _TokenStream(_tokenize(text), text)
     counter = 0

@@ -32,9 +32,8 @@ from typing import Iterable
 from .core.glossary import DomainGlossary
 from .datalog.atoms import Fact
 from .datalog.errors import ParseError
-from .datalog.parser import _TokenStream, _parse_atom, _tokenize
+from .datalog.parser import parse_fact, parse_program
 from .datalog.program import Program
-from .datalog.parser import parse_program
 from .datalog.terms import Null, Term, intern_constant
 from .engine.database import Database
 from .engine.symbols import SymbolTable
@@ -71,19 +70,6 @@ def load_program(
 # ----------------------------------------------------------------------
 # Facts
 # ----------------------------------------------------------------------
-
-def parse_fact(text: str) -> Fact:
-    """Parse one ground atom, e.g. ``Own(A, B, 0.6)`` (trailing dot ok)."""
-    stream = _TokenStream(_tokenize(text), text)
-    atom = _parse_atom(stream)
-    if stream.peek() is not None and stream.peek().kind == "DOT":  # type: ignore[union-attr]
-        stream.next()
-    if not stream.at_end():
-        raise ParseError("trailing input after fact", text, 0)
-    if not atom.is_fact():
-        raise ParseError(f"fact {atom} contains variables", text, 0)
-    return atom
-
 
 def loads_facts(text: str) -> Database:
     """Parse a fact file body into a database."""

@@ -35,6 +35,7 @@ from .protocol import (
     encode_body,
     error_payload,
     explanation_payload,
+    explanation_response,
     outcome_payload,
     parse_batch_request,
     parse_explain_request,
@@ -71,6 +72,7 @@ __all__ = [
     "encode_body",
     "error_payload",
     "explanation_payload",
+    "explanation_response",
     "outcome_payload",
     "parse_batch_request",
     "parse_explain_request",

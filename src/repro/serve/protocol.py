@@ -221,6 +221,43 @@ def explanation_payload(
     return payload
 
 
+#: ``Explanation.served`` entry of a body that was sent once, not kept.
+_SENT = object()
+
+
+def explanation_response(
+    explanation: Explanation, audit: bool = False
+) -> dict | bytes:
+    """The response to one served explanation: its payload, or its body.
+
+    A memoized explanation keeps its encoded body from its first memo
+    hit on.  The first time it is served (the miss that computed it) it
+    is only marked and its payload returned for the caller to encode;
+    the second time its body is encoded, kept and returned; every later
+    time the kept bytes are returned as they are.  So an explanation
+    served once keeps nothing, and one served again costs a lookup.
+    The bytes live on the explanation, so they leave with its memo
+    entry (evicted, or scoped out by an update) and equal
+    ``encode_body(explanation_payload(explanation, audit))``.
+    """
+    kept = explanation.served[audit]
+    if isinstance(kept, bytes):
+        return kept
+    payload = explanation_payload(explanation, audit)
+    if kept is None:
+        _keep(explanation, audit, _SENT)
+        return payload
+    body = encode_body(payload)
+    _keep(explanation, audit, body)
+    return body
+
+
+def _keep(explanation: Explanation, audit: bool, value: object) -> None:
+    served = list(explanation.served)
+    served[audit] = value
+    object.__setattr__(explanation, "served", tuple(served))
+
+
 def outcome_payload(outcome: BatchOutcome) -> dict:
     """One per-query entry of a batch response."""
     entry: dict = {"query": str(outcome.query), "status": outcome.status}

@@ -26,7 +26,7 @@ from .protocol import (
     WhyNotRequest,
     batch_payload,
     error_payload,
-    explanation_payload,
+    explanation_response,
     parse_batch_request,
     parse_explain_request,
     parse_update_request,
@@ -56,7 +56,7 @@ def serve_explain(
     *,
     default_deadline_s: float,
     metrics: MetricsRegistry,
-) -> tuple[int, dict]:
+) -> tuple[int, dict | bytes]:
     deadline = _deadline(request.deadline_s, default_deadline_s)
     try:
         deadline.check("explain request admission")
@@ -64,8 +64,9 @@ def serve_explain(
             request.query, prefer_enhanced=request.prefer_enhanced
         )
         # Work that *finished* is returned even if the budget ran out
-        # meanwhile — computed results are never discarded.
-        return 200, explanation_payload(explanation, audit=request.audit)
+        # meanwhile — computed results are never discarded.  A memo hit
+        # answers with the body the explanation kept (already bytes).
+        return 200, explanation_response(explanation, audit=request.audit)
     except DeadlineExceeded as error:
         metrics.incr("serve.deadline_exceeded")
         obs.flight_event("deadline_exceeded", where="explain")
@@ -122,8 +123,9 @@ def serve_session_request(
     *,
     default_deadline_s: float,
     metrics: MetricsRegistry,
-) -> tuple[int, dict]:
-    """Serve one parsed session-scoped request (not ``update``)."""
+) -> tuple[int, dict | bytes]:
+    """Serve one parsed session-scoped request (not ``update``): the
+    status and a payload to encode, or a body already encoded."""
     if isinstance(request, ExplainRequest):
         return serve_explain(
             session, request,

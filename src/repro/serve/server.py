@@ -85,6 +85,21 @@ _REASONS = {
 #: textual queries fits comfortably; anything larger is abuse).
 MAX_BODY_BYTES = 4 * 1024 * 1024
 _MAX_HEADERS = 64
+#: Upper bound on one line of a request head (the request line or a
+#: header); the stream reader holds no more than this for one line.
+_MAX_LINE_BYTES = 64 * 1024
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of a request head."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        # readline's form of LimitOverrunError: the line outgrew the
+        # reader's limit, and the rest of the head is unframed.
+        raise ProtocolError(
+            f"request head line exceeds {_MAX_LINE_BYTES} bytes"
+        )
 
 
 @dataclass
@@ -160,7 +175,7 @@ class ExplanationServer:
             )
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.config.host,
-            port=self.config.port,
+            port=self.config.port, limit=_MAX_LINE_BYTES,
         )
         address = self._server.sockets[0].getsockname()
         self.host, self.port = address[0], address[1]
@@ -322,8 +337,7 @@ class ExplanationServer:
                 if not keep_alive:
                     break
         except (
-            asyncio.IncompleteReadError, ConnectionResetError,
-            BrokenPipeError, asyncio.LimitOverrunError,
+            asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError,
         ):
             pass  # client went away mid-request; nothing to answer
         except asyncio.CancelledError:
@@ -342,7 +356,7 @@ class ExplanationServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
         if not request_line:
             return None
         try:
@@ -352,8 +366,9 @@ class ExplanationServer:
         except ValueError:
             raise ProtocolError("malformed request line")
         headers: dict[str, str] = {}
-        for _ in range(_MAX_HEADERS):
-            line = await reader.readline()
+        # Up to _MAX_HEADERS headers, then the blank line that ends them.
+        for _ in range(_MAX_HEADERS + 1):
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = line.decode("latin-1").partition(":")
@@ -412,10 +427,14 @@ class ExplanationServer:
     @staticmethod
     def _json_response(
         status: int,
-        payload: dict,
+        payload: dict | bytes,
         extra: list[tuple[str, str]] | None = None,
     ) -> tuple[int, bytes, str, list[tuple[str, str]]]:
-        return status, encode_body(payload), "application/json", extra or []
+        # A payload arrives as bytes when it is a body already encoded
+        # (a memo hit's kept body, protocol.explanation_response).
+        if not isinstance(payload, bytes):
+            payload = encode_body(payload)
+        return status, payload, "application/json", extra or []
 
     def _dispatch_get(
         self, path: str
@@ -538,7 +557,9 @@ class ExplanationServer:
     # ------------------------------------------------------------------
     # Serving one routed request (on the loop, or beside it)
     # ------------------------------------------------------------------
-    def _execute(self, route: str, body: bytes) -> tuple[int, dict, str]:
+    def _execute(
+        self, route: str, body: bytes
+    ) -> tuple[int, dict | bytes, str]:
         """Serve one routed request; returns (status, payload, qid).
 
         The one serving path, whichever thread :meth:`_dispatch_post`

@@ -114,8 +114,9 @@ class WorkerPool:
 
     def serve(
         self, route: str, body: bytes, record=None
-    ) -> tuple[int, dict]:
-        """Parse ``body`` for ``route`` and serve it: (status, payload).
+    ) -> tuple[int, dict | bytes]:
+        """Parse ``body`` for ``route`` and serve it: (status, payload),
+        where a payload already encoded arrives as bytes.
 
         The entry point the HTTP server calls.  A
         :class:`~repro.serve.protocol.ProtocolError` from the parser
@@ -139,7 +140,7 @@ class WorkerPool:
                 record.set(mode=outcome.mode)
             return 200, update_payload(outcome)
 
-        def task(session: ExplanationSession) -> tuple[int, dict]:
+        def task(session: ExplanationSession) -> tuple[int, dict | bytes]:
             return serve_session_request(
                 session, request,
                 default_deadline_s=self.default_deadline_s,

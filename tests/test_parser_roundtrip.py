@@ -3,14 +3,19 @@
 Random rules are assembled from the full feature surface (conditions,
 arithmetic, aggregates, negation, assignments, constants of every kind),
 rendered with ``str()`` and re-parsed; the round trip must be exact.
+``parse_fact``'s one-scan path must agree with the tokenizer path on
+any text at all.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import Atom, Constraint, parse_constraint, parse_rule
+from repro.datalog import parser
+from repro.datalog.errors import ParseError
+from repro.io import parse_fact
 from repro.datalog.aggregates import AggregateSpec
 from repro.datalog.conditions import BinaryOp, Comparison
 from repro.datalog.rules import Rule
@@ -127,3 +132,95 @@ class TestRoundTrip:
         )
         reparsed = parse_constraint(str(constraint), label="cz")
         assert str(reparsed) == str(constraint)
+
+
+# ----------------------------------------------------------------------
+# parse_fact: the one-scan path equals the tokenizer path
+# ----------------------------------------------------------------------
+
+def _outcome(parse, text: str) -> tuple:
+    """What parsing ``text`` gives: the fact with every constant's type
+    and exact value (``1`` vs ``1.0`` vs ``"1"``, ``0.0`` vs ``-0.0``),
+    or the error message."""
+    try:
+        fact = parse(text)
+    except ParseError as error:
+        return ("error", str(error))
+    return ("fact", fact, tuple(
+        (type(term.value), repr(term.value)) for term in fact.terms
+    ))
+
+
+_term_texts = st.sampled_from([
+    "A", "IrishBank", "C001x00467", "x", "_y", "0", "7", "007", "-5",
+    "- 5", "-\n5", "--5", "-x", "0.5", "00.50", "-0", "-0.0", "1.",
+    ".5", "1.2.3", "1e5", '"a, (b)"', '")"', '""', '"%"', '"#"',
+    "9" * 5000, "-" + "9" * 5000, "9" * 5000 + ".5",
+])
+_gaps = st.sampled_from(["", " ", "\t", "\n", " % note\n", "#\n"])
+_tails = st.sampled_from(["", ".", " . ", "..", ". % note", " # note", " x"])
+
+
+@st.composite
+def fact_like_texts(draw) -> str:
+    """Texts near the ground-atom shape: any mix of terms, gaps, tails."""
+    arguments = draw(st.lists(_term_texts, max_size=4))
+    separator = draw(_gaps) + "," + draw(_gaps)
+    return "{}{}{}({}){}".format(
+        draw(_gaps), draw(st.sampled_from(["Own", "own", "P", "_Q"])),
+        draw(_gaps), separator.join(arguments), draw(_tails),
+    )
+
+
+@st.composite
+def ground_atoms(draw) -> Atom:
+    predicate = draw(predicates)
+    constants = st.one_of(
+        entity_constants.map(Constant),
+        string_constants.map(Constant),
+        st.sampled_from(["a, (b)", "(", ")", ",", "x y"]).map(Constant),
+        st.integers().map(Constant),
+        st.floats(allow_nan=False, allow_infinity=False).map(Constant),
+    )
+    arity = draw(st.integers(min_value=1, max_value=4))
+    return Atom(predicate, tuple(draw(constants) for _ in range(arity)))
+
+
+class TestParseFactScanner:
+    @settings(deadline=None, max_examples=400)
+    @given(st.one_of(
+        st.text(max_size=40),
+        st.text(alphabet="Own(A, x1_)-.\"%#\n\t9", max_size=40),
+        fact_like_texts(),
+    ))
+    @example('Control(A, "a, (b)", ")")')
+    @example("Own(A, B, -5)")
+    @example("Own(A, B, - 5)")
+    @example("Own(A, B, 007)")
+    @example("Own(A, B, " + "9" * 5000 + ")")
+    @example("Own(A, B, 0.5).")
+    @example("Own(A, B, 0.5) % a comment")
+    @example("# a comment\nOwn(A, B, 0.5)")
+    @example("Own(x, B, 0.5)")
+    @example("Own(_x, B, 0.5)")
+    @example("")
+    def test_any_text_parses_as_the_tokenizer_path_says(self, text):
+        assert _outcome(parse_fact, text) == _outcome(
+            parser._parse_fact_tokens, text
+        )
+
+    @settings(deadline=None, max_examples=300)
+    @given(ground_atoms())
+    def test_a_rendered_fact_parses_as_the_tokenizer_path_says(self, fact):
+        text = str(fact)
+        assert _outcome(parse_fact, text) == _outcome(
+            parser._parse_fact_tokens, text
+        )
+
+    @settings(deadline=None, max_examples=100)
+    @given(ground_atoms().filter(
+        lambda fact: all(isinstance(t.value, str) for t in fact.terms)
+    ))
+    def test_a_rendered_entity_fact_takes_the_scan(self, fact):
+        # What a client sends as a query: str() of a derived fact.
+        assert parser._scan_fact(str(fact)) == fact

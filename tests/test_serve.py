@@ -4,9 +4,12 @@ over HTTP, flight-record lookup, and the byte-parity contract between
 served bodies and direct in-process serialization."""
 
 import http.client
+import importlib.util
 import json
+import logging
 import re
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.apps import figures, generators
+from repro.apps import company_control, figures, generators
 from repro.core import ExplanationService
-from repro.io import dumps_database, loads_database, parse_fact
+from repro.datalog import parser
+from repro.io import dumps_database, loads_database, loads_facts, parse_fact
 from repro.core.service import Deadline, ExplanationSession
 from repro.obs import MetricsRegistry
 from repro.serve import (
@@ -42,6 +46,7 @@ from repro.serve import (
     parse_whynot_request,
     whynot_payload,
 )
+from repro.serve import protocol
 from repro.serve.admission import (
     ERROR_RATE_MIN_EVENTS,
     LATENCY_P99_MAX_S,
@@ -506,6 +511,82 @@ class TestEndpoints:
         assert payload["obstacles"]
 
 
+def _raw_exchange(server, data: bytes) -> tuple[bytes, dict]:
+    """Send ``data`` on a fresh socket; the head and JSON body the server
+    answers before it closes the connection."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=30
+    ) as raw:
+        raw.sendall(data)
+        answer = b""
+        while chunk := raw.recv(65536):  # the server closes after it
+            answer += chunk
+    assert answer.count(b"HTTP/1.1 ") == 1
+    head, _, body = answer.partition(b"\r\n\r\n")
+    return head, json.loads(body)
+
+
+class TestHeadFraming:
+    """How the server frames a request head: line ends, line lengths,
+    header counts.  A head it cannot frame is one 400, counted in
+    ``serve.bad_requests``, and the connection closes."""
+
+    def _rejected(self, server, data: bytes, caplog) -> str:
+        bad = server.metrics.counter_value("serve.bad_requests")
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            head, payload = _raw_exchange(server, data)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert payload["status"] == "bad_request"
+        assert server.metrics.counter_value("serve.bad_requests") == bad + 1
+        assert not [
+            record for record in caplog.records
+            if "Unhandled exception" in record.getMessage()
+        ]
+        return payload["error"]
+
+    def test_a_bare_lf_head_is_served(self, server, scenario):
+        body = _body({"query": str(scenario.target)})
+        head, payload = _raw_exchange(
+            server,
+            b"POST /explain HTTP/1.1\nHost: test\nConnection: close\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\n\n" + body,
+        )
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert payload["query"] == str(scenario.target)
+
+    def test_a_malformed_request_line_is_400(self, server, caplog):
+        error = self._rejected(server, b"GARBAGE\r\n\r\n", caplog)
+        assert error == "malformed request line"
+
+    def test_64_headers_are_served_and_65_are_400(self, server, caplog):
+        def head(count: int) -> bytes:
+            filler = b"".join(
+                b"X-Filler-%d: %d\r\n" % (index, index)
+                for index in range(count - 1)
+            )
+            return (
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+                + filler + b"\r\n"
+            )
+
+        answer, payload = _raw_exchange(server, head(64))
+        assert answer.startswith(b"HTTP/1.1 200 ")
+        assert payload["status"] == "ok"
+        assert self._rejected(server, head(65), caplog) == "too many headers"
+
+    @pytest.mark.parametrize("data", [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"POST /explain HTTP/1.1\r\nX-Filler: " + b"a" * 70_000
+        + b"\r\nContent-Length: 0\r\n\r\n",
+    ], ids=["request-line", "header-line"])
+    def test_a_head_line_over_64_kib_is_400(self, server, data, caplog):
+        # StreamReader.readline raises a bare ValueError past its limit;
+        # uncaught, it dropped the connection unanswered and uncounted.
+        error = self._rejected(server, data, caplog)
+        assert "exceeds" in error
+
+
 # ----------------------------------------------------------------------
 # Admission control: queue overflow and breaker-open shedding
 # ----------------------------------------------------------------------
@@ -950,6 +1031,148 @@ class TestByteParity:
                 assert served == expected
         finally:
             service.shutdown()
+
+
+def _count_calls_to(monkeypatch, module, name: str) -> list:
+    """Count calls to ``module.name`` through every ``repro`` module that
+    bound it by name; returns the list calls are appended to."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for other in list(sys.modules.values()):
+        if other is not None and other.__name__.startswith("repro"):
+            if vars(other).get(name) is original:
+                monkeypatch.setattr(other, name, counting)
+    return calls
+
+
+def _bench_s_graph():
+    """``bench/gen.py``'s ``S`` graph (seed 1): the facts and the derived
+    facts, as strings."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        return module.ownership_graph("S", 1)
+    finally:
+        del sys.modules[spec.name]
+
+
+class TestKeptBodies:
+    """Clock-free cost of a memo-hit ``/explain``: no tokenizer pass, and
+    the body encoded once more when it is kept, never per request.  The
+    kept bytes are always the direct serialization of the explanation
+    the current binding gives."""
+
+    @pytest.fixture()
+    def fresh(self, scenario, snapshot):
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(
+                slo_period_s=60.0, slo_interval_requests=10_000,
+            ),
+            llm=None,
+        )
+        service = ExplanationService(llm=None)
+        mirror = service.session(
+            scenario.application, loads_database(snapshot),
+            strategy="planned",
+        )
+        try:
+            with instance.run_in_thread():
+                yield instance, mirror
+        finally:
+            service.shutdown()
+
+    def test_repeats_skip_the_tokenizer_and_encode_twice(
+        self, fresh, scenario, monkeypatch
+    ):
+        instance, _mirror = fresh
+        tokenized = _count_calls_to(monkeypatch, parser, "_tokenize")
+        encoded = _count_calls_to(monkeypatch, protocol, "encode_body")
+        bodies = set()
+        for _ in range(5):
+            status, _headers, served = _request(
+                instance, "POST", "/explain", {"query": str(scenario.target)}
+            )
+            assert status == 200
+            bodies.add(served)
+        assert len(bodies) == 1
+        assert (len(tokenized), len(encoded)) == (0, 2)
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_every_serve_is_the_direct_serialization(
+        self, fresh, scenario, audit
+    ):
+        instance, mirror = fresh
+        expected = encode_body(explanation_payload(
+            mirror.explain(scenario.target), audit=audit
+        ))
+        for _ in range(4):  # the miss, the first hit, kept bytes twice
+            status, _headers, served = _request(
+                instance, "POST", "/explain",
+                {"query": str(scenario.target), "audit": audit},
+            )
+            assert status == 200
+            assert served == expected
+
+    def test_an_update_serves_the_new_bindings_bytes(
+        self, fresh, scenario, monkeypatch
+    ):
+        instance, mirror = fresh
+        query = {"query": str(scenario.target)}
+        for _ in range(3):
+            _request(instance, "POST", "/explain", query)
+        edge = "Own(FrenchPLC, MadridCredit, 0.21)"
+        for delta, wanted in (({"retracts": [edge]}, 404),
+                              ({"adds": [edge]}, 200)):
+            status, _headers, _data = _request(
+                instance, "POST", "/update", delta
+            )
+            assert status == 200
+            mirror.update(
+                adds=[parse_fact(f) for f in delta.get("adds", ())],
+                retracts=[parse_fact(f) for f in delta.get("retracts", ())],
+            )
+            encoded = _count_calls_to(monkeypatch, protocol, "encode_body")
+            status, _headers, served = _request(
+                instance, "POST", "/explain", query
+            )
+            assert status == wanted
+            # The new binding's explanation is a miss: encoded afresh.
+            assert len(encoded) == 1
+            monkeypatch.undo()
+        assert served == encode_body(
+            explanation_payload(mirror.explain(scenario.target))
+        )
+
+    def test_an_all_miss_walk_keeps_no_body(self, monkeypatch):
+        graph = _bench_s_graph()
+        pool = WorkerPool.from_database(
+            company_control.build(), loads_facts("\n".join(graph.facts))
+        )
+        try:
+            encoded = _count_calls_to(monkeypatch, protocol, "encode_body")
+            for fact in graph.derived:
+                status, payload = pool.serve("explain", _body({"query": fact}))
+                assert status == 200 and isinstance(payload, dict)
+            assert encoded == []
+            kept = [
+                fact for fact in graph.derived
+                if any(
+                    isinstance(entry, bytes)
+                    for entry in pool.session.explain(parse_fact(fact)).served
+                )
+            ]
+            assert kept == []
+        finally:
+            pool.shutdown()
 
 
 # ----------------------------------------------------------------------

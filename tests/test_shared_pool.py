@@ -127,7 +127,8 @@ def _expected(session: ExplanationSession, route: str, body: bytes):
         session, PARSERS[route](body),
         default_deadline_s=10.0, metrics=MetricsRegistry(),
     )
-    return status, encode_body(payload)
+    # A repeated explain answers with the body its explanation kept.
+    return status, payload if isinstance(payload, bytes) else encode_body(payload)
 
 
 # ----------------------------------------------------------------------

@@ -9,41 +9,9 @@ a complete experimental record behind.
 
 from __future__ import annotations
 
-import json
-import time
-from contextlib import contextmanager
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-class Phases:
-    """Per-phase wall-clock accounting for a benchmark run.
-
-    Benchmarks wrap their stages (chase, compile, measurement sweeps,
-    parity checks) in :meth:`phase` blocks; the accumulated seconds are
-    attached to the run's stats document by :func:`emit_stats`, so a slow
-    CI run says *which* stage regressed without re-profiling.  Re-entering
-    a name accumulates (phases may run once per workload).
-    """
-
-    def __init__(self) -> None:
-        self._seconds: dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str):
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self._seconds[name] = self._seconds.get(name, 0.0) + elapsed
-
-    def snapshot(self) -> dict:
-        return {
-            name: round(seconds, 6)
-            for name, seconds in self._seconds.items()
-        }
 
 
 def emit(name: str, artifact: str) -> None:
@@ -63,51 +31,3 @@ def once(benchmark, function, *args, **kwargs):
     """
     return benchmark.pedantic(function, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
-
-
-def emit_stats(name, metrics, tracer=None, chase=None, meta=None, phases=None,
-               profile=None):
-    """Write a run's observability stats document next to its artifact.
-
-    Benchmarks emit ``<name>_stats.json`` alongside their ``BENCH_*.json``
-    so every recorded measurement carries its trajectory context (per-rule
-    firing counts, cache hit rates, stage latency percentiles).  Passing a
-    :class:`Phases` (or a plain mapping of name -> seconds) adds a
-    ``phases`` section with per-stage wall times; passing a
-    :class:`~repro.obs.KernelProfiler` fills the ``profile`` section with
-    per-kernel attribution.
-    """
-    from repro import obs
-
-    document = obs.stats_document(
-        metrics, tracer=tracer, chase=chase, meta=meta, profile=profile
-    )
-    if phases is not None:
-        document["phases"] = (
-            phases.snapshot() if hasattr(phases, "snapshot") else dict(phases)
-        )
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}_stats.json"
-    obs.write_stats(document, path)
-    print(f"stats document: {path}")
-    return path
-
-
-def append_history(name, payload, meta=None):
-    """Append one benchmark run to ``BENCH_<name>_history.jsonl``.
-
-    Each run of a benchmark appends a single JSON line — timestamp,
-    optional meta (git ref, CI run id), and the full result payload —
-    so ``repro obs diff`` can compare any run against any earlier one
-    and CI accumulates a longitudinal record instead of overwriting it.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}_history.jsonl"
-    entry: dict = {"ts": round(time.time(), 3), "benchmark": name}
-    if meta:
-        entry["meta"] = dict(meta)
-    entry["payload"] = payload
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
-    print(f"history: {path}")
-    return path

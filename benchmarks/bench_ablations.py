@@ -79,6 +79,8 @@ def test_ablation_aggregation_variants(benchmark):
         def cycle_variants():
             return tuple(c.base_variant() for c in analysis.cycles)
 
+        all_variants = simple_variants() + cycle_variants()
+
     def map_without_variants():
         mapper = TemplateMapper(NoVariantAnalysis())  # type: ignore[arg-type]
         spine = result.spine(scenario.target)

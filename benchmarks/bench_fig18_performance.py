@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import time
 
-from repro import obs
 from repro.apps import generators
 from repro.core import Explainer, ExplanationService
 from repro.render import format_boxplot_series
 
-from _harness import emit, emit_stats, once
+from _harness import emit, once
 
 CONTROL_STEPS = (1, 3, 5, 7, 9, 11, 13, 16, 18, 21)
 STRESS_STEPS = (1, 4, 7, 10, 13, 16, 19, 22)
@@ -34,12 +33,12 @@ def _stress_scenario(steps, seed):
     return generators.stress_with_steps(steps, seed=seed, debts_per_hop=2)
 
 
-def _prepare(scenario_builder, steps_list, metrics=None):
+def _prepare(scenario_builder, steps_list):
     """Materialize all workloads up front: Figure 18 times explanation
     generation, not the chase.  The service compiles each program once
     (content-hash cache) and every workload binds the shared artifact —
     the compile/runtime split keeps the measurement pure."""
-    service = ExplanationService(metrics=metrics)
+    service = ExplanationService()
     prepared = []
     for steps in steps_list:
         for sample in range(PROOFS_PER_LENGTH):
@@ -80,17 +79,8 @@ def _assert_grows(timings):
 
 
 def test_figure18a_company_control_runtime(benchmark):
-    # The preparation phase (chase + compile) runs observed so the
-    # emitted stats document carries rule firings and cache telemetry;
-    # the measured explain loop itself has no instrumented call sites,
-    # keeping the figure comparable with pre-observability runs.
-    tracer = obs.Tracer()
-    metrics = obs.MetricsRegistry()
-    with obs.observed(tracer=tracer, metrics=metrics):
-        prepared = _prepare(
-            generators.control_with_steps, CONTROL_STEPS, metrics=metrics
-        )
-        timings = once(benchmark, _measure, prepared)
+    prepared = _prepare(generators.control_with_steps, CONTROL_STEPS)
+    timings = once(benchmark, _measure, prepared)
     series = [(s, _quartiles(timings[s])) for s in sorted(timings)]
     emit(
         "fig18a_runtime_company_control",
@@ -98,10 +88,6 @@ def test_figure18a_company_control_runtime(benchmark):
             "Figure 18a — explanation generation time (seconds), company control",
             series,
         ),
-    )
-    emit_stats(
-        "BENCH_fig18a", metrics, tracer=tracer,
-        meta={"benchmark": "fig18a_runtime_company_control"},
     )
     _assert_grows(timings)
 

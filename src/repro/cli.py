@@ -29,11 +29,6 @@ Examples::
     # The heaviest rule kernels of a run (live or from a stats document)
     repro-explain obs top --app stress_test
     repro-explain obs top s.json --limit 5
-
-    # Regression tooling: diff two stats documents, check threshold gates
-    repro-explain obs diff baseline.json candidate.json --tolerance 15
-    repro-explain obs diff --check BENCH_engine.json \\
-                  --gates benchmarks/gates.json --suite engine
 """
 
 from __future__ import annotations
@@ -51,6 +46,7 @@ from .apps import (
 from .core.compiler import CompilationError
 from .core.service import ExplanationService
 from .core.structural import StructuralAnalysis
+from .datalog.errors import DatalogError
 from .engine import ChaseEngine
 from .io import (
     load_facts, load_glossary, load_program, parse_fact,
@@ -310,8 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tooling = commands.add_parser(
         "obs",
-        help="observability tooling: kernel-profile views and "
-             "stats-document regression checks",
+        help="observability tooling: kernel-profile views",
     )
     tools = tooling.add_subparsers(dest="obs_command", required=True)
 
@@ -341,43 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # Kernels only exist in the planned engine, not in its oracle.
     top.set_defaults(strategy="planned", handler=_cmd_obs_top)
 
-    diff = tools.add_parser(
-        "diff",
-        help="compare two stats documents with tolerance rules, or check "
-             "one against declarative threshold gates",
-    )
-    diff.add_argument(
-        "documents", nargs="*", metavar="DOC.json",
-        help="BASELINE.json CANDIDATE.json (diff mode)",
-    )
-    diff.add_argument(
-        "--check", metavar="DOC.json",
-        help="gate mode: check this document against --gates instead of "
-             "diffing two documents",
-    )
-    diff.add_argument(
-        "--gates", metavar="GATES.json",
-        help="repro-gates/1 threshold configuration (gate mode)",
-    )
-    diff.add_argument(
-        "--suite", metavar="NAME",
-        help="gate suite to evaluate (default: all suites)",
-    )
-    diff.add_argument(
-        "--tolerance", type=float, default=10.0, metavar="PCT",
-        help="allowed regression on latency-shaped leaves before the diff "
-             "fails (default: 10%%)",
-    )
-    diff.add_argument(
-        "--rules", metavar="FILE",
-        help="JSON list of per-path tolerance overrides "
-             "([{\"path\": ..., \"max_regression_pct\": ...}])",
-    )
-    diff.add_argument(
-        "--output", metavar="FILE",
-        help="write the repro-diff/1 report document to FILE",
-    )
-    diff.set_defaults(handler=_cmd_obs_diff)
     return parser
 
 
@@ -482,21 +440,27 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         profile=args.metrics or bool(args.stats_file),
         meta={"command": "explain", "app": args.app or args.program},
     )
-    with run.observed():
-        scenario, service, session = _run_workload(args, run)
-        if args.why_not:
-            print(session.why_not(parse_fact(args.why_not)).text)
-        elif args.report:
-            targets = [parse_fact(args.query)] if args.query else None
-            report = session.report(
-                targets=targets, prefer_enhanced=not args.deterministic
-            )
-            print(report.to_markdown())
-        else:
-            _print_explanations(args, scenario, session)
-        if args.metrics:
-            print(json.dumps(service.metrics_snapshot(), indent=2),
-                  file=sys.stderr)
+    try:
+        with run.observed():
+            scenario, service, session = _run_workload(args, run)
+            if args.why_not:
+                print(session.why_not(parse_fact(args.why_not)).text)
+            elif args.report:
+                targets = [parse_fact(args.query)] if args.query else None
+                report = session.report(
+                    targets=targets, prefer_enhanced=not args.deterministic
+                )
+                print(report.to_markdown())
+            else:
+                _print_explanations(args, scenario, session)
+            if args.metrics:
+                print(json.dumps(service.metrics_snapshot(), indent=2),
+                      file=sys.stderr)
+    except (KeyError, DatalogError) as error:
+        # A query the chase did not derive, a predicate the program or
+        # glossary lacks: bad input, reported like a bad flag.
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
     run.dump()
     return 0
 
@@ -571,15 +535,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
-    from .obs.diff import StatsDiffError, load_document
-
     if args.stats_file:
         try:
-            document = load_document(args.stats_file)
-        except StatsDiffError as error:
-            print(f"error: {error}", file=sys.stderr)
+            with open(args.stats_file, encoding="utf-8") as handle:
+                document = json.load(handle)
+        except (OSError, ValueError) as error:
+            print(f"error: cannot read {args.stats_file}: {error}",
+                  file=sys.stderr)
             return 2
-        profile = document.get("profile")
+        profile = (
+            document.get("profile") if isinstance(document, dict) else None
+        )
         if not isinstance(profile, dict):
             print(
                 f"error: {args.stats_file} has no profile section "
@@ -603,64 +569,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
         return 2
     print(obs.render_top(profile, limit=args.limit, key=args.key))
     return 0
-
-
-def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    from .obs.diff import (
-        StatsDiffError,
-        check_gates,
-        diff_documents,
-        load_document,
-        load_gates,
-        render_report,
-        write_report,
-    )
-
-    try:
-        if args.check:
-            if not args.gates:
-                print(
-                    "error: --check requires --gates GATES.json",
-                    file=sys.stderr,
-                )
-                return 2
-            document = load_document(args.check)
-            gates = load_gates(args.gates)
-            report = check_gates(document, gates, suite=args.suite)
-        else:
-            if len(args.documents) != 2:
-                print(
-                    "error: diff mode takes exactly two documents "
-                    "(BASELINE.json CANDIDATE.json), or use --check/--gates",
-                    file=sys.stderr,
-                )
-                return 2
-            rules = None
-            if args.rules:
-                try:
-                    with open(args.rules, encoding="utf-8") as handle:
-                        rules = json.load(handle)
-                except (OSError, json.JSONDecodeError) as error:
-                    raise StatsDiffError(
-                        f"cannot read rules {args.rules}: {error}"
-                    ) from error
-                if not isinstance(rules, list):
-                    raise StatsDiffError(
-                        f"{args.rules}: rules must be a JSON list"
-                    )
-            baseline = load_document(args.documents[0])
-            candidate = load_document(args.documents[1])
-            report = diff_documents(
-                baseline, candidate,
-                tolerance_pct=args.tolerance, rules=rules,
-            )
-    except StatsDiffError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.output:
-        write_report(report, args.output)
-    print(render_report(report))
-    return 0 if report["ok"] else 1
 
 
 def main(argv: list[str] | None = None) -> int:

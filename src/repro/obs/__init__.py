@@ -16,9 +16,7 @@ The second layer (per-query attribution, added in PR 7):
   cache counters, degradation events) in a bounded ring buffer,
   dumpable as ``repro-flight/1`` JSON;
 * :mod:`repro.obs.profile` — per-rule-kernel wall time / rows / probes
-  attribution feeding ``--metrics`` and ``repro-explain obs top``;
-* :mod:`repro.obs.diff` — the stats-diff regression tool and threshold
-  gates behind ``repro-explain obs diff``.
+  attribution feeding ``--metrics`` and ``repro-explain obs top``.
 
 Instrumented modules (chase engine, compiler, enhancer, service) do not
 take tracer/registry parameters; they report to the **ambient** pair

@@ -8,8 +8,8 @@ Three consumers, three renderings of the same telemetry:
 * **the stats document** — a single JSON object
   (:func:`stats_document`) bundling registry counters/gauges/histogram
   summaries, cache telemetry, chase statistics and a per-name span
-  aggregation; benchmarks write it next to their ``BENCH_*.json`` and CI
-  fails when its top-level keys go missing;
+  aggregation; ``--stats`` writes it and ``obs top`` reads its
+  ``profile`` section;
 * **Prometheus text** (:func:`render_prometheus`) — counters, gauges
   and summary quantiles in the exposition format, for scraping the
   service in a deployment.

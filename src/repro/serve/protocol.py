@@ -1,8 +1,8 @@
 """The serve wire protocol: request schemas and canonical JSON bodies.
 
 Everything that crosses the HTTP boundary is defined here, in one place,
-so the server, the load harness, the smoke tests and the byte-parity
-sweep all speak the same dialect:
+so the server, the ``bench/`` client, the smoke tests and the
+byte-parity sweep all speak the same dialect:
 
 * **requests** are parsed into frozen dataclasses
   (:class:`ExplainRequest`, :class:`BatchRequest`, :class:`WhyNotRequest`,
@@ -14,8 +14,8 @@ sweep all speak the same dialect:
   newline, so an HTTP-served explanation is *byte-identical* to the same
   payload serialized from a direct in-process
   :class:`~repro.core.service.ExplanationService` call.  The parity
-  gates in ``benchmarks/bench_service_load.py`` and
-  ``tests/test_serve.py`` compare those bytes, not parsed values.
+  checks in ``tests/test_serve.py`` compare those bytes, not parsed
+  values.
 
 The protocol is deliberately small: a query is the textual ground atom
 (``"Control(A, C)"``) parsed by :func:`repro.io.parse_fact`, and an

@@ -158,9 +158,11 @@ class TestObservability:
     def test_explain_subcommand_trace_and_stats(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.jsonl"
         stats_path = tmp_path / "stats.json"
+        flight_path = tmp_path / "flight.json"
         assert main([
             "explain", "--app", "company_control",
             "--trace", str(trace_path), "--stats", str(stats_path),
+            "--flight", str(flight_path),
         ]) == 0
         output = capsys.readouterr().out
         assert "Q_e" in output
@@ -186,6 +188,14 @@ class TestObservability:
         assert "hit_rate" in document["caches"]["explanation_cache"]
         assert "p50" in document["histograms"]["explain_batch"]
         assert document["counters"]["chase.runs"] == 1
+
+        flight = json.loads(flight_path.read_text(encoding="utf-8"))
+        assert flight["format"] == "repro-flight/1"
+        assert flight["records"]
+        for record in flight["records"]:
+            assert set(record) >= {
+                "query_id", "kind", "status", "phases", "counts",
+            }
 
     def test_explain_subcommand_without_obs_flags(self, capsys):
         assert main(["explain", "--app", "figure8",
@@ -270,6 +280,59 @@ class TestObservability:
         ]) == 0
         traced = capsys.readouterr().out
         assert traced == plain
+
+
+class TestBadInput:
+    """Input the pipeline rejects is one ``error:`` line and exit 2."""
+
+    def _assert_rejected(self, capsys, argv, message):
+        assert main(argv) == 2
+        error = capsys.readouterr().err
+        assert error == f"error: {message}\n"
+
+    def test_query_the_chase_did_not_derive(self, capsys):
+        self._assert_rejected(
+            capsys,
+            ["explain", *EXAMPLE_ARGV, "--query", "Control(Nobody, Nothing)"],
+            "Control(Nobody, Nothing) was not derived by the chase",
+        )
+
+    def test_query_predicate_outside_the_program(self, capsys):
+        self._assert_rejected(
+            capsys, ["explain", "--app", "figure8", "--query", "Control(A, B)"],
+            "goal predicate 'Control' does not occur in program "
+            "'stress_simple'",
+        )
+
+    def test_glossary_missing_a_predicate(self, capsys, tmp_path):
+        with open(EXAMPLE_FILES["glossary"], encoding="utf-8") as handle:
+            glossary = json.load(handle)
+        del glossary["Own"]
+        path = tmp_path / "glossary.json"
+        path.write_text(json.dumps(glossary), encoding="utf-8")
+        self._assert_rejected(
+            capsys,
+            ["explain", "--program", EXAMPLE_FILES["program"],
+             "--data", EXAMPLE_FILES["data"], "--glossary", str(path),
+             "--query-all"],
+            "glossary misses predicate 'Own' used by program "
+            "'company_control'",
+        )
+
+
+class TestObsTop:
+    def test_malformed_document_exits_two(self, capsys, tmp_path):
+        for name, text in (
+            ("garbage.json", "not json"),
+            ("list.json", "[1, 2]"),
+            ("no_profile.json", '{"format": "repro-stats/1"}'),
+        ):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            assert main(["obs", "top", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error:"), name
+        assert main(["obs", "top", str(tmp_path / "missing.json")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestStrategyFlag:

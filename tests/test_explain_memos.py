@@ -36,7 +36,7 @@ from repro.datalog.conditions import evaluate_expression
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant
 from repro.engine import database as database_module
-from repro.engine import reason
+from repro.engine import provenance_index, reason
 from repro.engine.incremental import extensional_facts
 from repro.llm import SimulatedLLM
 
@@ -465,6 +465,27 @@ class TestWorkCounts:
                 explainer.explain(query, prefer_enhanced=enhanced)
         assert len(derived) == 820
         assert counter["calls"] <= 2 * len(derived)
+
+    def test_a_second_pass_is_served_from_the_memos(self, monkeypatch):
+        # The first pass over the chain's 820 derived facts builds 820
+        # spines and renders 820 segments; the second is all LRU hits.
+        scenario = generators.control_chain(40)
+        result = scenario.run()
+        explainer = scenario.application.explainer(result)
+        spines = _count_calls(
+            monkeypatch, provenance_index.ProvenanceIndex, "spine"
+        )
+        renders = _count_calls(
+            monkeypatch, templates.ExplanationTemplate, "instantiate"
+        )
+        derived = result.derived()
+        first = [explainer.explain(query) for query in derived]
+        assert (spines["calls"], renders["calls"]) == (820, 820)
+        spines.clear()
+        renders.clear()
+        second = [explainer.explain(query) for query in derived]
+        assert (spines["calls"], renders["calls"]) == (0, 0)
+        assert second == first
 
     def test_mapping_tries_a_bounded_number_of_matches_per_record(
         self, monkeypatch

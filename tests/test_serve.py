@@ -1570,3 +1570,6 @@ class TestUpdateRacesKeepAlive:
             racing, "POST", "/explain", {"query": target}
         )
         assert status == 404
+        for counter in ("serve.errors", "serve.shed_queue",
+                        "serve.shed_breaker"):
+            assert racing.metrics.counter_value(counter) == 0, counter

@@ -312,7 +312,9 @@ def test_racing_readers_see_the_bytes_of_one_whole_state(
                 thread.join(timeout=60)
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert server.metrics.counter_value("serve.errors") == 0
+        for counter in ("serve.errors", "serve.shed_queue",
+                        "serve.shed_breaker"):
+            assert server.metrics.counter_value(counter) == 0, counter
     assert not errors, errors
     assert len(served) >= UPDATES * READS_BETWEEN_UPDATES
     only = Counter()

@@ -16,15 +16,12 @@ Examples::
     repro-explain explain --program rules.vada --data portfolio.facts \\
                   --glossary dictionary.json --query "Control(A, C)"
 
-    # Observability: trace + stats document for a canonical workload
-    repro-explain explain --app company_control --trace t.jsonl --stats s.json
+    # Observability: flight records + stats document for a canonical workload
+    repro-explain explain --app company_control --flight f.json --stats s.json
 
     # The stats document (or Prometheus text) on stdout
     repro-explain stats --app stress_test
     repro-explain stats --app company_control --format prometheus
-
-    # Flight records: per-query phase timings, kernel/cache counters
-    repro-explain explain --app company_control --flight f.json
 
     # The heaviest rule kernels of a run (live or from a stats document)
     repro-explain obs top --app stress_test
@@ -79,53 +76,49 @@ _APP_SCENARIOS = {
 
 
 class _ObsRun:
-    """One observed CLI run: tracer + registry + the dump destinations.
+    """One observed CLI run: registry + flight recorder + dump destinations.
 
-    The tracer is only enabled when an output asks for spans (``--trace``
-    or a stats document), so plain runs keep the no-op fast path; the
-    flight recorder and kernel profiler likewise stay on their disabled
-    singles unless ``--flight`` / a profile consumer asks for them.
+    The recorder is on only when ``record`` asks for it (``--flight``, a
+    stats document), so plain runs keep the no-op fast path.
     """
 
-    def __init__(
-        self, trace_path=None, stats_path=None, force_tracing=False,
-        meta=None, flight_path=None, profile=False,
-    ):
-        self.trace_path = trace_path
+    def __init__(self, record=False, stats_path=None, flight_path=None,
+                 meta=None):
         self.stats_path = stats_path
         self.flight_path = flight_path
-        self.tracer = obs.Tracer(
-            enabled=force_tracing or bool(trace_path or stats_path)
-        )
-        self.flight = obs.FlightRecorder(enabled=bool(flight_path))
-        self.profiler = obs.KernelProfiler(enabled=profile)
+        self.flight = obs.FlightRecorder(enabled=record)
         self.metrics = obs.MetricsRegistry()
         self.chase_stats = None
         self.meta = dict(meta or {})
 
     def observed(self):
-        return obs.observed(
-            tracer=self.tracer, metrics=self.metrics,
-            flight=self.flight, profile=self.profiler,
-        )
+        return obs.observed(metrics=self.metrics, flight=self.flight)
 
     def capture(self, session) -> None:
         self.chase_stats = session.result.chase_result.stats
 
+    def profile(self) -> dict:
+        return obs.kernel_profile(self.chase_stats.plans)
+
     def document(self) -> dict:
         return obs.stats_document(
-            self.metrics, tracer=self.tracer, chase=self.chase_stats,
+            self.metrics, flight=self.flight, chase=self.chase_stats,
             meta=self.meta,
-            profile=self.profiler if self.profiler.enabled else None,
         )
 
     def dump(self) -> None:
-        if self.trace_path:
-            obs.write_trace(self.tracer, self.trace_path)
         if self.stats_path:
             obs.write_stats(self.document(), self.stats_path)
         if self.flight_path:
             obs.write_flight(self.flight, self.flight_path, meta=self.meta)
+
+
+def _row_count(text: str) -> int:
+    """``--limit``: a row count, so never negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,10 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     outputs = argparse.ArgumentParser(add_help=False)
     outputs.add_argument(
-        "--trace", metavar="FILE",
-        help="write a JSON-lines span trace of the run to FILE",
-    )
-    outputs.add_argument(
         "--stats", metavar="FILE", dest="stats_file",
         help="write the structured stats document (counters, latency "
              "percentiles, cache and chase telemetry) to FILE",
@@ -165,7 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--flight", metavar="FILE", dest="flight_file",
         help="enable the query flight recorder and write its ring buffer "
              "(per-query phase timings, kernel firings, cache hits, "
-             "degradation events) to FILE as repro-flight/1 JSON",
+             "degradation events) to FILE as repro-flight/1 JSON: the "
+             "run's trace",
     )
     app_choices = sorted(_APP_SCENARIOS)
 
@@ -322,10 +312,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument(
         "--app", choices=app_choices,
-        help="run this canonical workload with the kernel profiler on",
+        help="run this canonical workload and profile its kernels",
     )
     top.add_argument(
-        "--limit", type=int, default=10, help="rows to show (default: 10)"
+        "--limit", type=_row_count, default=10,
+        help="rows to show (default: 10)",
     )
     top.add_argument(
         "--key", default="wall_s",
@@ -435,9 +426,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         print(_workload_dot(args))
         return 0
     run = _ObsRun(
-        trace_path=args.trace, stats_path=args.stats_file,
-        flight_path=args.flight_file,
-        profile=args.metrics or bool(args.stats_file),
+        record=bool(args.flight_file or args.stats_file),
+        stats_path=args.stats_file, flight_path=args.flight_file,
         meta={"command": "explain", "app": args.app or args.program},
     )
     try:
@@ -454,8 +444,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             else:
                 _print_explanations(args, scenario, session)
             if args.metrics:
-                print(json.dumps(service.metrics_snapshot(), indent=2),
-                      file=sys.stderr)
+                snapshot = service.metrics_snapshot()
+                snapshot["profile"] = run.profile()
+                print(json.dumps(snapshot, indent=2), file=sys.stderr)
     except (KeyError, DatalogError) as error:
         # A query the chase did not derive, a predicate the program or
         # glossary lacks: bad input, reported like a bad flag.
@@ -483,8 +474,8 @@ def _cmd_analyse(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     run = _ObsRun(
-        trace_path=args.trace, stats_path=args.stats_file,
-        flight_path=args.flight_file, force_tracing=True, profile=True,
+        record=True, stats_path=args.stats_file,
+        flight_path=args.flight_file,
         meta={"command": "stats", "app": args.app},
     )
     with run.observed():
@@ -534,6 +525,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _profile_problem(profile) -> str | None:
+    """What makes a stats document's ``profile`` section unreadable by
+    ``obs top``, or ``None`` when every row is an object of numbers."""
+    if not isinstance(profile, dict):
+        return (
+            "has no profile section (write one with "
+            "'repro-explain stats --app ... --stats FILE')"
+        )
+    for label, row in profile.items():
+        if not isinstance(row, dict):
+            return f"has a profile entry {label!r} that is not an object"
+        for field, value in row.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return f"has a non-numeric {field!r} in profile entry {label!r}"
+    return None
+
+
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     if args.stats_file:
         try:
@@ -543,25 +551,21 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
             print(f"error: cannot read {args.stats_file}: {error}",
                   file=sys.stderr)
             return 2
-        profile = (
+        problem = _profile_problem(
             document.get("profile") if isinstance(document, dict) else None
         )
-        if not isinstance(profile, dict):
-            print(
-                f"error: {args.stats_file} has no profile section "
-                f"(re-run the workload with the kernel profiler enabled, "
-                f"e.g. 'repro-explain stats --app ... --stats FILE')",
-                file=sys.stderr,
-            )
+        if problem is not None:
+            print(f"error: {args.stats_file} {problem}", file=sys.stderr)
             return 2
+        profile = document["profile"]
     elif args.app:
-        run = _ObsRun(profile=True, meta={"command": "obs top"})
+        run = _ObsRun(meta={"command": "obs top"})
         with run.observed():
             scenario, _, session = _run_workload(args, run)
             session.explain_batch(
                 [scenario.target], prefer_enhanced=not args.deterministic
             )
-        profile = run.profiler.snapshot()
+        profile = run.profile()
     else:
         print(
             "error: pass a stats document or --app WORKLOAD", file=sys.stderr

@@ -342,22 +342,18 @@ def _build_pipeline(
     stats: CompileStats,
     report: EnhancementReport | None = None,
 ) -> CompiledPipeline:
-    with obs.span("compile.analysis", goal=program.goal) as analysis_span:
+    with obs.phase("compile.analysis"):
         analysis = StructuralAnalysis(program)
-        # Path enumeration is lazy; force it here so the span covers it
+        # Path enumeration is lazy; force it here so the phase covers it
         # (and per-stage timing is not smeared into template building).
-        with obs.span("compile.paths", goal=program.goal):
-            paths = analysis.all_paths
-        analysis_span.set(paths=len(paths))
+        with obs.phase("compile.paths"):
+            analysis.all_paths
     stats.structural_analyses += 1
-    with obs.span("compile.verbalize", goal=program.goal) as store_span:
+    with obs.phase("compile.verbalize"):
         store = TemplateStore(analysis, glossary)
-        store_span.set(templates=len(store))
     stats.template_stores += 1
     if llm is not None:
-        with obs.span(
-            "compile.enhance", goal=program.goal, versions=enhanced_versions
-        ):
+        with obs.phase("compile.enhance"):
             enhancer_report = TemplateEnhancer(llm).enhance_store(
                 store, versions=enhanced_versions
             )
@@ -399,10 +395,7 @@ def compile_program(
     report: EnhancementReport | None = None
     if llm is not None:
         report = EnhancementReport()
-    with obs.span(
-        "compile.program", program=program.name, goal=program.goal,
-        enhanced=llm is not None,
-    ):
+    with obs.phase("compile.program"):
         primary = _build_pipeline(
             program, glossary, llm, enhanced_versions, stats, report,
         )

@@ -138,11 +138,10 @@ class BatchOutcome:
 
 
 class _Timed:
-    """Context manager feeding one latency sample into the metrics and
-    one ``service.<name>`` span into the ambient tracer.
+    """Context manager feeding one latency sample into the metrics.
 
     When a flight record is open on the calling thread, the sample also
-    lands as a phase on that record and the histogram observation
+    lands as phase ``name`` on that record and the histogram observation
     carries the record's query id as its exemplar — so a slow latency
     bucket resolves back to the flight that caused it.
     """
@@ -153,15 +152,12 @@ class _Timed:
         self.elapsed = 0.0
 
     def __enter__(self) -> "_Timed":
-        self._span = obs.span(f"service.{self._name}")
-        self._span.__enter__()
         self._flight = obs.current_flight()
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.elapsed = time.perf_counter() - self._start
-        self._span.__exit__(*exc_info)
         flight = self._flight
         if flight is not None:
             flight.add_phase(self._name, self.elapsed)
@@ -512,13 +508,8 @@ class ExplanationService:
 
     def metrics_snapshot(self) -> dict:
         """The registry's snapshot (counters, gauges, histograms and the
-        two caches under ``caches``), plus ``profile`` when the ambient
-        kernel profiler is on."""
-        snapshot = self.metrics.snapshot()
-        profiler = obs.get_profiler()
-        if profiler.enabled:
-            snapshot["profile"] = profiler.snapshot()
-        return snapshot
+        two caches under ``caches``)."""
+        return self.metrics.snapshot()
 
 
 def _unpack_application(

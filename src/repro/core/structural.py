@@ -98,7 +98,7 @@ class StructuralAnalysis:
                 "structural analysis (the dependency-graph leaf)"
             )
         self.program = program
-        with obs.span("compile.depgraph", program=program.name):
+        with obs.phase("compile.depgraph"):
             self.graph = DependencyGraph(program)
         self.max_paths = max_paths
 

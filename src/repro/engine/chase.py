@@ -137,11 +137,11 @@ class ChaseStepRecord:
 class ChaseStats:
     """Aggregated behaviour of one chase run, for reports and tests.
 
-    Everything here is derivable from the trace, but reports and
-    regression tests want to assert on chase behaviour (how many rounds,
-    which rules fired how often, what got deduplicated) without parsing
-    span dumps.  Maintained inline by the engine — plain dict updates,
-    cheap enough for the hot loop.
+    Reports and regression tests assert on chase behaviour (how many
+    rounds, which rules fired how often, what got deduplicated) here,
+    and ``plans`` is the one per-kernel ledger the kernel profile
+    (:func:`repro.obs.kernel_profile`) is read from.  Maintained inline
+    by the engine — plain dict updates, cheap enough for the hot loop.
     """
 
     rounds: int = 0
@@ -156,8 +156,9 @@ class ChaseStats:
     delta_sizes: list[int] = field(default_factory=list)
     #: Per-rule join-plan facts and runtime counters (planned strategy
     #: only): atom order, hoisted conditions, probes/scanned/matches,
-    #: kernel_execs, and for aggregate rules groups_evaluated (summed
-    #: over turns) and groups_standing (in the table at stratum end).
+    #: pruned, kernel_execs, the kernels' summed wall_s, and for
+    #: aggregate rules groups_evaluated (summed over turns) and
+    #: groups_standing (in the table at stratum end).
     plans: dict[str, dict] = field(default_factory=dict)
     plans_compiled: int = 0
     #: Compiled rule kernels (planned strategy): how many closures were
@@ -322,44 +323,23 @@ class ChaseEngine:
             rule_groups = (program.rules,)
 
         stats = result.stats
-        flight = obs.current_flight()
-        with obs.span(
-            "chase.run", program=program.name, strategy=self.strategy
-        ) as run_span:
+        with obs.phase("chase.run"):
             total_rounds = 0
-            chase_phase = (
-                flight.phase("chase") if flight is not None else None
-            )
-            if chase_phase is not None:
-                chase_phase.__enter__()
-            try:
-                for stratum_index, rules in enumerate(rule_groups):
-                    with obs.span(
-                        "chase.stratum", stratum=stratum_index, rules=len(rules)
-                    ) as stratum_span:
-                        stratum_rounds = self._run_stratum(
-                            rules, result, nulls, aggregate_state, total_rounds
-                        )
-                        stratum_span.set(rounds=stratum_rounds)
-                    stats.rounds_per_stratum.append(stratum_rounds)
-                    total_rounds += stratum_rounds
-                result.rounds = total_rounds
-                stats.rounds = total_rounds
-                stats.strata = len(rule_groups)
-                with obs.span(
-                    "chase.constraints", constraints=len(program.constraints)
-                ):
-                    check_constraints(program, result)
-            finally:
-                if chase_phase is not None:
-                    chase_phase.__exit__(None, None, None)
-            stats.violations = len(result.violations)
-            stats.symbols = len(working.symbols)
-            run_span.set(
-                rounds=total_rounds,
-                facts_derived=stats.facts_derived,
-                violations=stats.violations,
-            )
+            for rules in rule_groups:
+                with obs.phase("chase.stratum"):
+                    stratum_rounds = self._run_stratum(
+                        rules, result, nulls, aggregate_state, total_rounds
+                    )
+                stats.rounds_per_stratum.append(stratum_rounds)
+                total_rounds += stratum_rounds
+            result.rounds = total_rounds
+            stats.rounds = total_rounds
+            stats.strata = len(rule_groups)
+            with obs.phase("chase.constraints"):
+                check_constraints(program, result)
+        stats.violations = len(result.violations)
+        stats.symbols = len(working.symbols)
+        flight = obs.current_flight()
         if flight is not None:
             flight.count("chase_runs")
             flight.count("chase_rounds", stats.rounds)
@@ -499,7 +479,7 @@ class ChaseEngine:
         stats = result.stats
         database = result.database
         kernels: list[RuleKernel] = []
-        with obs.span("chase.plan", rules=len(rules)):
+        with obs.phase("chase.plan"):
             for rule in rules:
                 compiled = plan_rule(rule, database)
                 stats.plans_compiled += 1
@@ -566,7 +546,6 @@ class ChaseEngine:
                         plan_stats.get("groups_evaluated", 0) + len(touched)
                     )
                     plan_stats["groups_standing"] = len(table.groups)
-                    obs.get_profiler().record_groups(rule.label, len(touched))
                 timeline.extend(
                     record.fact for record in result.records[before_rule:]
                 )

@@ -184,21 +184,14 @@ def incremental_update(
             rule.has_aggregate and rule.aggregate.result in rule.head.variables()
         ):
             raise IncrementalFallback(f"rule {rule.label} is not maintained")
-    with obs.span(
-        "chase.update", program=program.name,
-        adds=len(added), retracts=len(retracted),
-    ) as span:
+    with obs.phase("chase.update"):
         maintenance = _Maintenance(program, previous, max_rounds)
         result, touched = maintenance.run(added, retracted)
-        counts = {
-            "replayed": maintenance.visited,
-            "recomputed": maintenance.recomputed,
-            "rederived": maintenance.rederived,
-        }
-        span.set(**counts)
     outcome = UpdateOutcome(
         result=result, mode="incremental", added=added, retracted=retracted,
-        elapsed_s=time.perf_counter() - started, touched=touched, **counts,
+        elapsed_s=time.perf_counter() - started, touched=touched,
+        replayed=maintenance.visited, recomputed=maintenance.recomputed,
+        rederived=maintenance.rederived,
     )
     flush_update_metrics(outcome)
     return outcome
@@ -494,8 +487,7 @@ class _Maintenance:
 
     def _matches_through(self, rule: Rule, fact: Fact):
         return self._kernel(rule).execute(
-            self.db, self.unavailable, {fact.predicate: [fact]},
-            profile_label=rule.label + "+delta",
+            self.db, self.unavailable, {fact.predicate: [fact]}
         )
 
     def _live_before(self, head: Fact, turn: Turn) -> bool:

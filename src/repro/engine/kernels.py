@@ -532,7 +532,6 @@ class RuleKernel:
         exclude: frozenset[Fact],
         delta_by_predicate: Mapping[str, list[Fact]] | None = None,
         stats: dict | None = None,
-        profile_label: str | None = None,
     ) -> list[Match]:
         """The rule's full matches in naive enumeration order.
 
@@ -541,23 +540,20 @@ class RuleKernel:
         the delta runs and the union is deduplicated by parent sequence
         tuple (a homomorphism touching two delta facts is found once per
         pivot).  Either way the entries are sorted by that tuple and each
-        binding is rebuilt from the matched facts (see module docstring).  ``profile_label`` overrides
-        the profiler attribution row (incremental updates label their
-        delta executions ``<rule>+delta`` so hot spots stay separable
-        from full-run kernels in ``repro obs top``).
+        binding is rebuilt from the matched facts (see module docstring).
+        The execution's counters and wall time add to ``stats`` (the
+        rule's ``ChaseStats.plans`` entry) and to the open flight record.
         """
         if database.symbols is not self.symbols:
             raise ValueError(
                 "kernel compiled against a different symbol table than "
                 "the database it is executed on"
             )
-        # Attribution sinks (ambient; both disabled outside observed
-        # regions).  The clock is read only when one of them is live, so
-        # the un-observed hot path pays two attribute checks.
-        profiler = obs.get_profiler()
+        # The clock is read only when a sink takes the time, so an
+        # un-observed incremental update pays one attribute check.
         flight = obs.current_flight()
-        attributed = profiler.enabled or flight is not None
-        started = time.perf_counter() if attributed else 0.0
+        timed = stats is not None or flight is not None
+        started = time.perf_counter() if timed else 0.0
         counters = [0, 0, 0, 0]
         if delta_by_predicate is None:
             entries = self.full.execute(database, exclude, None, counters)
@@ -579,29 +575,20 @@ class RuleKernel:
                     entries.append(entry)
         entries.sort(key=lambda entry: entry[0])
         self.execs += 1
-        if attributed:
-            elapsed = time.perf_counter() - started
-            if profiler.enabled:
-                profiler.record(
-                    profile_label or self.rule_plan.rule.label,
-                    elapsed,
-                    probes=counters[0],
-                    rows_scanned=counters[1],
-                    rows_emitted=counters[3],
-                    pruned=counters[2],
-                )
-            if flight is not None:
-                flight.count("kernel_execs")
-                flight.count("kernel_index_probes", counters[0])
-                flight.count("kernel_rows_scanned", counters[1])
-                flight.count("kernel_rows_emitted", counters[3])
-                flight.add_phase("kernel_execute", elapsed)
+        elapsed = time.perf_counter() - started if timed else 0.0
+        if flight is not None:
+            flight.count("kernel_execs")
+            flight.count("kernel_index_probes", counters[0])
+            flight.count("kernel_rows_scanned", counters[1])
+            flight.count("kernel_rows_emitted", counters[3])
+            flight.add_phase("kernel_execute", elapsed)
         if stats is not None:
             stats["probes"] = stats.get("probes", 0) + counters[0]
             stats["scanned"] = stats.get("scanned", 0) + counters[1]
             stats["pruned"] = stats.get("pruned", 0) + counters[2]
             stats["matches"] = stats.get("matches", 0) + counters[3]
             stats["kernel_execs"] = stats.get("kernel_execs", 0) + 1
+            stats["wall_s"] = stats.get("wall_s", 0.0) + elapsed
         return [(self.binding(facts), facts) for _seqs, facts in entries]
 
     def binding(self, facts: tuple[Fact, ...]) -> MutableSubstitution:

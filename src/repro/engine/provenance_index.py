@@ -54,10 +54,7 @@ class ProvenanceIndex:
 
     def __init__(self, result: ChaseResult):
         started = time.perf_counter()
-        with obs.span(
-            "explain.index_build", program=result.program.name,
-            records=len(result.records),
-        ) as span:
+        with obs.phase("explain.index_build"):
             self.result = result
             self._build(result)
         self.build_seconds = time.perf_counter() - started
@@ -113,10 +110,7 @@ class ProvenanceIndex:
         :meth:`~repro.engine.reasoning.ReasoningResult.updated`).
         """
         started = time.perf_counter()
-        with obs.span(
-            "explain.index_rebind", program=new_result.program.name,
-            records=len(new_result.records),
-        ) as span:
+        with obs.phase("explain.index_rebind"):
             self.result = new_result
             closure = set(touched)
             frontier = list(touched)
@@ -145,14 +139,12 @@ class ProvenanceIndex:
                     memo.pop(fact, None)
             self._keys, self._spines, self._proofs, self._proof_constants = memos
             self._lock = threading.Lock()
-            figures = {
-                "touched": len(closure),
-                "spines_retained": len(self._spines),
-                "proofs_retained": len(self._proofs),
-            }
-            span.set(**figures)
         self.build_seconds = time.perf_counter() - started
-        return figures
+        return {
+            "touched": len(closure),
+            "spines_retained": len(self._spines),
+            "proofs_retained": len(self._proofs),
+        }
 
     # ------------------------------------------------------------------
     # O(1) lookups

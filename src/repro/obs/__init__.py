@@ -1,38 +1,35 @@
-"""``repro.obs`` — unified tracing, metrics and profiling.
+"""``repro.obs`` — flight records and metrics.
 
 The observability layer the rest of the system reports into:
 
-* :mod:`repro.obs.trace` — hierarchical span tracer (monotonic clock,
-  parent/child nesting, shared no-op span when disabled);
+* :mod:`repro.obs.flight` — the query flight recorder, the program's one
+  timing mechanism: request-scoped records (query id + compile
+  fingerprint, phase timings, kernel and cache counters, degradation
+  events) in a bounded ring buffer, dumpable as ``repro-flight/1`` JSON;
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with p50/p95/p99 summaries, plus cache telemetry;
-* :mod:`repro.obs.export` — JSON-lines traces, the stats document and
-  Prometheus text.
-
-The second layer (per-query attribution, added in PR 7):
-
-* :mod:`repro.obs.flight` — the query flight recorder: request-scoped
-  records (query id + compile fingerprint, phase timings, kernel and
-  cache counters, degradation events) in a bounded ring buffer,
-  dumpable as ``repro-flight/1`` JSON;
-* :mod:`repro.obs.profile` — per-rule-kernel wall time / rows / probes
-  attribution feeding ``--metrics`` and ``repro-explain obs top``.
+* :mod:`repro.obs.export` — the stats document and Prometheus text;
+* :mod:`repro.obs.profile` — the per-rule-kernel view of
+  ``ChaseStats.plans`` feeding ``--metrics``, the stats document and
+  ``repro-explain obs top``.
 
 Instrumented modules (chase engine, compiler, enhancer, service) do not
-take tracer/registry parameters; they report to the **ambient** pair
+take recorder/registry parameters; they report to the **ambient** pair
 installed with :func:`observed`::
 
-    tracer, registry = Tracer(), MetricsRegistry()
-    with observed(tracer=tracer, metrics=registry):
-        session = service.session(app, database)   # spans + counters land
-    write_trace(tracer, "run.jsonl")
+    recorder, registry = FlightRecorder(), MetricsRegistry()
+    with observed(metrics=registry, flight=recorder):
+        session = service.session(app, database)   # phases + counters land
+    write_flight(recorder, "run.json")
 
-Outside an ``observed`` block the ambient tracer is permanently disabled
-(every ``span()`` returns the shared no-op object) and counters go to a
-process-default registry — both cheap enough to leave the call sites in
-hot paths unconditionally.  The ambient pair is process-global on
-purpose: thread-pool workers spawned inside an observed region report to
-the same sinks as the thread that installed it.
+A timed region is a :func:`phase` of the calling context's current
+flight record.  Outside an ``observed`` block the ambient recorder is
+permanently disabled (every ``phase()`` returns the shared no-op record
+and reads no clock) and counters go to a process-default registry —
+both cheap enough to leave the call sites in hot paths
+unconditionally.  The ambient pair is process-global on purpose:
+threads spawned inside an observed region report to the same sinks as
+the thread that installed it.
 """
 
 from __future__ import annotations
@@ -42,14 +39,9 @@ from contextlib import contextmanager
 from .export import (
     STATS_DOCUMENT_KEYS,
     STATS_FORMAT,
-    parse_trace_jsonl,
     render_prometheus,
-    span_aggregate,
-    span_tree,
     stats_document,
-    trace_jsonl,
     write_stats,
-    write_trace,
 )
 from .flight import (
     FLIGHT_FORMAT,
@@ -60,40 +52,25 @@ from .flight import (
     write_flight,
 )
 from .metrics import DEFAULT_REGISTRY, Histogram, MetricsRegistry
-from .profile import NULL_PROFILER, KernelProfiler, render_top
-from .trace import NULL_SPAN, NULL_TRACER, Span, Tracer
+from .profile import kernel_profile, render_top
 
 __all__ = [
     "FLIGHT_FORMAT", "FlightRecord", "FlightRecorder", "Histogram",
-    "KernelProfiler", "MetricsRegistry",
-    "NULL_FLIGHT_RECORD", "NULL_FLIGHT_RECORDER",
-    "NULL_SPAN", "NULL_TRACER", "STATS_DOCUMENT_KEYS", "STATS_FORMAT",
-    "Span", "Tracer", "current_flight", "flight_event", "flight_record",
-    "get_flight", "get_profiler", "get_tracer", "incr",
-    "observe", "observed", "parse_trace_jsonl", "render_prometheus",
-    "render_top", "set_gauge", "span", "span_aggregate", "span_tree", "stats_document",
-    "trace_jsonl", "write_flight", "write_stats", "write_trace",
+    "MetricsRegistry", "NULL_FLIGHT_RECORD", "NULL_FLIGHT_RECORDER",
+    "STATS_DOCUMENT_KEYS", "STATS_FORMAT", "current_flight",
+    "flight_event", "flight_record", "get_flight", "incr",
+    "kernel_profile", "observe", "observed", "phase",
+    "render_prometheus", "render_top", "set_gauge", "stats_document",
+    "write_flight", "write_stats",
 ]
 
-_active_tracer: Tracer = NULL_TRACER
 _active_metrics: MetricsRegistry = DEFAULT_REGISTRY
 _active_flight: FlightRecorder = NULL_FLIGHT_RECORDER
-_active_profiler: KernelProfiler = NULL_PROFILER
-
-
-def get_tracer() -> Tracer:
-    """The ambient tracer (disabled no-op outside ``observed`` blocks)."""
-    return _active_tracer
 
 
 def get_flight() -> FlightRecorder:
     """The ambient flight recorder (disabled outside ``observed``)."""
     return _active_flight
-
-
-def get_profiler() -> KernelProfiler:
-    """The ambient kernel profiler (disabled outside ``observed``)."""
-    return _active_profiler
 
 
 def current_flight() -> FlightRecord | None:
@@ -103,6 +80,19 @@ def current_flight() -> FlightRecord | None:
     hot paths (cache lookups, kernel executions) to call unconditionally.
     """
     return _active_flight.current()
+
+
+def phase(name: str):
+    """Time the enclosed region as phase ``name`` of the calling
+    context's current flight record.
+
+    With no record open this is the shared no-op record: no allocation,
+    no clock read.  Re-entering a phase name on one record accumulates.
+    """
+    record = _active_flight.current()
+    if record is None:
+        return NULL_FLIGHT_RECORD
+    return record.phase(name)
 
 
 @contextmanager
@@ -137,11 +127,6 @@ def flight_event(kind: str, **data) -> None:
         record.event(kind, **data)
 
 
-def span(name: str, **attrs):
-    """Open a span on the ambient tracer (no-op when tracing is off)."""
-    return _active_tracer.span(name, **attrs)
-
-
 def incr(name: str, amount: int = 1) -> None:
     """Increment a counter on the ambient registry."""
     _active_metrics.incr(name, amount)
@@ -159,34 +144,23 @@ def set_gauge(name: str, value: float) -> None:
 
 @contextmanager
 def observed(
-    tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     flight: FlightRecorder | None = None,
-    profile: KernelProfiler | None = None,
 ):
-    """Install ambient observability sinks for the enclosed work.
+    """Install the ambient metrics registry and flight recorder for the
+    enclosed work.
 
-    Any side may be omitted to keep the current one (the flight recorder
-    and kernel profiler default to permanently-disabled singletons, so
-    the base tracer/metrics-only call keeps its old cost).  The previous
-    set is restored on exit, so observed regions nest.
+    Either side may be omitted to keep the current one (the recorder
+    defaults to a permanently-disabled singleton).  The previous pair is
+    restored on exit, so observed regions nest.
     """
-    global _active_tracer, _active_metrics, _active_flight, _active_profiler
-    previous = (
-        _active_tracer, _active_metrics, _active_flight, _active_profiler,
-    )
-    if tracer is not None:
-        _active_tracer = tracer
+    global _active_metrics, _active_flight
+    previous = (_active_metrics, _active_flight)
     if metrics is not None:
         _active_metrics = metrics
     if flight is not None:
         _active_flight = flight
-    if profile is not None:
-        _active_profiler = profile
     try:
-        yield (_active_tracer, _active_metrics)
+        yield
     finally:
-        (
-            _active_tracer, _active_metrics,
-            _active_flight, _active_profiler,
-        ) = previous
+        _active_metrics, _active_flight = previous

@@ -1,32 +1,31 @@
-"""Exporters: JSON-lines traces, the stats document, Prometheus text.
+"""Exporters: the stats document and Prometheus text.
 
-Three consumers, three renderings of the same telemetry:
+Two consumers, two renderings of the same telemetry:
 
-* **trace JSON-lines** — one span per line, replayable into a tree by
-  :func:`parse_trace_jsonl` + :func:`span_tree`; the format humans and
-  regression tooling diff after a slow run;
 * **the stats document** — a single JSON object
   (:func:`stats_document`) bundling registry counters/gauges/histogram
-  summaries, cache telemetry, chase statistics and a per-name span
-  aggregation; ``--stats`` writes it and ``obs top`` reads its
-  ``profile`` section;
+  summaries, cache telemetry, chase statistics, a per-name aggregation
+  of the flight records' phases and the kernel profile; ``--stats``
+  writes it and ``obs top`` reads its ``profile`` section;
 * **Prometheus text** (:func:`render_prometheus`) — counters, gauges
   and summary quantiles in the exposition format, for scraping the
   service in a deployment.
+
+The per-run trace is the flight recorder's ``repro-flight/1`` document
+(:func:`~repro.obs.flight.write_flight`).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from typing import Any, Iterable
 
+from .flight import FlightRecord, FlightRecorder
 from .metrics import MetricsRegistry
-from .trace import Span, Tracer
+from .profile import kernel_profile
 
-#: Version tags of the serialized layouts.
-TRACE_FORMAT = "repro-trace/1"
+#: Version tag of the serialized layout.
 STATS_FORMAT = "repro-stats/1"
 
 #: Top-level keys every stats document carries (CI gates on these).
@@ -36,81 +35,18 @@ STATS_DOCUMENT_KEYS = (
 )
 
 
-# ----------------------------------------------------------------------
-# Trace: JSON-lines out, span tree back in
-# ----------------------------------------------------------------------
-
-def trace_jsonl(tracer: Tracer) -> str:
-    """The finished spans as JSON-lines, headed by a format record."""
-    buffer = io.StringIO()
-    header = {"format": TRACE_FORMAT, "spans": len(tracer.finished())}
-    buffer.write(json.dumps(header) + "\n")
-    for span in tracer.finished():
-        buffer.write(json.dumps(span.to_dict(), default=str) + "\n")
-    return buffer.getvalue()
-
-
-def write_trace(tracer: Tracer, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(trace_jsonl(tracer))
-
-
-def parse_trace_jsonl(text: str) -> list[dict]:
-    """Parse :func:`trace_jsonl` output back into span records.
-
-    The header line is validated and dropped; spans come back in file
-    (= completion) order.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty trace")
-    header = json.loads(lines[0])
-    if header.get("format") != TRACE_FORMAT:
-        raise ValueError(
-            f"unsupported trace format {header.get('format')!r} "
-            f"(expected {TRACE_FORMAT!r})"
-        )
-    return [json.loads(line) for line in lines[1:]]
-
-
-def span_tree(spans: Iterable[dict]) -> list[dict]:
-    """Nest flat span records into parent/child trees.
-
-    Returns the list of root spans; every record gains a ``children``
-    list ordered by start time.  Orphaned parents (spans still open when
-    the trace was cut) are promoted to roots rather than dropped.
-    """
-    records = [dict(span) for span in spans]
-    by_id = {record["id"]: record for record in records}
-    roots: list[dict] = []
-    for record in records:
-        record.setdefault("children", [])
-    for record in records:
-        parent = by_id.get(record.get("parent"))
-        if parent is None:
-            roots.append(record)
-        else:
-            parent["children"].append(record)
-    def sort_children(record: dict) -> None:
-        record["children"].sort(key=lambda child: child.get("start_s", 0.0))
-        for child in record["children"]:
-            sort_children(child)
-    roots.sort(key=lambda record: record.get("start_s", 0.0))
-    for root in roots:
-        sort_children(root)
-    return roots
-
-
-def span_aggregate(spans: Iterable[Span]) -> dict[str, dict]:
-    """Per-name totals over finished spans (count, total and max time)."""
+def phase_aggregate(records: Iterable[FlightRecord]) -> dict[str, dict]:
+    """Per-phase-name totals over flight records: how many records carry
+    the phase, its summed time and its largest per-record time."""
     aggregate: dict[str, dict] = {}
-    for span in spans:
-        entry = aggregate.setdefault(
-            span.name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
-        )
-        entry["count"] += 1
-        entry["total_s"] += span.duration_s
-        entry["max_s"] = max(entry["max_s"], span.duration_s)
+    for record in records:
+        for name, seconds in record.phases.items():
+            entry = aggregate.setdefault(
+                name, {"count": 0, "total_s": 0.0, "max_s": 0.0}
+            )
+            entry["count"] += 1
+            entry["total_s"] += seconds
+            entry["max_s"] = max(entry["max_s"], seconds)
     return dict(sorted(aggregate.items()))
 
 
@@ -120,18 +56,17 @@ def span_aggregate(spans: Iterable[Span]) -> dict[str, dict]:
 
 def stats_document(
     metrics: MetricsRegistry,
-    tracer: Tracer | None = None,
+    flight: FlightRecorder | None = None,
     chase: Any = None,
     meta: dict | None = None,
-    profile: Any = None,
 ) -> dict:
     """One structured JSON document describing an observed run.
 
-    ``chase`` is a :class:`~repro.engine.chase.ChaseStats` (or anything
-    with a ``snapshot()``); ``profile`` a
-    :class:`~repro.obs.profile.KernelProfiler` (or its snapshot
-    mapping); ``meta`` carries free-form run identity (app name, argv,
-    ...).  Every document has the same top-level keys
+    ``flight`` is the run's recorder (its retained records' phases fill
+    ``spans``); ``chase`` is a :class:`~repro.engine.chase.ChaseStats`
+    (or its snapshot mapping), whose ``plans`` also fill ``profile``;
+    ``meta`` carries free-form run identity (app name, argv, ...).
+    Every document has the same top-level keys
     (:data:`STATS_DOCUMENT_KEYS`) so downstream tooling can gate on
     presence without caring which stages actually ran.
     """
@@ -148,16 +83,13 @@ def stats_document(
         "profile": {},
     }
     if chase is not None:
-        document["chase"] = (
+        chase_document = (
             chase.snapshot() if hasattr(chase, "snapshot") else dict(chase)
         )
-    if tracer is not None and tracer.enabled:
-        document["spans"] = span_aggregate(tracer.finished())
-    if profile is not None:
-        document["profile"] = (
-            profile.snapshot() if hasattr(profile, "snapshot")
-            else dict(profile)
-        )
+        document["chase"] = chase_document
+        document["profile"] = kernel_profile(chase_document.get("plans", {}))
+    if flight is not None:
+        document["spans"] = phase_aggregate(flight.records())
     return document
 
 

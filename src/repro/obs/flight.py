@@ -1,18 +1,18 @@
 """The query flight recorder: request-scoped trace context + ring buffer.
 
-The base obs layer (spans, histograms) says *where time goes in
-aggregate*; it cannot say which query caused a slow p99 bucket.  A
-:class:`FlightRecorder` closes that gap with per-request **flight
-records**: every service request (session build, single explain, batch,
-why-not, update) opens a record carrying a query id and the
-compile fingerprint, accumulates phase timings, kernel/cache counters
-and degradation events while the request runs, and lands in a bounded
-ring buffer of recent flights on close.  The buffer is dumpable as a
-``repro-flight/1`` JSON document, and histogram exemplars (see
-:meth:`~repro.obs.metrics.Histogram.observe`) carry the query id, so a
-p99 outlier resolves to a replayable flight record.
+Histograms say *where time goes in aggregate*; they cannot say which
+query caused a slow p99 bucket.  A :class:`FlightRecorder` closes that
+gap with per-request **flight records**: every service request (session
+build, single explain, batch, why-not, update) opens a record carrying
+a query id and the compile fingerprint, accumulates phase timings
+(every timed region of the program, :func:`repro.obs.phase`),
+kernel/cache counters and degradation events while the request runs,
+and lands in a bounded ring buffer of recent flights on close.  The
+buffer is dumpable as a ``repro-flight/1`` JSON document, and histogram
+exemplars (see :meth:`~repro.obs.metrics.Histogram.observe`) carry the
+query id, so a p99 outlier resolves to a replayable flight record.
 
-Design constraints mirror the tracer's:
+Design constraints:
 
 * **near-zero overhead when disabled** — a disabled recorder hands out
   one shared no-op record from every :meth:`FlightRecorder.record` call

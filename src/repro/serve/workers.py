@@ -42,7 +42,6 @@ from ..engine.database import Database
 from ..engine.incremental import UpdateOutcome
 from ..io import dumps_database, loads_database
 from ..obs.metrics import MetricsRegistry
-from .. import obs
 from .protocol import UpdateRequest, error_payload, update_payload
 from .routes import PARSERS, serve_session_request
 
@@ -87,7 +86,6 @@ class WorkerPool:
         self.metrics.observe("serve.worker_snapshot_load", snapshot_load_s)
         self.metrics.observe("serve.worker_boot", boot_s)
         self.metrics.observe("serve.worker_warm_start", elapsed)
-        obs.get_profiler().record("serve.worker_boot", wall_s=elapsed)
 
     @classmethod
     def from_database(

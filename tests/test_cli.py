@@ -10,7 +10,7 @@ from repro.core import ExplanationService, StructuralAnalysis
 from repro.datalog.analysis import termination_guarantee
 from repro.io import load_facts, load_glossary, load_program, parse_fact
 from repro.llm import SimulatedLLM
-from repro.obs import STATS_DOCUMENT_KEYS, parse_trace_jsonl, span_tree
+from repro.obs import STATS_DOCUMENT_KEYS
 
 EXAMPLE_FILES = {
     "program": "examples/data/company_control.vada",
@@ -156,29 +156,14 @@ class TestHelp:
 
 class TestObservability:
     def test_explain_subcommand_trace_and_stats(self, capsys, tmp_path):
-        trace_path = tmp_path / "trace.jsonl"
         stats_path = tmp_path / "stats.json"
         flight_path = tmp_path / "flight.json"
         assert main([
             "explain", "--app", "company_control",
-            "--trace", str(trace_path), "--stats", str(stats_path),
-            "--flight", str(flight_path),
+            "--stats", str(stats_path), "--flight", str(flight_path),
         ]) == 0
         output = capsys.readouterr().out
         assert "Q_e" in output
-
-        spans = parse_trace_jsonl(trace_path.read_text(encoding="utf-8"))
-        names = {span["name"] for span in spans}
-        assert any(name.startswith("chase.") for name in names)
-        assert any(name.startswith("compile.") for name in names)
-        by_name = {span["name"]: span for span in spans}
-        # chase.stratum nests under chase.run; the chase nests under the
-        # service.chase timer span.
-        assert (by_name["chase.stratum"]["parent"]
-                == by_name["chase.run"]["id"])
-        assert (by_name["chase.run"]["parent"]
-                == by_name["service.chase"]["id"])
-        assert span_tree(spans)  # reconstructs without orphan errors
 
         document = json.loads(stats_path.read_text(encoding="utf-8"))
         for key in STATS_DOCUMENT_KEYS:
@@ -188,6 +173,7 @@ class TestObservability:
         assert "hit_rate" in document["caches"]["explanation_cache"]
         assert "p50" in document["histograms"]["explain_batch"]
         assert document["counters"]["chase.runs"] == 1
+        assert document["spans"]["chase.run"]["count"] == 1
 
         flight = json.loads(flight_path.read_text(encoding="utf-8"))
         assert flight["format"] == "repro-flight/1"
@@ -196,6 +182,15 @@ class TestObservability:
             assert set(record) >= {
                 "query_id", "kind", "status", "phases", "counts",
             }
+        # The session record times the chase and the compilation, each
+        # stage nested inside the one that encloses it.
+        session = next(r for r in flight["records"] if r["kind"] == "session")
+        phases = session["phases"]
+        assert any(name.startswith("compile.") for name in phases)
+        assert phases["chase.stratum"] <= phases["chase.run"]
+        assert phases["chase.run"] <= phases["chase"]
+        assert phases["compile.analysis"] <= phases["compile.program"]
+        assert phases["compile.program"] <= phases["compile"]
 
     def test_explain_subcommand_without_obs_flags(self, capsys):
         assert main(["explain", "--app", "figure8",
@@ -207,7 +202,7 @@ class TestObservability:
         document = json.loads(capsys.readouterr().out)
         for key in STATS_DOCUMENT_KEYS:
             assert key in document
-        assert document["spans"]  # stats forces tracing on
+        assert document["spans"]  # stats turns the recorder on
         assert document["chase"]["rounds"] >= 1
 
     def test_stats_subcommand_prometheus(self, capsys):
@@ -227,17 +222,20 @@ class TestObservability:
 
     def test_legacy_flags_accept_obs_arguments(self, capsys, tmp_path):
         """The file-workload flags combine with the observability ones."""
-        trace_path = tmp_path / "trace.jsonl"
+        flight_path = tmp_path / "flight.json"
         stats_path = tmp_path / "stats.json"
         assert main([
             "explain", *EXAMPLE_ARGV,
             "--query", "Control(AlphaHolding, TargetCorp)",
-            "--trace", str(trace_path), "--stats", str(stats_path),
+            "--flight", str(flight_path), "--stats", str(stats_path),
         ]) == 0
-        spans = parse_trace_jsonl(trace_path.read_text(encoding="utf-8"))
-        assert {span["name"] for span in spans} >= {
-            "chase.run", "service.explain_batch",
+        flight = json.loads(flight_path.read_text(encoding="utf-8"))
+        phases = {
+            record["kind"]: set(record["phases"])
+            for record in flight["records"]
         }
+        assert "chase.run" in phases["session"]
+        assert "explain_batch" in phases["explain_batch"]
         document = json.loads(stats_path.read_text(encoding="utf-8"))
         assert document["counters"]["explanations"] == 1
 
@@ -270,12 +268,12 @@ class TestObservability:
         assert json.loads(second.err)["counters"]["compile_hits"] == 1
 
     def test_instrumented_output_matches_uninstrumented(self, capsys, tmp_path):
-        """Tracing must not change what the pipeline produces."""
+        """Recording must not change what the pipeline produces."""
         assert main(["explain", "--app", "company_control", "--query-all"]) == 0
         plain = capsys.readouterr().out
         assert main([
             "explain", "--app", "company_control", "--query-all",
-            "--trace", str(tmp_path / "t.jsonl"),
+            "--flight", str(tmp_path / "f.json"),
             "--stats", str(tmp_path / "s.json"),
         ]) == 0
         traced = capsys.readouterr().out
@@ -326,6 +324,9 @@ class TestObsTop:
             ("garbage.json", "not json"),
             ("list.json", "[1, 2]"),
             ("no_profile.json", '{"format": "repro-stats/1"}'),
+            ("entry_not_object.json", '{"profile": {"sigma1": 5}}'),
+            ("wall_not_number.json",
+             '{"profile": {"sigma1": {"wall_s": "x"}}}'),
         ):
             path = tmp_path / name
             path.write_text(text, encoding="utf-8")
@@ -333,6 +334,24 @@ class TestObsTop:
             assert capsys.readouterr().err.startswith("error:"), name
         assert main(["obs", "top", str(tmp_path / "missing.json")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_limit_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["obs", "top", "--app", "figure8", "--limit", "-2"])
+        assert exit_info.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
+    def test_live_rows_match_the_chase_plans(self, capsys):
+        """``obs top --app`` lists every kernel the chase ran, with the
+        execution counts ``ChaseStats.plans`` holds."""
+        scenario = figures.figure8_instance()
+        plans = scenario.run().chase_result.stats.plans
+        assert main(["obs", "top", "--app", "figure8", "--deterministic",
+                     "--key", "execs"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert {row.split()[0]: int(row.split()[1]) for row in rows} == {
+            label: entry["kernel_execs"] for label, entry in plans.items()
+        }
 
 
 class TestStrategyFlag:

@@ -612,30 +612,3 @@ class TestSessionUpdate:
         assert control("B", "A") not in other.result.database
         assert service.metrics.counter_value("compile_hits") == 1
         assert service.metrics.counter_value("sessions") == 2
-
-
-# ----------------------------------------------------------------------
-# Profiler attribution
-# ----------------------------------------------------------------------
-
-def test_delta_kernels_get_their_own_profile_rows(control_app):
-    profiler = obs.KernelProfiler(enabled=True)
-    with obs.observed(profile=profiler):
-        engine = ChaseEngine(strategy="planned")
-        base = engine.run(
-            control_app.program,
-            generators.random_ownership_database(
-                entities=12, edges=30, seed=3
-            ),
-        )
-        engine.update(
-            control_app.program, base,
-            adds=[own("Invest0", "Gruppo1", 0.7)],
-        )
-    snapshot = profiler.snapshot()
-    delta_rows = [label for label in snapshot if label.endswith("+delta")]
-    assert delta_rows, f"no +delta rows in {list(snapshot)}"
-    base_rule = delta_rows[0][: -len("+delta")]
-    assert base_rule in snapshot  # full-run rows stay separately labeled
-    rendered = obs.render_top(snapshot, limit=20, key="wall_s")
-    assert any("+delta" in line for line in rendered.splitlines())

@@ -14,90 +14,12 @@ from repro.core import ExplanationService, LRUCache
 from repro.core import service as service_module
 from repro.llm import SimulatedLLM
 from repro.obs import (
+    FlightRecorder,
     Histogram,
     MetricsRegistry,
-    NULL_SPAN,
-    Tracer,
-    parse_trace_jsonl,
     render_prometheus,
-    span_tree,
     stats_document,
-    trace_jsonl,
 )
-
-
-class TestTracer:
-    def test_span_nesting_records_parent_child(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("middle") as middle:
-                with tracer.span("inner") as inner:
-                    pass
-        assert outer.parent_id is None
-        assert middle.parent_id == outer.span_id
-        assert inner.parent_id == middle.span_id
-
-    def test_completion_order_children_before_parents(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        names = [span.name for span in tracer.finished()]
-        assert names == ["inner", "outer"]
-
-    def test_sibling_spans_share_parent(self):
-        tracer = Tracer()
-        with tracer.span("parent") as parent:
-            with tracer.span("first") as first:
-                pass
-            with tracer.span("second") as second:
-                pass
-        assert first.parent_id == parent.span_id
-        assert second.parent_id == parent.span_id
-
-    def test_durations_are_monotonic_and_nested(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                pass
-        assert inner.start_s >= outer.start_s
-        assert inner.duration_s <= outer.duration_s
-
-    def test_attrs_and_set(self):
-        tracer = Tracer()
-        with tracer.span("work", stage=1) as span:
-            span.set(rounds=7)
-        assert span.attrs == {"stage": 1, "rounds": 7}
-
-    def test_disabled_tracer_returns_the_same_noop_object(self):
-        tracer = Tracer(enabled=False)
-        first = tracer.span("a", heavy="attrs")
-        second = tracer.span("b")
-        assert first is second is NULL_SPAN
-        with first as span:
-            span.set(anything=1)  # all no-ops
-        assert len(tracer) == 0
-
-    def test_explicit_parent_crosses_threads(self):
-        tracer = Tracer()
-        captured = {}
-        with tracer.span("batch") as batch:
-            def worker():
-                with tracer.span("task", parent=batch) as task:
-                    captured["parent"] = task.parent_id
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert captured["parent"] == batch.span_id
-
-    def test_exception_closes_span_and_tags_error(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError):
-            with tracer.span("explodes"):
-                raise ValueError("boom")
-        (span,) = tracer.finished()
-        assert span.attrs["error"] == "ValueError"
-        assert span.end_s is not None
 
 
 class TestHistogram:
@@ -285,38 +207,14 @@ class TestServiceMetricsCompat:
 
 
 class TestExporters:
-    def _sample_tracer(self):
-        tracer = Tracer()
-        with tracer.span("root", program="demo"):
-            with tracer.span("child.a"):
-                pass
-            with tracer.span("child.b"):
-                with tracer.span("grandchild"):
-                    pass
-        return tracer
-
-    def test_trace_jsonl_round_trip(self):
-        tracer = self._sample_tracer()
-        spans = parse_trace_jsonl(trace_jsonl(tracer))
-        assert len(spans) == 4
-        roots = span_tree(spans)
-        assert len(roots) == 1
-        root = roots[0]
-        assert root["name"] == "root"
-        assert [child["name"] for child in root["children"]] == [
-            "child.a", "child.b",
-        ]
-        assert root["children"][1]["children"][0]["name"] == "grandchild"
-
-    def test_trace_header_is_validated(self):
-        with pytest.raises(ValueError):
-            parse_trace_jsonl('{"format": "something-else/9"}\n')
-
     def test_stats_document_has_stable_top_level_keys(self):
-        tracer = self._sample_tracer()
+        recorder = FlightRecorder()
+        with recorder.record("session") as record:
+            with record.phase("root"):
+                pass
         registry = MetricsRegistry()
         registry.incr("chase.runs")
-        document = stats_document(registry, tracer=tracer)
+        document = stats_document(registry, flight=recorder)
         for key in obs.STATS_DOCUMENT_KEYS:
             assert key in document
         assert document["spans"]["root"]["count"] == 1
@@ -337,22 +235,19 @@ class TestExporters:
 
 
 class TestAmbientContext:
-    def test_default_ambient_tracer_is_disabled(self):
-        assert obs.get_tracer().enabled is False
-        assert obs.span("anything") is NULL_SPAN
-
     def test_observed_swaps_and_restores(self):
-        tracer = Tracer()
+        recorder = FlightRecorder()
         registry = MetricsRegistry()
-        before = obs.get_tracer()
-        with obs.observed(tracer=tracer, metrics=registry):
-            assert obs.get_tracer() is tracer
+        before = obs.get_flight()
+        with obs.observed(metrics=registry, flight=recorder):
+            assert obs.get_flight() is recorder
             obs.incr("inside")
-            with obs.span("visible"):
-                pass
-        assert obs.get_tracer() is before
+            with recorder.record("work") as record:
+                with obs.phase("visible"):
+                    pass
+        assert obs.get_flight() is before
         assert registry.counter_value("inside") == 1
-        assert [span.name for span in tracer.finished()] == ["visible"]
+        assert list(record.phases) == ["visible"]
 
 
 class TestLRUCacheAccounting:
@@ -440,7 +335,7 @@ class TestInstrumentationParity:
             )
             if instrumented:
                 with obs.observed(
-                    tracer=Tracer(), metrics=MetricsRegistry()
+                    metrics=MetricsRegistry(), flight=FlightRecorder()
                 ):
                     session = service.session(
                         scenario.application, scenario.database
@@ -457,22 +352,26 @@ class TestInstrumentationParity:
         assert explain_all(True) == explain_all(False)
 
     def test_observed_run_collects_expected_span_taxonomy(self):
-        tracer = Tracer()
+        """Every timed region is a phase of the record it ran under."""
+        recorder = FlightRecorder()
         metrics = MetricsRegistry()
         scenario = figures.figure15_instance()
-        with obs.observed(tracer=tracer, metrics=metrics):
+        with obs.observed(metrics=metrics, flight=recorder):
             service = ExplanationService(
                 llm=SimulatedLLM(seed=0, faithful=True), metrics=metrics
             )
             session = service.session(scenario.application, scenario.database)
             session.explain(scenario.target)
             service.shutdown()
-        names = {span.name for span in tracer.finished()}
+        records = {record.kind: record for record in recorder.records()}
         assert {
             "compile.program", "compile.analysis", "compile.depgraph",
             "compile.paths", "compile.verbalize", "compile.enhance",
             "chase.run", "chase.stratum", "chase.constraints",
-            "service.compile", "service.chase", "service.explain",
-        } <= names
+            "compile", "chase",
+        } <= set(records["session"].phases)
+        assert {"explain", "explain.index_build"} <= set(
+            records["explain"].phases
+        )
         assert metrics.counter_value("chase.runs") == 1
         assert metrics.counter_value("llm.enhance_attempts") > 0

@@ -1,5 +1,5 @@
-"""Tests for the second obs layer: the query flight recorder, the kernel
-profiler, and their propagation through the service."""
+"""Tests for the query flight recorder, the kernel profile, and their
+propagation through the service."""
 
 from __future__ import annotations
 
@@ -197,34 +197,17 @@ class TestFlightTaskSafety:
 
 
 class TestKernelProfiler:
-    def test_records_and_derives_rates(self):
-        profiler = obs.KernelProfiler()
-        profiler.record("r1", 0.5, probes=10, rows_scanned=100,
-                        rows_emitted=50, pruned=5)
-        profiler.record("r1", 0.5, probes=10, rows_scanned=100,
-                        rows_emitted=50, pruned=5)
-        profiler.record("r2", 0.001, probes=1, rows_scanned=2,
-                        rows_emitted=1, pruned=0)
-        snapshot = profiler.snapshot()
-        assert snapshot["r1"]["execs"] == 2
-        assert snapshot["r1"]["wall_s"] == pytest.approx(1.0)
-        assert snapshot["r1"]["rows_scanned"] == 200
-        assert snapshot["r1"]["rows_per_s"] == pytest.approx(200.0, rel=1e-6)
-        assert profiler.top(1) == [("r1", snapshot["r1"])]
-        assert profiler.top(1, key="execs")[0][0] == "r1"
-
-    def test_disabled_profiler_records_nothing(self):
-        profiler = obs.KernelProfiler(enabled=False)
-        profiler.record("r1", 1.0, probes=1, rows_scanned=1,
-                        rows_emitted=1, pruned=0)
-        assert len(profiler) == 0
-        assert profiler.snapshot() == {}
+    """The kernel profile is a view of ``ChaseStats.plans``."""
 
     def test_render_top_table(self):
-        profiler = obs.KernelProfiler()
-        profiler.record("sigma1", 0.002, probes=3, rows_scanned=9,
-                        rows_emitted=4, pruned=1)
-        table = obs.render_top(profiler.snapshot())
+        profile = obs.kernel_profile({
+            "sigma1": {"kernel_execs": 2, "wall_s": 0.002, "probes": 3,
+                       "scanned": 9, "matches": 4, "pruned": 1},
+            "idle": {"kernel_execs": 0},
+        })
+        assert list(profile) == ["sigma1"]  # a kernel that never ran has no row
+        assert profile["sigma1"]["rows_per_s"] == 4500
+        table = obs.render_top(profile)
         assert "sigma1" in table
         assert "wall_ms" in table
         assert obs.render_top({}) == (
@@ -239,14 +222,14 @@ class TestKernelProfiler:
             name="tc", goal="T",
         )
         database = Database([fact("E", "a", "b"), fact("E", "b", "c")])
-        profiler = obs.KernelProfiler()
-        with obs.observed(profile=profiler):
-            chase(program, database, strategy="planned")
-        snapshot = profiler.snapshot()
-        assert snapshot, "planned chase recorded no kernel executions"
-        for entry in snapshot.values():
-            assert entry["execs"] >= 1
-            assert entry["wall_s"] >= 0.0
+        plans = chase(program, database, strategy="planned").stats.plans
+        assert set(plans) == {"base", "rec"}
+        for entry in plans.values():
+            assert entry["kernel_execs"] >= 1
+            assert entry["wall_s"] > 0.0
+        profile = obs.kernel_profile(plans)
+        assert profile["rec"]["execs"] == plans["rec"]["kernel_execs"]
+        assert profile["rec"]["wall_s"] == pytest.approx(plans["rec"]["wall_s"])
 
     def test_aggregate_rules_report_groups_evaluated(self):
         """``obs top``'s groups column: how many aggregate groups a rule
@@ -254,17 +237,15 @@ class TestKernelProfiler:
         from repro.apps import generators
 
         scenario = generators.control_chain(6, seed=1)
-        profiler = obs.KernelProfiler()
-        with obs.observed(profile=profiler):
-            result = chase(scenario.application.program, scenario.database)
-        snapshot = profiler.snapshot()
+        result = chase(scenario.application.program, scenario.database)
         plan = result.stats.plans["sigma3"]
-        assert snapshot["sigma3"]["groups_evaluated"] == (
+        profile = obs.kernel_profile(result.stats.plans)
+        assert profile["sigma3"]["groups_evaluated"] == (
             plan["groups_evaluated"]
         ) > 0
-        assert snapshot["sigma3"]["execs"] == plan["kernel_execs"]
-        assert snapshot["sigma1"]["groups_evaluated"] == 0
-        header, _, *rows = obs.render_top(snapshot).splitlines()
+        assert profile["sigma3"]["execs"] == plan["kernel_execs"]
+        assert profile["sigma1"]["groups_evaluated"] == 0
+        header, _, *rows = obs.render_top(profile).splitlines()
         column = header.split().index("groups")
         sigma3_row = next(row for row in rows if row.startswith("sigma3"))
         assert sigma3_row.split()[column] == str(plan["groups_evaluated"])
@@ -283,8 +264,28 @@ class TestFlightIntegration:
                 chase(program, database, strategy="planned")
         assert record.counts["chase_runs"] == 1
         assert record.counts["kernel_execs"] >= 1
-        assert "chase" in record.phases
+        assert "chase.run" in record.phases
         assert "kernel_execute" in record.phases
+
+    def test_session_phases_fit_inside_the_record(self):
+        """Each timed region adds to its own phase: no phase outlasts the
+        record, and the disjoint compile and chase phases fit in it."""
+        from repro.apps import figures
+
+        scenario = figures.figure15_instance()
+        recorder = obs.FlightRecorder()
+        with obs.observed(flight=recorder):
+            ExplanationService().session(
+                scenario.application, scenario.database
+            )
+        (record,) = recorder.records()
+        assert record.kind == "session"
+        for name, seconds in record.phases.items():
+            assert seconds <= record.duration_s, name
+        assert (
+            record.phases["compile"] + record.phases["chase"]
+            <= record.duration_s
+        )
 
     def test_cache_regions_count_into_open_record(self):
         cache = LRUCache(8)
@@ -318,13 +319,12 @@ class TestFlightIntegration:
 
     def test_service_batch_propagates_flight_and_span_context(self):
         recorder = obs.FlightRecorder()
-        tracer = obs.Tracer()
         application = company_control.build()
         database = [
             company_control.own("A", "B", 0.6),
             company_control.own("B", "C", 0.7),
         ]
-        with obs.observed(tracer=tracer, flight=recorder):
+        with obs.observed(flight=recorder):
             with ExplanationService() as service:
                 session = service.session(application, database)
                 queries = [fact("Control", "A", "B"),
@@ -336,25 +336,13 @@ class TestFlightIntegration:
         # calling thread, and land their counters on it.
         assert kinds.count("explain_batch") == 1
         assert kinds.count("explain_task") == 0
-        # Every explain.* span of the batch parents into its span's tree.
-        spans = {span.span_id: span for span in tracer.finished()}
-        batch_span = next(
-            span for span in spans.values()
-            if span.name == "service.explain_batch"
+        # The batch's timed regions are phases of the batch record: the
+        # provenance index its first query builds lands there.
+        batch = next(r for r in recorder.records() if r.kind == "explain_batch")
+        assert {"explain_batch", "explain.index_build"} <= set(batch.phases)
+        assert batch.phases["explain.index_build"] <= (
+            batch.phases["explain_batch"]
         )
-
-        def under_batch(span) -> bool:
-            while span.parent_id is not None:
-                if span.parent_id == batch_span.span_id:
-                    return True
-                span = spans[span.parent_id]
-            return False
-
-        explain_spans = [
-            span for span in spans.values() if span.name.startswith("explain.")
-        ]
-        assert explain_spans
-        assert all(under_batch(span) for span in explain_spans)
 
     def test_histogram_exemplars_link_to_flight_queries(self):
         recorder = obs.FlightRecorder()

@@ -43,10 +43,10 @@ from .apps import (
 from .core.compiler import CompilationError
 from .core.service import ExplanationService
 from .core.structural import StructuralAnalysis
-from .datalog.errors import DatalogError
+from .datalog.errors import UserError
 from .engine import ChaseEngine
 from .io import (
-    load_facts, load_glossary, load_program, parse_fact,
+    load_facts, load_glossary, load_program, parse_fact, read_file,
     save_compiled_program,
 )
 from .llm.simulated import SimulatedLLM
@@ -358,6 +358,8 @@ def _run_workload(args: argparse.Namespace, run: _ObsRun):
     if getattr(args, "program", None):
         scenario = None
         program = load_program(args.program, goal=args.goal)
+        if program.goal is None:
+            raise UserError(f"{args.program} names no goal: add '% @goal PREDICATE' or pass --goal")
         glossary = load_glossary(args.glossary)
         database = load_facts(args.data)
     else:
@@ -420,8 +422,7 @@ def _print_explanations(args, scenario, session) -> None:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     if args.program and not (args.data and args.glossary):
-        print("--program requires --data and --glossary", file=sys.stderr)
-        return 2
+        raise UserError("--program requires --data and --glossary")
     if args.dot:
         print(_workload_dot(args))
         return 0
@@ -430,28 +431,22 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         stats_path=args.stats_file, flight_path=args.flight_file,
         meta={"command": "explain", "app": args.app or args.program},
     )
-    try:
-        with run.observed():
-            scenario, service, session = _run_workload(args, run)
-            if args.why_not:
-                print(session.why_not(parse_fact(args.why_not)).text)
-            elif args.report:
-                targets = [parse_fact(args.query)] if args.query else None
-                report = session.report(
-                    targets=targets, prefer_enhanced=not args.deterministic
-                )
-                print(report.to_markdown())
-            else:
-                _print_explanations(args, scenario, session)
-            if args.metrics:
-                snapshot = service.metrics_snapshot()
-                snapshot["profile"] = run.profile()
-                print(json.dumps(snapshot, indent=2), file=sys.stderr)
-    except (KeyError, DatalogError) as error:
-        # A query the chase did not derive, a predicate the program or
-        # glossary lacks: bad input, reported like a bad flag.
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
+    with run.observed():
+        scenario, service, session = _run_workload(args, run)
+        if args.why_not:
+            print(session.why_not(parse_fact(args.why_not)).text)
+        elif args.report:
+            targets = [parse_fact(args.query)] if args.query else None
+            report = session.report(
+                targets=targets, prefer_enhanced=not args.deterministic
+            )
+            print(report.to_markdown())
+        else:
+            _print_explanations(args, scenario, session)
+        if args.metrics:
+            snapshot = service.metrics_snapshot()
+            snapshot["profile"] = run.profile()
+            print(json.dumps(snapshot, indent=2), file=sys.stderr)
     run.dump()
     return 0
 
@@ -544,20 +539,11 @@ def _profile_problem(profile) -> str | None:
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     if args.stats_file:
-        try:
-            with open(args.stats_file, encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError) as error:
-            print(f"error: cannot read {args.stats_file}: {error}",
-                  file=sys.stderr)
-            return 2
-        problem = _profile_problem(
-            document.get("profile") if isinstance(document, dict) else None
-        )
+        document = read_file(args.stats_file, decode=True)
+        profile = document.get("profile") if isinstance(document, dict) else None
+        problem = _profile_problem(profile)
         if problem is not None:
-            print(f"error: {args.stats_file} {problem}", file=sys.stderr)
-            return 2
-        profile = document["profile"]
+            raise UserError(f"{args.stats_file} {problem}")
     elif args.app:
         run = _ObsRun(meta={"command": "obs top"})
         with run.observed():
@@ -567,17 +553,19 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
             )
         profile = run.profile()
     else:
-        print(
-            "error: pass a stats document or --app WORKLOAD", file=sys.stderr
-        )
-        return 2
+        raise UserError("pass a stats document or --app WORKLOAD")
     print(obs.render_top(profile, limit=args.limit, key=args.key))
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except UserError as error:
+        # Input the pipeline rejects is reported like a bad flag.
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

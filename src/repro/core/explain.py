@@ -245,7 +245,8 @@ class Explainer:
     ) -> Explanation:
         """Answer the explanation query Q_e = {``query``}.
 
-        Raises ``KeyError`` when the fact was not derived by the chase.
+        Raises :class:`NotDerived` (a ``KeyError``) for a fact the chase
+        did not derive.
         Top-level answers are memoized per (binding, query, options) in
         the shared LRU's ``explain`` region — the reasoning result is
         frozen, so explanations are pure.  Side branches are not cached

@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 from .. import obs
 from ..datalog.atoms import Fact
+from ..datalog.errors import UserError
 from ..datalog.program import Program
 from ..engine.chase import ChaseEngine
 from ..engine.database import Database
@@ -99,10 +100,10 @@ class BatchOutcome:
 
     ``status`` is ``"ok"`` (``explanation`` is set),
     ``"deadline_exceeded"`` (the per-batch budget ran out before this
-    query was served) or ``"error"`` (the query itself failed; ``error``
-    carries ``TypeName: message``).  Partial service beats no service: a
-    batch under deadline returns one outcome per query, in input order,
-    instead of hanging the pool behind the slowest straggler.
+    query was served) or ``"error"`` (the query is a :class:`UserError`;
+    ``error`` carries ``TypeName: message``).  Partial service beats no
+    service: a batch under deadline returns one outcome per query, in
+    input order, instead of hanging the pool behind the slowest straggler.
     """
 
     query: Fact
@@ -130,11 +131,10 @@ class BatchOutcome:
         )
 
     @classmethod
-    def failed(cls, query: Fact, error: BaseException) -> "BatchOutcome":
-        return cls(
-            query=query, status=cls.STATUS_ERROR,
-            error=f"{type(error).__name__}: {error}",
-        )
+    def failed(cls, query: Fact, error: UserError) -> "BatchOutcome":
+        # An underived query has always been named a KeyError here.
+        kind = "KeyError" if isinstance(error, KeyError) else type(error).__name__
+        return cls(query=query, status=cls.STATUS_ERROR, error=f"{kind}: {error}")
 
 
 class _Timed:
@@ -221,9 +221,9 @@ class ExplanationSession:
         The budget is checked before each query; a
         query that began within it finishes (computed work is never
         discarded), the ones after it carry
-        ``status="deadline_exceeded"``, and a failing query carries
-        ``status="error"``.  Without a deadline the historical
-        ``list[Explanation]`` contract is unchanged.
+        ``status="deadline_exceeded"``, and a query the caller got wrong
+        (a :class:`UserError`) carries ``status="error"``.  Without a
+        deadline the historical ``list[Explanation]`` contract is unchanged.
         """
         chosen: Sequence[Fact] = list(queries)
         bounded = Deadline.coerce(deadline)
@@ -260,7 +260,7 @@ class ExplanationSession:
             return BatchOutcome.success(
                 query, self.explainer.explain(query, **options)
             )
-        except Exception as error:
+        except UserError as error:  # a pipeline fault fails the batch
             return BatchOutcome.failed(query, error)
 
     def report(self, **options) -> BusinessReport:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..datalog.atoms import Atom, Fact
 from ..datalog.conditions import Comparison, evaluate_expression
-from ..datalog.errors import EvaluationError
+from ..datalog.errors import EvaluationError, UserError
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Variable
 from ..datalog.unify import MutableSubstitution, apply_substitution, match_atom
@@ -74,12 +74,12 @@ class WhyNotExplainer:
     def explain_why_not(self, query: Fact) -> WhyNotAnswer:
         """Why ``query`` is not in the materialized instance.
 
-        Raises ``ValueError`` when the fact *is* derived (ask the regular
+        Raises :class:`UserError` when the fact holds (ask the regular
         explainer instead).
         """
         if query in self.result.database and query not in \
                 self.result.chase_result.superseded:
-            raise ValueError(f"{query} holds — ask for its explanation instead")
+            raise UserError(f"{query} holds — ask for its explanation instead")
         candidates = self.result.program.rules_deriving(query.predicate)
         obstacles = []
         for rule in candidates:

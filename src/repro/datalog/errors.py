@@ -8,11 +8,28 @@ while still discriminating parse errors from semantic ones.
 from __future__ import annotations
 
 
+class UserError(ValueError):
+    """A question or input the caller got wrong, not a pipeline fault: an
+    ``error:`` line and exit 2 in the CLI, ``status`` and ``reason`` over HTTP."""
+
+    status, reason = 400, "bad_request"
+
+
+class NotDerived(UserError, KeyError):
+    """The queried fact is no derivation of the chase (still a KeyError)."""
+
+    status, reason = 404, "not_derived"
+
+    def __init__(self, fact: object):
+        super().__init__(f"{fact} was not derived by the chase")
+        self.fact = fact
+
+
 class DatalogError(Exception):
     """Base class for all errors raised by the Datalog substrate."""
 
 
-class ParseError(DatalogError):
+class ParseError(DatalogError, UserError):
     """Raised when a program or rule text cannot be parsed.
 
     Carries the offending ``text`` and, when available, the ``position``
@@ -28,7 +45,7 @@ class ParseError(DatalogError):
         super().__init__(message)
 
 
-class SafetyError(DatalogError):
+class SafetyError(DatalogError, UserError):
     """Raised when a rule violates the Datalog safety condition.
 
     Every variable appearing in the head (or in a condition) must appear in
@@ -36,15 +53,15 @@ class SafetyError(DatalogError):
     """
 
 
-class ArityError(DatalogError):
+class ArityError(DatalogError, UserError):
     """Raised when a predicate is used with inconsistent arities."""
 
 
-class EvaluationError(DatalogError):
+class EvaluationError(DatalogError, UserError):
     """Raised when a condition or arithmetic expression cannot be evaluated,
     e.g. comparing a string with a number or dividing by zero."""
 
 
-class GlossaryError(DatalogError):
+class GlossaryError(DatalogError, UserError):
     """Raised when a domain glossary is inconsistent with the program schema
     (missing predicate entries, wrong token counts, unknown tokens)."""

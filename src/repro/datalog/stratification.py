@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DatalogError
+from .errors import DatalogError, UserError
 from .program import Program
 from .rules import Rule
 
 
-class StratificationError(DatalogError):
+class StratificationError(DatalogError, UserError):
     """Raised when a program has recursion through negation."""
 
 

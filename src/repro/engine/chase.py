@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .. import obs
 from ..datalog.atoms import Fact
 from ..datalog.conditions import evaluate_expression
-from ..datalog.errors import DatalogError, EvaluationError
+from ..datalog.errors import DatalogError, EvaluationError, NotDerived
 from ..datalog.program import Program
 from ..datalog.rules import Constraint, Rule
 from ..datalog.stratification import stratify
@@ -250,7 +250,7 @@ class ChaseResult:
         """The chase step that derived ``current``; raises for EDB facts."""
         record = self.derivation.get(current)
         if record is None:
-            raise KeyError(f"{current} was not derived by the chase")
+            raise NotDerived(current)
         return record
 
     def derived_facts(self) -> tuple[Fact, ...]:

@@ -56,6 +56,7 @@ from typing import NamedTuple
 
 from .. import obs
 from ..datalog.atoms import Fact
+from ..datalog.errors import UserError
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.stratification import stratify
@@ -124,7 +125,7 @@ def _effective_delta(
     database, derivation = result.database, result.derivation
     for fact in retracts:
         if fact in derivation:
-            raise ValueError(
+            raise UserError(
                 f"cannot retract derived fact {fact}; "
                 "retract its extensional support instead"
             )
@@ -132,7 +133,7 @@ def _effective_delta(
     added: dict[Fact, None] = {}
     for fact in adds:
         if not fact.is_fact():
-            raise ValueError(f"can only add ground facts, got {fact}")
+            raise UserError(f"can only add ground facts, got {fact}")
         if fact in retracted or fact not in database or fact in derivation:
             added.setdefault(fact, None)
     return tuple(added), tuple(sorted(retracted, key=database.sequence))
@@ -148,9 +149,9 @@ def resolve_delta(
     Returns ``(new_edb, effective_adds, effective_retracts)``.  The new
     EDB preserves the relative order of retained facts and appends the
     effective adds, the order a maintained result ranks them in.
-    Retracting a *derived* fact is an error — retract its extensional
-    support instead; retracting an absent fact is a no-op, as is adding
-    a fact that is already extensional.
+    Retracting a *derived* fact is a :class:`UserError` — retract its
+    extensional support instead; retracting an absent fact is a no-op,
+    as is adding a fact that is already extensional.
     """
     added, retracted = _effective_delta(result, adds, retracts)
     gone = set(retracted)

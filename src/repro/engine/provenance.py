@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..datalog.atoms import Fact
+from ..datalog.errors import NotDerived
 from .chase import ChaseResult, ChaseStepRecord
 
 
@@ -167,11 +168,11 @@ class ProvenanceTracker:
     def spine(self, target: Fact) -> DerivationSpine:
         """The root-to-leaf derivation path for ``target``.
 
-        Raises ``KeyError`` when ``target`` is extensional (nothing to
-        explain: it was given, not derived).
+        Raises :class:`NotDerived` (a ``KeyError``) when ``target`` is
+        extensional (nothing to explain: it was given, not derived).
         """
         if target not in self.result.derivation:
-            raise KeyError(f"{target} was not derived by the chase")
+            raise NotDerived(target)
         reversed_steps: list[SpineStep] = []
         current: Fact | None = target
         while current is not None:

@@ -45,6 +45,7 @@ import time
 
 from .. import obs
 from ..datalog.atoms import Fact
+from ..datalog.errors import NotDerived
 from .chase import ChaseResult, ChaseStepRecord
 from .provenance import DerivationSpine, SpineStep
 
@@ -156,7 +157,7 @@ class ProvenanceIndex:
         """The chase step deriving ``current``; raises for EDB facts."""
         record = self._derivation.get(current)
         if record is None:
-            raise KeyError(f"{current} was not derived by the chase")
+            raise NotDerived(current)
         return record
 
     def intensional_parents(self, record: ChaseStepRecord) -> tuple[Fact, ...]:
@@ -205,7 +206,7 @@ class ProvenanceIndex:
         if cached is not None:
             return cached
         if target not in self._derivation:
-            raise KeyError(f"{target} was not derived by the chase")
+            raise NotDerived(target)
         reversed_steps: list[SpineStep] = []
         current: Fact | None = target
         while current is not None:

@@ -31,7 +31,7 @@ from typing import Iterable
 
 from .core.glossary import DomainGlossary
 from .datalog.atoms import Fact
-from .datalog.errors import ParseError
+from .datalog.errors import ParseError, UserError
 from .datalog.parser import parse_fact, parse_program
 from .datalog.program import Program
 from .datalog.terms import Null, Term, intern_constant
@@ -39,6 +39,16 @@ from .engine.database import Database
 from .engine.symbols import SymbolTable
 
 _PRAGMA_RE = re.compile(r"^[%#]\s*@(name|goal)\s+(\S+)\s*$", re.MULTILINE)
+
+
+def read_file(path: str | Path, decode: bool = False):
+    """A caller's file as text, or decoded from JSON with ``decode``: a
+    missing, unreadable or malformed file is a UserError naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if decode else text
+    except (OSError, ValueError) as error:
+        raise UserError(f"cannot read {path}: {error}") from error
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +74,7 @@ def load_program(
     path: str | Path, name: str | None = None, goal: str | None = None
 ) -> Program:
     """Load a program file (see :func:`loads_program`)."""
-    return loads_program(Path(path).read_text(encoding="utf-8"), name, goal)
+    return loads_program(read_file(path), name, goal)
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +99,7 @@ def loads_facts(text: str) -> Database:
 
 def load_facts(path: str | Path) -> Database:
     """Load a fact file into a database."""
-    return loads_facts(Path(path).read_text(encoding="utf-8"))
+    return loads_facts(read_file(path))
 
 
 def save_facts(database: Database | Iterable[Fact], path: str | Path) -> None:
@@ -176,7 +186,7 @@ def save_database(database: Database, path: str | Path) -> None:
 
 def load_database(path: str | Path) -> Database:
     """Load a ``repro-db/1`` snapshot file."""
-    return loads_database(Path(path).read_text(encoding="utf-8"))
+    return loads_database(read_file(path))
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +216,7 @@ def load_compiled_program(path: str | Path, program, glossary, llm=None):
     :class:`~repro.core.compiler.CompilationError`)."""
     from .core.compiler import CompiledProgram
 
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_file(path, decode=True)
     return CompiledProgram.from_payload(payload, program, glossary, llm=llm)
 
 
@@ -216,7 +226,10 @@ def load_compiled_program(path: str | Path, program, glossary, llm=None):
 
 def loads_glossary(text: str) -> DomainGlossary:
     """Parse a JSON data dictionary into a glossary."""
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except ValueError as error:
+        raise ParseError(f"glossary is not valid JSON: {error}") from error
     if not isinstance(raw, dict):
         raise ParseError("glossary JSON must be an object", text, 0)
     glossary = DomainGlossary()
@@ -232,7 +245,7 @@ def loads_glossary(text: str) -> DomainGlossary:
 
 def load_glossary(path: str | Path) -> DomainGlossary:
     """Load a JSON glossary file."""
-    return loads_glossary(Path(path).read_text(encoding="utf-8"))
+    return loads_glossary(read_file(path))
 
 
 def dump_glossary(glossary: DomainGlossary, path: str | Path) -> None:

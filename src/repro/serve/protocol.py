@@ -34,14 +34,14 @@ from ..core.explain import Explanation
 from ..core.service import BatchOutcome
 from ..core.whynot import WhyNotAnswer
 from ..datalog.atoms import Fact
-from ..datalog.errors import ParseError
+from ..datalog.errors import NotDerived, ParseError, UserError
 from ..io import parse_fact
 
 #: Version tag carried by every response body.
 SERVE_FORMAT = "repro-serve/1"
 
 
-class ProtocolError(ValueError):
+class ProtocolError(UserError):
     """A malformed request; ``status`` is the HTTP answer it deserves."""
 
     def __init__(self, message: str, status: int = 400):
@@ -332,3 +332,13 @@ def error_payload(
         "results": list(results or ()),
     }
     return payload
+
+
+def refusal(error: UserError) -> tuple[int, dict]:
+    """The HTTP answer to a caller's mistake: the error's own status and
+    a body whose ``status`` is its ``reason``."""
+    message = str(error)
+    if isinstance(error, NotDerived):
+        # str() of a KeyError quotes it: the spelling the 404 always had.
+        message = f"{error.fact} was not derived: {message}"
+    return error.status, error_payload(error.reason, message)

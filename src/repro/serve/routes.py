@@ -5,9 +5,10 @@ through :class:`~repro.serve.workers.WorkerPool`.  This module is the
 single definition of that behaviour: a route-name → parser table plus
 one function per route turning a parsed request and a warm
 :class:`~repro.core.service.ExplanationSession` into an HTTP
-``(status, payload)`` pair.  The payload builders are the ones
-in-process callers use (:mod:`repro.serve.protocol`), so served bytes
-are byte-identical to in-process serialization.
+``(status, payload)`` pair, or raising the caller's mistake as a
+:class:`~repro.datalog.errors.UserError`.  The payload builders are the
+ones in-process callers use (:mod:`repro.serve.protocol`), so served
+bytes are byte-identical to in-process serialization.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ def serve_explain(
         metrics.incr("serve.deadline_exceeded")
         obs.flight_event("deadline_exceeded", where="explain")
         return 504, error_payload("deadline_exceeded", str(error))
-    except KeyError as error:
-        return 404, error_payload(
-            "not_derived",
-            f"{request.query} was not derived: {error}",
-        )
 
 
 def serve_batch(
@@ -117,6 +113,13 @@ def serve_whynot(
     return 200, whynot_payload(answer)
 
 
+_SERVERS = {
+    ExplainRequest: serve_explain,
+    BatchRequest: serve_batch,
+    WhyNotRequest: serve_whynot,
+}
+
+
 def serve_session_request(
     session: ExplanationSession,
     request: ExplainRequest | BatchRequest | WhyNotRequest,
@@ -126,18 +129,7 @@ def serve_session_request(
 ) -> tuple[int, dict | bytes]:
     """Serve one parsed session-scoped request (not ``update``): the
     status and a payload to encode, or a body already encoded."""
-    if isinstance(request, ExplainRequest):
-        return serve_explain(
-            session, request,
-            default_deadline_s=default_deadline_s, metrics=metrics,
-        )
-    if isinstance(request, BatchRequest):
-        return serve_batch(
-            session, request,
-            default_deadline_s=default_deadline_s, metrics=metrics,
-        )
-    assert isinstance(request, WhyNotRequest)
-    return serve_whynot(
+    return _SERVERS[type(request)](
         session, request,
         default_deadline_s=default_deadline_s, metrics=metrics,
     )

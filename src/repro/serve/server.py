@@ -71,6 +71,7 @@ from .protocol import (
     ProtocolError,
     encode_body,
     error_payload,
+    refusal,
 )
 from .workers import WorkerPool
 
@@ -293,36 +294,23 @@ class ExplanationServer:
         self._connections.add(writer)
         try:
             while True:
+                keep_alive = False
                 try:
                     parsed = await self._read_request(reader)
                 except ProtocolError as error:
                     # The request never parsed far enough to route;
                     # answer and drop the connection (framing is gone).
                     self.metrics.incr("serve.bad_requests")
-                    payload = encode_body(
-                        error_payload("bad_request", str(error))
+                    response = self._json_response(*refusal(error))
+                else:
+                    if parsed is None:
+                        break
+                    method, target, headers, body = parsed
+                    response = await self._dispatch(method, target, body)
+                    keep_alive = (
+                        headers.get("connection", "keep-alive").lower() != "close"
                     )
-                    writer.write(
-                        (
-                            f"HTTP/1.1 {error.status} "
-                            f"{_REASONS.get(error.status, 'Bad Request')}\r\n"
-                            "Content-Type: application/json\r\n"
-                            f"Content-Length: {len(payload)}\r\n"
-                            "Connection: close\r\n\r\n"
-                        ).encode("latin-1")
-                        + payload
-                    )
-                    await writer.drain()
-                    break
-                if parsed is None:
-                    break
-                method, target, headers, body = parsed
-                status, payload, content_type, extra = await self._dispatch(
-                    method, target, body
-                )
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                )
+                status, payload, content_type, extra = response
                 head = (
                     f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                     f"Content-Type: {content_type}\r\n"
@@ -411,11 +399,6 @@ class ExplanationServer:
                 return await self._dispatch_post(path, body)
             return self._json_response(
                 405, error_payload("error", f"method {method} not allowed")
-            )
-        except ProtocolError as error:
-            self.metrics.incr("serve.bad_requests")
-            return self._json_response(
-                error.status, error_payload("bad_request", str(error))
             )
         except Exception as error:  # never leak a traceback to the socket
             self.metrics.incr("serve.errors")
@@ -569,9 +552,9 @@ class ExplanationServer:
         ``X-Query-Id`` names: the session work joins it
         (:func:`repro.obs.flight_record`) instead of opening children, so
         its phase, fingerprint and cache counts land on it.  Parsing and
-        route semantics live in :meth:`WorkerPool.serve`.  A
-        :class:`~repro.serve.protocol.ProtocolError` propagates to
-        ``_dispatch`` (400 + ``serve.bad_requests``).
+        route semantics live in :meth:`WorkerPool.serve`, which answers a
+        caller's mistake itself; an exception escaping it is
+        ``_dispatch``'s 500.
         """
         assert self.pool is not None
         with self.flight.record(f"serve.{route}") as record:

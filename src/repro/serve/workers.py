@@ -37,12 +37,12 @@ from typing import Callable, Iterable, TypeVar
 from ..apps.base import KGApplication
 from ..core.service import ExplanationService, ExplanationSession
 from ..datalog.atoms import Fact
-from ..datalog.errors import DatalogError
+from ..datalog.errors import UserError
 from ..engine.database import Database
 from ..engine.incremental import UpdateOutcome
 from ..io import dumps_database, loads_database
 from ..obs.metrics import MetricsRegistry
-from .protocol import UpdateRequest, error_payload, update_payload
+from .protocol import UpdateRequest, refusal, update_payload
 from .routes import PARSERS, serve_session_request
 
 T = TypeVar("T")
@@ -116,36 +116,29 @@ class WorkerPool:
         """Parse ``body`` for ``route`` and serve it: (status, payload),
         where a payload already encoded arrives as bytes.
 
-        The entry point the HTTP server calls.  A
-        :class:`~repro.serve.protocol.ProtocolError` from the parser
-        propagates (the server answers 400).
+        The entry point the HTTP server calls, and the one place where a
+        request's :class:`~repro.datalog.errors.UserError` becomes its
+        4xx answer (in ``serve.bad_requests``, never ``serve.errors``).
         """
-        request = PARSERS[route](body)
-        if isinstance(request, UpdateRequest):
+        try:
+            request = PARSERS[route](body)
+            if not isinstance(request, UpdateRequest):
+                return self.run(lambda session: serve_session_request(
+                    session, request,
+                    default_deadline_s=self.default_deadline_s,
+                    metrics=self.metrics,
+                ))
             if record is not None:
                 record.set(
                     adds=len(request.adds), retracts=len(request.retracts)
                 )
-            try:
-                outcome = self.update(request.adds, request.retracts)
-            except (ValueError, DatalogError) as error:
-                # A delta the program rejects (retracting a derived fact,
-                # a wrong arity, a share the rules cannot add up) is the
-                # client's mistake, not server unhealth.
-                self.metrics.incr("serve.bad_requests")
-                return 400, error_payload("bad_request", str(error))
-            if record is not None:
-                record.set(mode=outcome.mode)
-            return 200, update_payload(outcome)
-
-        def task(session: ExplanationSession) -> tuple[int, dict | bytes]:
-            return serve_session_request(
-                session, request,
-                default_deadline_s=self.default_deadline_s,
-                metrics=self.metrics,
-            )
-
-        return self.run(task)
+            outcome = self.update(request.adds, request.retracts)
+        except UserError as error:
+            self.metrics.incr("serve.bad_requests")
+            return refusal(error)
+        if record is not None:
+            record.set(mode=outcome.mode)
+        return 200, update_payload(outcome)
 
     # ------------------------------------------------------------------
     # Live updates
@@ -157,10 +150,10 @@ class WorkerPool:
 
         Readers are never waited for: the delta is applied to a shallow
         copy of the current session, and the copy replaces it in one
-        assignment.  A rejected delta raises before anything is
-        published: :class:`ValueError` (e.g. retracting a derived fact)
-        or :class:`~repro.datalog.errors.DatalogError` (e.g. a wrong
-        arity, or a value an aggregate cannot combine).
+        assignment.  A rejected delta (retracting a derived fact, a
+        wrong arity, a value an aggregate cannot combine) raises a
+        :class:`~repro.datalog.errors.UserError` before anything is
+        published.
         """
         with self._update_lock:
             successor = copy.copy(self.session)

@@ -317,6 +317,55 @@ class TestBadInput:
             "'company_control'",
         )
 
+    @pytest.mark.parametrize("flag", ["--program", "--data", "--glossary"])
+    def test_a_missing_input_file(self, capsys, tmp_path, flag):
+        argv = list(EXAMPLE_ARGV)
+        missing = str(tmp_path / "missing")
+        argv[argv.index(flag) + 1] = missing
+        self._assert_rejected(
+            capsys, ["explain", *argv, "--query-all"],
+            f"cannot read {missing}: [Errno 2] No such file or directory: "
+            f"'{missing}'",
+        )
+
+    def test_a_malformed_glossary(self, capsys, tmp_path):
+        path = tmp_path / "glossary.json"
+        path.write_text('{"Own": ', encoding="utf-8")
+        argv = list(EXAMPLE_ARGV)
+        argv[argv.index("--glossary") + 1] = str(path)
+        self._assert_rejected(
+            capsys, ["explain", *argv, "--query-all"],
+            "glossary is not valid JSON: Expecting value: line 1 column 9 "
+            "(char 8)",
+        )
+
+    def test_why_not_of_a_fact_that_holds(self, capsys):
+        self._assert_rejected(
+            capsys,
+            ["explain", "--app", "stress_test", "--why-not", "Default(A)"],
+            "Default(A) holds — ask for its explanation instead",
+        )
+
+    def test_a_program_without_a_goal(self, capsys, tmp_path):
+        path = tmp_path / "rules.vada"
+        path.write_text(
+            "sigma1: Own(x, y, s), s > 0.5 -> Control(x, y).\n",
+            encoding="utf-8",
+        )
+        argv = list(EXAMPLE_ARGV)
+        argv[argv.index("--program") + 1] = str(path)
+        self._assert_rejected(
+            capsys, ["explain", *argv, "--query-all"],
+            f"{path} names no goal: add '% @goal PREDICATE' or pass --goal",
+        )
+
+    def test_program_without_data_and_glossary(self, capsys):
+        self._assert_rejected(
+            capsys,
+            ["explain", "--program", EXAMPLE_FILES["program"], "--query-all"],
+            "--program requires --data and --glossary",
+        )
+
 
 class TestObsTop:
     def test_malformed_document_exits_two(self, capsys, tmp_path):

@@ -126,6 +126,7 @@ class TestCompileOnce:
         second = Explainer(scenario.run(), compiled=compiled)
         second.explain(risk)
         assert compiled.stats.secondary_pipelines == 1, "pipeline rebuilt"
+        assert compiled.stats.enhancement_runs == 0, "no LLM, no enhancement"
 
 
 class TestSerializedArtifact:

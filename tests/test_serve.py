@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import company_control, figures, generators
-from repro.core import ExplanationService
+from repro.core import ExplanationService, MappingError, TemplateMapper
 from repro.datalog import parser
 from repro.io import dumps_database, loads_database, loads_facts, parse_fact
 from repro.core.service import Deadline, ExplanationSession
@@ -524,6 +524,60 @@ def _raw_exchange(server, data: bytes) -> tuple[bytes, dict]:
     assert answer.count(b"HTTP/1.1 ") == 1
     head, _, body = answer.partition(b"\r\n\r\n")
     return head, json.loads(body)
+
+
+class TestUserErrors:
+    """A question the caller got wrong is a 4xx with a reason, counted in
+    ``serve.bad_requests`` and never in ``serve.errors`` (the breaker's
+    budget); a fault of the pipeline is a 500 that is counted there."""
+
+    @pytest.mark.parametrize("path, query", [
+        ("/whynot", "Control(IrishBank, MadridCredit)"),  # it holds
+        ("/whynot", "Control(IrishBank)"),  # the wrong arity
+        ("/whynot", "Nope(IrishBank)"),  # a predicate the program lacks
+        ("/explain", "Nope(IrishBank)"),
+    ])
+    def test_a_bad_question_is_400(self, server, path, query):
+        errors = server.metrics.counter_value("serve.errors")
+        bad = server.metrics.counter_value("serve.bad_requests")
+        status, _headers, data = _request(server, "POST", path, {"query": query})
+        assert status == 400
+        assert json.loads(data)["status"] == "bad_request"
+        assert server.metrics.counter_value("serve.errors") == errors
+        assert server.metrics.counter_value("serve.bad_requests") == bad + 1
+
+    def test_the_not_derived_body_keeps_its_spelling(self, server):
+        # bench/check.py builds the 404 it expects from str(KeyError).
+        query = "Control(Absentia0, Absentia1)"
+        status, _headers, data = _request(
+            server, "POST", "/explain", {"query": query}
+        )
+        assert status == 404
+        cause = KeyError(f"{query} was not derived by the chase")
+        assert data == encode_body(error_payload(
+            "not_derived", f"{query} was not derived: {cause}"
+        ))
+
+    def test_a_pipeline_fault_in_a_batch_is_500(
+        self, monkeypatch, scenario, snapshot
+    ):
+        def broken(self, *args, **kwargs):
+            raise MappingError("no reasoning path covers the spine")
+
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(slo_period_s=60.0),
+        )
+        with instance.run_in_thread():
+            monkeypatch.setattr(TemplateMapper, "map_spine", broken)
+            status, _headers, data = _request(
+                instance, "POST", "/explain/batch",
+                {"queries": [str(scenario.target)]},
+            )
+        assert status == 500
+        assert "MappingError" in json.loads(data)["error"]
+        assert instance.metrics.counter_value("serve.errors") == 1
+        assert instance.metrics.counter_value("serve.bad_requests") == 0
 
 
 class TestHeadFraming:

@@ -24,12 +24,14 @@ import pytest
 from repro.apps import company_control, generators
 from repro.core import ExplanationService, templates
 from repro.core.service import ExplanationSession
+from repro.datalog.errors import UserError
 from repro.engine import provenance_index, reason
 from repro.engine.chase import ChaseEngine
 from repro.engine.database import Database
 from repro.engine.reasoning import ReasoningResult
 from repro.io import dumps_database
 from repro.obs.metrics import MetricsRegistry
+from repro.serve.protocol import refusal
 from repro.serve import (
     PARSERS,
     ExplanationServer,
@@ -123,10 +125,13 @@ def _reads(states, rng: random.Random, count: int) -> list[tuple[str, bytes]]:
 
 
 def _expected(session: ExplanationSession, route: str, body: bytes):
-    status, payload = serve_session_request(
-        session, PARSERS[route](body),
-        default_deadline_s=10.0, metrics=MetricsRegistry(),
-    )
+    try:
+        status, payload = serve_session_request(
+            session, PARSERS[route](body),
+            default_deadline_s=10.0, metrics=MetricsRegistry(),
+        )
+    except UserError as error:  # answered as WorkerPool.serve answers it
+        status, payload = refusal(error)
     # A repeated explain answers with the body its explanation kept.
     return status, payload if isinstance(payload, bytes) else encode_body(payload)
 

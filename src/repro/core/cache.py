@@ -30,9 +30,10 @@ from typing import Any, Callable, Hashable, Iterator
 
 from .. import obs
 
-#: Default number of explanations kept per shared cache.  Explanations
-#: are small (text plus provenance records already held by the chase),
-#: so a few thousand entries are cheap; the bound is what matters.
+#: Default number of explanations kept per shared cache.  An entry is
+#: its text (plus, once served twice, its encoded bodies) and references
+#: to a composition the binding keeps anyway, so a few thousand entries
+#: are cheap; a miss re-joins that composition rather than redoing it.
 DEFAULT_EXPLANATION_CACHE_SIZE = 4096
 
 _SENTINEL = object()

@@ -34,6 +34,7 @@ from itertools import count
 from typing import Mapping, Sequence
 
 from ..datalog.atoms import Fact
+from ..datalog.errors import NotDerived
 from ..engine.chase import ChaseStepRecord
 from ..engine.provenance import DerivationSpine
 from ..engine.provenance_index import ProvenanceIndex
@@ -53,7 +54,7 @@ from .verbalizer import Verbalizer
 _BINDING_IDS = count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explanation:
     """A generated textual explanation with its full provenance."""
 
@@ -63,6 +64,8 @@ class Explanation:
     segments: tuple[SegmentMatch, ...]
     instantiations: tuple[InstantiatedExplanation, ...]
     side_explanations: tuple["Explanation", ...] = ()
+    #: :meth:`paths_used`, computed once with the composition.
+    paths: tuple[str, ...] = field(kw_only=True, compare=False, repr=False)
     #: What the serving layer kept of this explanation's response body,
     #: per audit flag (:func:`repro.serve.protocol.explanation_response`).
     #: Not part of the value; set only on explanations that were served.
@@ -72,12 +75,9 @@ class Explanation:
 
     def paths_used(self) -> tuple[str, ...]:
         """Names of the reasoning paths composing this explanation, e.g.
-        ``("Pi2", "Gamma3", "Gamma4")`` — cf. Section 5's {Π7, Γ3, Γ4}."""
-        own = tuple(segment.path.name for segment in self.segments)
-        sides = tuple(
-            name for side in self.side_explanations for name in side.paths_used()
-        )
-        return sides + own
+        ``("Pi2", "Gamma3", "Gamma4")`` — cf. Section 5's {Π7, Γ3, Γ4}:
+        the side branches' paths, then the spine's."""
+        return self.paths
 
     def constants(self) -> frozenset[str]:
         """Every constant substituted into the text (tokens' values)."""
@@ -123,6 +123,25 @@ class Explanation:
 
     def __str__(self) -> str:
         return self.text
+
+
+#: What a fact's explanation is made of, before its text is joined:
+#: ``(spine, segments, instantiations, side_explanations, paths)``.
+_Composition = tuple[
+    DerivationSpine, tuple[SegmentMatch, ...],
+    tuple[InstantiatedExplanation, ...], tuple[Explanation, ...],
+    tuple[str, ...],
+]
+
+
+def _explanation(query: Fact, composition: _Composition) -> Explanation:
+    spine, segments, instantiations, sides, paths = composition
+    parts = [side.text for side in sides]
+    parts.extend(instance.text for instance in instantiations)
+    return Explanation(
+        query, " ".join(parts), spine, segments, instantiations, sides,
+        paths=paths,
+    )
 
 
 class Explainer:
@@ -195,6 +214,10 @@ class Explainer:
         # horizon (times the presentation options for segments).
         self._mapping_memos: dict[TemplateMapper, dict] = {}
         self._segment_memo: dict[tuple, InstantiatedExplanation] = {}
+        # Top-level compositions, keyed (head record index, options):
+        # an LRU miss joins a stored composition instead of redoing it.
+        # Bounded by records times option sets; references only.
+        self._compositions: dict[tuple, _Composition] = {}
 
     # ------------------------------------------------------------------
     # Compiled-artifact views (stable public surface)
@@ -249,9 +272,11 @@ class Explainer:
         did not derive.
         Top-level answers are memoized per (binding, query, options) in
         the shared LRU's ``explain`` region — the reasoning result is
-        frozen, so explanations are pure.  Side branches are not cached
-        there: they recurse through :meth:`_explain`, whose spines,
-        mappings and rendered segments are memoized below it.
+        frozen, so explanations are pure.  A miss there is rendered from
+        the binding's composition memo (see :meth:`_render`).  Side
+        branches are cached in neither: they recurse through
+        :meth:`_compose`, whose spines, mappings and rendered segments are
+        memoized below it.
         """
         key = (
             self._memo_scope, self.result.index.fact_key(query),
@@ -259,27 +284,61 @@ class Explainer:
         )
         return self._explain_region.get_or_create(
             key,
-            lambda: self._explain(
+            lambda: self._render(
                 query, prefer_enhanced, variant_index, include_side_branches,
-                visited=set(),
             ),
         )
 
-    def _explain(
+    def _render(
+        self,
+        query: Fact,
+        prefer_enhanced: bool,
+        variant_index: int,
+        include_side_branches: bool,
+    ) -> Explanation:
+        """A top-level explanation, from its memoized composition.
+
+        A top-level composition starts from an empty ``visited`` set, so
+        it is a pure function of the deriving record and the options:
+        it is kept per (record index, options) and holds, besides its
+        side explanations, only references to what the memos below hold.  An LRU miss of a fact
+        composed before costs one lookup and one join.  The region's
+        in-flight latch renders one (fact, options) at a time, so
+        concurrent misses never compose the same entry twice.
+        """
+        try:
+            record = self.result.index.record(query)
+        except NotDerived:
+            program = self.result.program
+            if query.predicate not in program.schema:
+                # Raises the goal-predicate ArityError: a predicate the
+                # program lacks is a bad question, not a missing fact.
+                program.with_goal(query.predicate)
+            raise
+        key = (record.index, prefer_enhanced, variant_index, include_side_branches)
+        composition = self._compositions.get(key)
+        if composition is None:
+            composition = self._compositions[key] = self._compose(
+                query, prefer_enhanced, variant_index, include_side_branches,
+                visited=set(),
+            )
+        return _explanation(query, composition)
+
+    def _compose(
         self,
         query: Fact,
         prefer_enhanced: bool,
         variant_index: int,
         include_side_branches: bool,
         visited: set[Fact],
-    ) -> Explanation:
+    ) -> _Composition:
         visited.add(query)
         store, mapper = self._pipeline_for(query.predicate)
-        spine = self.result.spine(query)
-        segments = mapper.map_spine(
+        spine = self.result.index.spine(query)
+        segments = tuple(mapper.map_spine(
             spine, self.result.chase_result.derivation,
             self._mapping_memos.setdefault(mapper, {}),
-        )
+        ))
         side_explanations: tuple[Explanation, ...] = ()
         if include_side_branches:
             side_explanations = self._explain_side_branches(
@@ -292,16 +351,10 @@ class Explainer:
             )
             for segment in segments
         )
-        parts = [side.text for side in side_explanations]
-        parts.extend(instance.text for instance in instantiations)
-        return Explanation(
-            query=query,
-            text=" ".join(parts),
-            spine=spine,
-            segments=tuple(segments),
-            instantiations=instantiations,
-            side_explanations=side_explanations,
-        )
+        paths = tuple(
+            name for side in side_explanations for name in side.paths
+        ) + tuple(segment.path.name for segment in segments)
+        return spine, segments, instantiations, side_explanations, paths
 
     def _instantiate(
         self,
@@ -339,7 +392,9 @@ class Explainer:
         visited: set[Fact],
     ) -> tuple[Explanation, ...]:
         """Recursively explain derived facts that feed the mapped segments
-        but whose own derivations are not covered by them."""
+        but whose own derivations are not covered by them.  The recursion
+        shares the caller's ``visited`` set and is memoized nowhere above
+        the spine, mapping and segment memos."""
         covered = {
             record.fact
             for segment in segments
@@ -358,13 +413,10 @@ class Explainer:
                             and parent not in visited
                         )
                         if needs_story:
-                            sides.append(
-                                self._explain(
-                                    parent, prefer_enhanced, variant_index,
-                                    include_side_branches=True,
-                                    visited=visited,
-                                )
-                            )
+                            sides.append(_explanation(parent, self._compose(
+                                parent, prefer_enhanced, variant_index,
+                                include_side_branches=True, visited=visited,
+                            )))
         return tuple(sides)
 
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ class MappingError(DatalogError):
     """Raised when no reasoning path covers a spine segment."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SegmentMatch:
     """A reasoning-path variant matched onto spine steps [start, end).
 

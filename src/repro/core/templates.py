@@ -51,7 +51,7 @@ def join_values(values: Sequence[str]) -> str:
     return ", ".join(values[:-1]) + " and " + values[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstantiatedExplanation:
     """The result of substituting constants into a template."""
 

@@ -264,6 +264,11 @@ class Database:
     def predicates(self) -> frozenset[str]:
         return frozenset(self._by_predicate)
 
+    def arity(self, predicate: str) -> int | None:
+        """The arity ``predicate`` is stored at, or ``None`` if this
+        instance never held a fact of it."""
+        return self._arities.get(predicate)
+
     def facts(self, predicate: str | None = None) -> tuple[Fact, ...]:
         """All facts, or the facts of one predicate, in insertion order.
 

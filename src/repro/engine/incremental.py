@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 from .. import obs
 from ..datalog.atoms import Fact
-from ..datalog.errors import UserError
+from ..datalog.errors import ArityError, UserError
 from ..datalog.program import Program
 from ..datalog.rules import Rule
 from ..datalog.stratification import stratify
@@ -123,6 +123,23 @@ def _effective_delta(
 ) -> tuple[tuple[Fact, ...], tuple[Fact, ...]]:
     """:func:`resolve_delta` without ``new_edb``: no pass over the EDB."""
     database, derivation = result.database, result.derivation
+    program = result.program
+    for fact in (*adds, *retracts):
+        # Data the program never reads (a Company fact beside a program
+        # of ownership paths) keeps the arity the instance stores it at.
+        arity = program.schema.get(
+            fact.predicate, database.arity(fact.predicate)
+        )
+        if arity is None:
+            raise ArityError(
+                f"predicate {fact.predicate!r} occurs neither in program "
+                f"{program.name!r} nor in its instance"
+            )
+        if arity != fact.arity:
+            raise ArityError(
+                f"predicate {fact.predicate} used with arity {fact.arity}, "
+                f"expected {arity}"
+            )
     for fact in retracts:
         if fact in derivation:
             raise UserError(
@@ -149,9 +166,11 @@ def resolve_delta(
     Returns ``(new_edb, effective_adds, effective_retracts)``.  The new
     EDB preserves the relative order of retained facts and appends the
     effective adds, the order a maintained result ranks them in.
-    Retracting a *derived* fact is a :class:`UserError` — retract its
-    extensional support instead; retracting an absent fact is a no-op,
-    as is adding a fact that is already extensional.
+    A fact whose predicate neither the program nor the instance has, or
+    has at another arity, is an :class:`ArityError`; retracting a
+    *derived* fact is a :class:`UserError` — retract its extensional
+    support instead; retracting an absent fact is a no-op, as is adding
+    a fact that is already extensional.
     """
     added, retracted = _effective_delta(result, adds, retracts)
     gone = set(retracted)

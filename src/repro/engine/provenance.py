@@ -24,7 +24,7 @@ from ..datalog.errors import NotDerived
 from .chase import ChaseResult, ChaseStepRecord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpineStep:
     """One step of a derivation spine.
 

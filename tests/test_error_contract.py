@@ -8,7 +8,9 @@ no traceback, and over HTTP the status is 200, a 4xx or 504 while
 predicate of the program and glossary plus one the program lacks, with
 the right arity and one off either way, over constants inside and
 outside the active domain; extensional and derived facts of the
-instance are drawn as well.
+instance are drawn as well.  An ``/update`` of a fact whose predicate
+the program lacks (none of these instances stores one), or uses with
+another arity, is a 400 that publishes no new session.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ def servers():
         yield running
 
 
-def _facts(scenario) -> st.SearchStrategy[tuple[str, bool]]:
-    """(fact text, whether the instance holds it as input data)."""
+def _facts(scenario) -> st.SearchStrategy[tuple[str, bool, bool]]:
+    """(fact text, whether the instance holds it as input data, whether
+    the program has its predicate at its arity)."""
     glossary = scenario.application.glossary
+    schema = scenario.application.program.schema
     result = scenario.run()
     extensional = [str(f) for f in scenario.database.facts()]
     derived = [str(f) for f in result.derived()]
@@ -73,7 +77,7 @@ def _facts(scenario) -> st.SearchStrategy[tuple[str, bool]]:
     arities[UNKNOWN] = 2
 
     @st.composite
-    def built(draw) -> tuple[str, bool]:
+    def built(draw) -> tuple[str, bool, bool]:
         predicate = draw(st.sampled_from(sorted(arities)))
         arity = max(0, arities[predicate] + draw(st.sampled_from((-1, 0, 1))))
         terms = draw(st.lists(
@@ -81,12 +85,12 @@ def _facts(scenario) -> st.SearchStrategy[tuple[str, bool]]:
             min_size=arity, max_size=arity,
         ))
         text = f"{predicate}({', '.join(terms)})"
-        return text, text in extensional
+        return text, text in extensional, schema.get(predicate) == arity
 
     return (
         built()
-        | st.sampled_from(extensional).map(lambda text: (text, True))
-        | st.sampled_from(derived).map(lambda text: (text, False))
+        | st.sampled_from(extensional).map(lambda text: (text, True, True))
+        | st.sampled_from(derived).map(lambda text: (text, False, True))
     )
 
 
@@ -107,7 +111,7 @@ def test_every_question_is_answered_or_refused(servers, app):
     )
     @given(drawn=_facts(scenario))
     def law(drawn):
-        fact, extensional = drawn
+        fact, extensional, in_schema = drawn
         for flag in ("--query", "--why-not"):
             status, err = _cli([
                 "explain", "--app", app, "--deterministic", flag, fact,
@@ -117,6 +121,7 @@ def test_every_question_is_answered_or_refused(servers, app):
             if status == 2:
                 assert err.startswith("error: ") and err.count("\n") == 1
         errors = server.metrics.counter_value("serve.errors")
+        session = server.pool.session
         # The instance is put back after each example: an extensional
         # fact is retracted, then added again; any other is added, then
         # retracted.
@@ -134,6 +139,11 @@ def test_every_question_is_answered_or_refused(servers, app):
             assert status == 200 or 400 <= status < 500 or status == 504, (
                 path, fact, status,
             )
+            if path == "/update" and not in_schema:
+                # A delta the program cannot hold is refused and
+                # publishes nothing.
+                assert status == 400, (payload, status)
+                assert server.pool.session is session, payload
         assert server.metrics.counter_value("serve.errors") == errors, fact
 
     law()

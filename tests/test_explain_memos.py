@@ -2,11 +2,13 @@
 probing: the same bytes as a fresh binding and a full scan, for less work.
 
 * An ``Explainer`` keeps a mapping memo (one segment decision per spine
-  window) and a segment memo (one rendered template per assignment and
-  presentation options).  A binding that has explained every other fact
-  must answer exactly as a fresh one — text, reasoning paths and audit
-  record — on generated ladders with joint hops, random ownership and
-  debt networks, and a program with negation.
+  window), a segment memo (one rendered template per assignment and
+  presentation options) and a composition memo (one top-level
+  composition per record and options).  A binding that has explained
+  every other fact must answer exactly as a fresh one — text, reasoning
+  paths and audit record — on generated ladders with joint hops, random
+  ownership and debt networks, and a program with negation; so must one
+  whose LRU evicted every answer, on each bundled application.
 * ``WhyNotExplainer`` probes the chase database's position indexes.  It
   must report the same best attempt as the full scan of the active
   instance it replaced, which :class:`FullScanWhyNot` keeps as the
@@ -17,13 +19,18 @@ probing: the same bytes as a fresh binding and a full scan, for less work.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps import company_control, generators, golden_powers, stress_test
+from repro.apps import (
+    close_links, company_control, figures, generators, golden_powers,
+    integrated_ownership, stress_test,
+)
 from repro.apps.base import KGApplication
 from repro.core import ExplanationService, mapping, templates, whynot
 from repro.core.cache import LRUCache
@@ -33,6 +40,7 @@ from repro.core.whynot import WhyNotExplainer
 from repro.datalog import unify
 from repro.datalog.atoms import Atom
 from repro.datalog.conditions import evaluate_expression
+from repro.datalog.errors import NotDerived
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant
 from repro.engine import database as database_module
@@ -269,6 +277,87 @@ class TestWarmBindingParity:
                 served(fresh.explainer, query, flags)
 
 
+def _golden_powers_instance():
+    database = generators.random_ownership_database(8, 14, seed=3)
+    names = sorted(str(f.terms[0]) for f in database.facts("Company"))
+    facts = list(database.facts())
+    facts += [golden_powers.foreign(name) for name in names[::2]]
+    facts += [golden_powers.strategic(name) for name in names[1::2]]
+    facts += [golden_powers.exempt(name) for name in names[::5]]
+    return golden_powers.build(), facts
+
+
+#: One instance per bundled application.  The stress-test network has
+#: two shocks, so its explanations narrate side branches.
+BUNDLED = {
+    "company_control": lambda: (
+        company_control.build(), figures.figure15_instance().database,
+    ),
+    "stress_test": lambda: (
+        stress_test.build(),
+        generators.random_debt_database(8, 14, shocked=2, seed=8),
+    ),
+    "stress_simple": lambda: (
+        stress_test.build_simple(), figures.figure8_instance().database,
+    ),
+    "close_links": lambda: (
+        close_links.build(),
+        generators.close_links_common_control(seed=0).database,
+    ),
+    "golden_powers": _golden_powers_instance,
+    "integrated_ownership": lambda: (
+        integrated_ownership.build(),
+        generators.random_ownership_database(6, 9, seed=2),
+    ),
+}
+
+
+class TestEvictedParity:
+    @pytest.mark.parametrize("name", sorted(BUNDLED))
+    def test_an_evicted_answer_is_served_like_a_fresh_one(
+        self, name, monkeypatch
+    ):
+        """An LRU of one entry evicts every answer before it is asked
+        again, so the second pass is rendered from the composition memo
+        alone: text, paths and audit record must be byte-equal to a
+        fresh binding's."""
+        application, facts = BUNDLED[name]()
+        result = reason(application.program, facts)
+        program = application.compile(
+            llm=SimulatedLLM(seed=0, faithful=True), enhanced_versions=2
+        )
+        derived = result.derived()
+        flag_sets = [
+            {"prefer_enhanced": enhanced, "variant_index": variant,
+             "include_side_branches": sides}
+            for enhanced, variant in ((True, 0), (True, 1), (False, 0))
+            for sides in (True, False)
+        ]
+        evicting = Explainer(result, compiled=program, cache=LRUCache(1))
+        first = {
+            (query, index): evicting.explain(query, **flags)
+            for query in derived for index, flags in enumerate(flag_sets)
+        }
+        fresh = Explainer(result, compiled=program)
+        expected_answers = {
+            key: fresh.explain(key[0], **flag_sets[key[1]]) for key in first
+        }
+        mapped = _count_calls(monkeypatch, mapping.TemplateMapper, "map_spine")
+        narrated = 0
+        for (query, index), before in first.items():
+            again = evicting.explain(query, **flag_sets[index])
+            expected = expected_answers[query, index]
+            assert again is not before
+            assert again.text.encode() == expected.text.encode()
+            assert again.paths_used() == expected.paths_used()
+            assert json.dumps(again.to_dict()).encode() == \
+                json.dumps(expected.to_dict()).encode()
+            narrated += bool(expected.side_explanations)
+        assert mapped["calls"] == 0
+        assert derived
+        assert narrated or name != "stress_test"
+
+
 # ----------------------------------------------------------------------
 # Why-not: indexed probes against the full scan
 # ----------------------------------------------------------------------
@@ -486,6 +575,46 @@ class TestWorkCounts:
         second = [explainer.explain(query) for query in derived]
         assert (spines["calls"], renders["calls"]) == (0, 0)
         assert second == first
+
+    def test_an_lru_miss_is_served_from_the_composition_memo(
+        self, monkeypatch
+    ):
+        # An LRU of 16 entries has evicted each of the chain's 820
+        # answers before the second pass asks it again; every lookup
+        # misses, and before the composition memo every miss mapped its
+        # spine and looked it up again (820 map_spine calls).
+        scenario = generators.control_chain(40)
+        result = scenario.run()
+        explainer = scenario.application.explainer(result, cache=LRUCache(16))
+        derived = result.derived()
+        first = [explainer.explain(query) for query in derived]
+        counters = [
+            _count_calls(monkeypatch, owner, name) for owner, name in (
+                (mapping.TemplateMapper, "map_spine"),
+                (templates.ExplanationTemplate, "instantiate"),
+                (provenance_index.ProvenanceIndex, "spine"),
+            )
+        ]
+        hits = explainer._explain_region.stats.hits
+        second = [explainer.explain(query) for query in derived]
+        assert explainer._explain_region.stats.hits == hits
+        assert [counter["calls"] for counter in counters] == [0, 0, 0]
+        assert second == first
+
+    def test_an_extensional_query_compiles_nothing(self):
+        # A fact the chase did not derive is refused before a pipeline
+        # is looked up: an Own or Company query used to build and keep a
+        # secondary pipeline (and its structural analysis) for nothing.
+        scenario = figures.figure15_instance()
+        compiled = scenario.application.compile()
+        explainer = Explainer(scenario.run(), compiled=compiled)
+        stats = compiled.stats
+        before = (stats.structural_analyses, stats.secondary_pipelines)
+        database = scenario.database
+        for query in (*database.facts("Own")[:2], database.facts("Company")[0]):
+            with pytest.raises(NotDerived):
+                explainer.explain(query)
+        assert (stats.structural_analyses, stats.secondary_pipelines) == before
 
     def test_mapping_tries_a_bounded_number_of_matches_per_record(
         self, monkeypatch

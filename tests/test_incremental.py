@@ -28,6 +28,7 @@ from repro.apps import (
 from repro.apps.company_control import company, control, own
 from repro.core.service import ExplanationService
 from repro.datalog import Fact, Variable, fact, parse_program
+from repro.datalog.errors import ArityError
 from repro.engine.chase import ChaseEngine
 from repro.engine.database import Database
 from repro.llm import SimulatedLLM
@@ -108,6 +109,27 @@ class TestResolveDelta:
         open_atom = Fact("Control", (Variable("x"), Variable("x")))
         with pytest.raises(ValueError, match="ground"):
             resolve_delta(base, [open_atom], [])
+
+    def test_predicate_outside_program_and_instance_is_an_error(self, base):
+        for adds, retracts in (([fact("Nope", "A")], []),
+                               ([], [fact("Nope", "A")])):
+            with pytest.raises(ArityError, match="occurs neither"):
+                resolve_delta(base, adds, retracts)
+
+    def test_wrong_arity_is_an_error(self, base):
+        with pytest.raises(ArityError, match="arity 2, expected 3"):
+            resolve_delta(base, [fact("Own", "A", "B")], [])
+
+    def test_data_the_program_never_reads_keeps_its_arity(
+        self, control_app
+    ):
+        extra = fact("Listed", "A")
+        result = ChaseEngine(strategy="planned").run(
+            control_app.program, Database([company("A"), extra])
+        )
+        assert resolve_delta(result, [], [extra])[2] == (extra,)
+        with pytest.raises(ArityError, match="arity 2, expected 1"):
+            resolve_delta(result, [fact("Listed", "A", "B")], [])
 
     def test_redundant_delta_is_dropped(self, base):
         new_edb, added, retracted = resolve_delta(

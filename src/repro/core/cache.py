@@ -1,24 +1,28 @@
 """A small thread-safe bounded LRU cache with hit/miss accounting.
 
 The explanation stack is pure over frozen inputs, which makes caching
-safe — but the seed implementation cached in plain unbounded dicts, one
-per :class:`~repro.core.explain.Explainer`.  Under service traffic
-(many instances, many queries) that is a slow memory leak.  This module
-provides the shared bounded replacement used by the runtime and service
-layers: an ordinary ``OrderedDict``-based LRU guarded by a lock, with
-counters that feed the service metrics.
+safe.  This module provides the bounded memo the runtime and service
+layers share across bindings (a service's sessions, and each session's
+successors after an update): an ordinary ``OrderedDict``-based LRU
+guarded by a lock, with counters that feed the service metrics.  It
+holds the answers that are not kept per binding — ``why()`` sentences,
+violation reports and why-not answers.  Top-level explanations are not
+stored here: each binding keeps one composition per explained fact
+(:class:`~repro.core.explain.Explainer`), and the LRU's ``explain``
+region only counts that memo's lookups (:meth:`CacheRegion.count`).
 
-Two additions serve the memoized explanation fast path:
+Two additions serve the memoized paths:
 
 * :meth:`LRUCache.get_or_create` installs a **per-key in-flight latch**,
   so two threads racing on the same key never both run the factory —
-  the second waits for the first's value instead of duplicating
-  milliseconds of mapping/verbalization work (and instead of the old
-  compute-twice/first-store-wins behaviour);
+  the second waits for the first's value instead of duplicating the
+  work (and instead of the old compute-twice/first-store-wins
+  behaviour);
 * :class:`CacheRegion` carves named, separately counted regions out of
-  one shared LRU (final explanations, ``why()`` sentences, violation
-  reports), keeping the bound global while the
-  telemetry stays per-region (see :meth:`LRUCache.snapshot`).
+  one shared LRU (``why()`` sentences, violation reports, why-not
+  answers, and the counts of the ``explain`` memo), keeping the bound
+  global while the telemetry stays per-region (see
+  :meth:`LRUCache.snapshot`).
 """
 
 from __future__ import annotations
@@ -30,10 +34,9 @@ from typing import Any, Callable, Hashable, Iterator
 
 from .. import obs
 
-#: Default number of explanations kept per shared cache.  An entry is
-#: its text (plus, once served twice, its encoded bodies) and references
-#: to a composition the binding keeps anyway, so a few thousand entries
-#: are cheap; a miss re-joins that composition rather than redoing it.
+#: Default number of entries kept per shared cache: why() sentences,
+#: violation reports and why-not answers (explanations are kept per
+#: binding, outside it).  Each is one text or one small report.
 DEFAULT_EXPLANATION_CACHE_SIZE = 4096
 
 _SENTINEL = object()
@@ -271,6 +274,17 @@ class CacheRegion:
 
     def put(self, key: Hashable, value: Any) -> None:
         self.cache.put(self._scoped(key), value)
+
+    def count(self, hit: bool) -> None:
+        """Count one lookup of a memo kept outside the LRU's storage, as
+        this region's and the cache's own lookups are counted."""
+        with self.cache._lock:
+            for stats in (self.stats, self.cache.stats):
+                if hit:
+                    stats.hits += 1
+                else:
+                    stats.misses += 1
+        self._record_flight(hit)
 
     def get_or_create(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         ran = False

@@ -30,7 +30,9 @@ across many instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import chain, count
+from json import dumps
+from json.encoder import encode_basestring
 from typing import Mapping, Sequence
 
 from ..datalog.atoms import Fact
@@ -54,24 +56,49 @@ from .verbalizer import Verbalizer
 _BINDING_IDS = count(1)
 
 
+def json_escaped(text: str) -> bytes:
+    """``text`` as the inside of a JSON string, in UTF-8: escaped as
+    ``json.dumps(text, ensure_ascii=False)`` escapes it, without the
+    quotes.  Escaping works one code point at a time and leaves a space
+    alone, so the escape of a space-joined text is the space-joined
+    escapes of its parts."""
+    return encode_basestring(text)[1:-1].encode("utf-8")
+
+
 @dataclass(frozen=True, slots=True)
 class Explanation:
-    """A generated textual explanation with its full provenance."""
+    """A generated textual explanation with its full provenance.
+
+    The binding keeps one per fact and options asked at the top level,
+    and returns it on every later ask.  It keeps no joined text:
+    :attr:`text` is joined from the segments on each read, and the
+    serving layer joins a response body from :attr:`fragments` and
+    :attr:`paths_json` instead (:mod:`repro.serve.protocol`).
+    """
 
     query: Fact
-    text: str
     spine: DerivationSpine
     segments: tuple[SegmentMatch, ...]
     instantiations: tuple[InstantiatedExplanation, ...]
     side_explanations: tuple["Explanation", ...] = ()
     #: :meth:`paths_used`, computed once with the composition.
     paths: tuple[str, ...] = field(kw_only=True, compare=False, repr=False)
-    #: What the serving layer kept of this explanation's response body,
-    #: per audit flag (:func:`repro.serve.protocol.explanation_response`).
-    #: Not part of the value; set only on explanations that were served.
-    served: tuple = field(
-        default=(None, None), init=False, compare=False, repr=False
+    #: Each segment's :func:`json_escaped` text in text order (side
+    #: branches first, recursively): ``b" ".join`` of them is the
+    #: escaped :attr:`text`.
+    fragments: tuple[bytes, ...] = field(
+        kw_only=True, compare=False, repr=False
     )
+    #: :attr:`paths` as a JSON array, encoded once.
+    paths_json: bytes = field(kw_only=True, compare=False, repr=False)
+
+    @property
+    def text(self) -> str:
+        """The side branches' texts, then the spine's segments', joined
+        by one space."""
+        parts = [side.text for side in self.side_explanations]
+        parts.extend(instance.text for instance in self.instantiations)
+        return " ".join(parts)
 
     def paths_used(self) -> tuple[str, ...]:
         """Names of the reasoning paths composing this explanation, e.g.
@@ -125,25 +152,6 @@ class Explanation:
         return self.text
 
 
-#: What a fact's explanation is made of, before its text is joined:
-#: ``(spine, segments, instantiations, side_explanations, paths)``.
-_Composition = tuple[
-    DerivationSpine, tuple[SegmentMatch, ...],
-    tuple[InstantiatedExplanation, ...], tuple[Explanation, ...],
-    tuple[str, ...],
-]
-
-
-def _explanation(query: Fact, composition: _Composition) -> Explanation:
-    spine, segments, instantiations, sides, paths = composition
-    parts = [side.text for side in sides]
-    parts.extend(instance.text for instance in instantiations)
-    return Explanation(
-        query, " ".join(parts), spine, segments, instantiations, sides,
-        paths=paths,
-    )
-
-
 class Explainer:
     """Per-instance runtime binding of a compiled program.
 
@@ -184,20 +192,16 @@ class Explainer:
         self.result = result
         self.glossary = compiled.glossary
         self.verbalizer = compiled.verbalizer
-        # Explanations are pure functions of (query, options) over the
-        # frozen reasoning result: cache them for interactive drill-down.
-        # The cache is bounded and may be shared across bindings (the
-        # service layer passes one per-service LRU); the binding id keeps
-        # entries of different instances apart.
+        # The why() sentences and violation reports are memoized in
+        # regions of a bounded LRU, which the service layer shares across
+        # bindings; the binding id keeps entries of different instances
+        # apart.  The "explain" region stores nothing: it counts the
+        # lookups of the composition memo below, which answers explain().
         self._binding_id = next(_BINDING_IDS)
         self._cache = (
             cache if cache is not None
             else LRUCache(DEFAULT_EXPLANATION_CACHE_SIZE)
         )
-        # Region views of the shared LRU: top-level explanations live in
-        # "explain" (one entry per query and options); one-step why()
-        # sentences and violation reports get their own regions so their
-        # hit rates stay separately inspectable in the snapshot.
         self._explain_region = self._cache.region("explain")
         self._why_region = self._cache.region("why")
         self._violation_region = self._cache.region("violation")
@@ -206,18 +210,20 @@ class Explainer:
         # the compile fingerprint, so a key says exactly which program
         # artifact and which materialized instance produced the text.
         self._memo_scope = (self._binding_id, compiled.fingerprint)
-        # Record-keyed memos below the explanation LRU, living exactly as
-        # long as this binding: one mapping memo per mapper (see
-        # TemplateMapper.map_spine) and the rendered segments, keyed by
+        # Record-keyed memos living exactly as long as this binding: one
+        # mapping memo per mapper (see TemplateMapper.map_spine) and the
+        # rendered segments with their JSON-escaped bytes, keyed by
         # everything a segment's text is a function of.  Neither evicts;
         # both are bounded by the chase records times the mapper's
         # horizon (times the presentation options for segments).
         self._mapping_memos: dict[TemplateMapper, dict] = {}
-        self._segment_memo: dict[tuple, InstantiatedExplanation] = {}
-        # Top-level compositions, keyed (head record index, options):
-        # an LRU miss joins a stored composition instead of redoing it.
-        # Bounded by records times option sets; references only.
-        self._compositions: dict[tuple, _Composition] = {}
+        self._segment_memo: dict[tuple, tuple[InstantiatedExplanation, bytes]] = {}
+        # Top-level compositions (their explanations), keyed (head
+        # record index, options): every explain() after the first of a
+        # fact is one lookup.  Bounded by records times option sets; an
+        # entry holds no joined text, only references, its fragment
+        # tuple and its encoded paths.
+        self._compositions: dict[tuple, Explanation] = {}
 
     # ------------------------------------------------------------------
     # Compiled-artifact views (stable public surface)
@@ -269,42 +275,15 @@ class Explainer:
         """Answer the explanation query Q_e = {``query``}.
 
         Raises :class:`NotDerived` (a ``KeyError``) for a fact the chase
-        did not derive.
-        Top-level answers are memoized per (binding, query, options) in
-        the shared LRU's ``explain`` region — the reasoning result is
-        frozen, so explanations are pure.  A miss there is rendered from
-        the binding's composition memo (see :meth:`_render`).  Side
-        branches are cached in neither: they recurse through
-        :meth:`_compose`, whose spines, mappings and rendered segments are
-        memoized below it.
-        """
-        key = (
-            self._memo_scope, self.result.index.fact_key(query),
-            prefer_enhanced, variant_index, include_side_branches,
-        )
-        return self._explain_region.get_or_create(
-            key,
-            lambda: self._render(
-                query, prefer_enhanced, variant_index, include_side_branches,
-            ),
-        )
-
-    def _render(
-        self,
-        query: Fact,
-        prefer_enhanced: bool,
-        variant_index: int,
-        include_side_branches: bool,
-    ) -> Explanation:
-        """A top-level explanation, from its memoized composition.
-
-        A top-level composition starts from an empty ``visited`` set, so
-        it is a pure function of the deriving record and the options:
-        it is kept per (record index, options) and holds, besides its
-        side explanations, only references to what the memos below hold.  An LRU miss of a fact
-        composed before costs one lookup and one join.  The region's
-        in-flight latch renders one (fact, options) at a time, so
-        concurrent misses never compose the same entry twice.
+        did not derive.  A top-level composition starts from an empty
+        ``visited`` set, so it is a pure function of the deriving record
+        and the options: the explanation is kept per (record index,
+        options) for the binding's lifetime, and every later explain of
+        the fact returns it after one lookup.  The ``explain`` region
+        counts those lookups.  Side branches are kept only inside the
+        explanations that narrate them: they recurse through
+        :meth:`_compose`, whose spines, mappings and rendered segments
+        are memoized below it.
         """
         try:
             record = self.result.index.record(query)
@@ -316,13 +295,15 @@ class Explainer:
                 program.with_goal(query.predicate)
             raise
         key = (record.index, prefer_enhanced, variant_index, include_side_branches)
-        composition = self._compositions.get(key)
-        if composition is None:
-            composition = self._compositions[key] = self._compose(
+        explanation = self._compositions.get(key)
+        self._explain_region.count(explanation is not None)
+        if explanation is None:
+            # Two threads missing at once both compose; one result is kept.
+            explanation = self._compositions.setdefault(key, self._compose(
                 query, prefer_enhanced, variant_index, include_side_branches,
                 visited=set(),
-            )
-        return _explanation(query, composition)
+            ))
+        return explanation
 
     def _compose(
         self,
@@ -331,7 +312,7 @@ class Explainer:
         variant_index: int,
         include_side_branches: bool,
         visited: set[Fact],
-    ) -> _Composition:
+    ) -> Explanation:
         visited.add(query)
         store, mapper = self._pipeline_for(query.predicate)
         spine = self.result.index.spine(query)
@@ -344,17 +325,26 @@ class Explainer:
             side_explanations = self._explain_side_branches(
                 segments, prefer_enhanced, variant_index, visited
             )
-        instantiations = tuple(
+        rendered = [
             self._instantiate(
                 store.get(segment.path), segment.assignments,
                 prefer_enhanced, variant_index,
             )
             for segment in segments
-        )
+        ]
         paths = tuple(
             name for side in side_explanations for name in side.paths
         ) + tuple(segment.path.name for segment in segments)
-        return spine, segments, instantiations, side_explanations, paths
+        fragments = tuple(chain.from_iterable(
+            side.fragments for side in side_explanations
+        )) + tuple(escaped for _instance, escaped in rendered)
+        return Explanation(
+            query, spine, segments,
+            tuple(instance for instance, _escaped in rendered),
+            side_explanations,
+            paths=paths, fragments=fragments,
+            paths_json=dumps(list(paths), ensure_ascii=False).encode("utf-8"),
+        )
 
     def _instantiate(
         self,
@@ -362,8 +352,10 @@ class Explainer:
         assignments: Mapping[str, tuple[ChaseStepRecord, ...]],
         prefer_enhanced: bool,
         variant_index: int,
-    ) -> InstantiatedExplanation:
-        """``template.instantiate``, memoized per binding.
+    ) -> tuple[InstantiatedExplanation, bytes]:
+        """``template.instantiate`` and its :func:`json_escaped` text,
+        memoized per binding: a segment is rendered and escaped once for
+        every fact whose proof contains it.
 
         The text reads only the template, the two presentation options and
         the assigned records, so those are the key.  ``id(template)`` is
@@ -376,13 +368,15 @@ class Explainer:
                 for label, records in assignments.items()
             ),
         )
-        rendered = self._segment_memo.get(key)
-        if rendered is None:
+        entry = self._segment_memo.get(key)
+        if entry is None:
             rendered = template.instantiate(
                 assignments, prefer_enhanced, variant_index
             )
-            self._segment_memo[key] = rendered
-        return rendered
+            entry = self._segment_memo[key] = (
+                rendered, json_escaped(rendered.text)
+            )
+        return entry
 
     def _explain_side_branches(
         self,
@@ -413,10 +407,10 @@ class Explainer:
                             and parent not in visited
                         )
                         if needs_story:
-                            sides.append(_explanation(parent, self._compose(
+                            sides.append(self._compose(
                                 parent, prefer_enhanced, variant_index,
                                 include_side_branches=True, visited=visited,
-                            )))
+                            ))
         return tuple(sides)
 
     # ------------------------------------------------------------------

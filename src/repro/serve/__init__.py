@@ -31,11 +31,12 @@ from .protocol import (
     ProtocolError,
     UpdateRequest,
     WhyNotRequest,
+    batch_body,
     batch_payload,
     encode_body,
     error_payload,
+    explanation_body,
     explanation_payload,
-    explanation_response,
     outcome_payload,
     parse_batch_request,
     parse_explain_request,
@@ -68,11 +69,12 @@ __all__ = [
     "UpdateRequest",
     "WhyNotRequest",
     "WorkerPool",
+    "batch_body",
     "batch_payload",
     "encode_body",
     "error_payload",
+    "explanation_body",
     "explanation_payload",
-    "explanation_response",
     "outcome_payload",
     "parse_batch_request",
     "parse_explain_request",

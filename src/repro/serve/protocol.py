@@ -13,9 +13,11 @@ byte-parity sweep all speak the same dialect:
   :func:`encode_body` — ``json.dumps`` with sorted keys and a trailing
   newline, so an HTTP-served explanation is *byte-identical* to the same
   payload serialized from a direct in-process
-  :class:`~repro.core.service.ExplanationService` call.  The parity
-  checks in ``tests/test_serve.py`` compare those bytes, not parsed
-  values.
+  :class:`~repro.core.service.ExplanationService` call.  Explanation
+  bodies are joined from fragments the binding escaped once
+  (:func:`explanation_body`, :func:`batch_body`) to those same bytes.
+  The parity checks in ``tests/test_serve.py`` compare bytes, not
+  parsed values.
 
 The protocol is deliberately small: a query is the textual ground atom
 (``"Control(A, C)"``) parsed by :func:`repro.io.parse_fact`, and an
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..core.explain import Explanation
+from ..core.explain import Explanation, json_escaped
 from ..core.service import BatchOutcome
 from ..core.whynot import WhyNotAnswer
 from ..datalog.atoms import Fact
@@ -197,8 +199,10 @@ def encode_body(payload: dict) -> bytes:
     """The canonical byte rendering of a response payload.
 
     Sorted keys, no ASCII escaping, one trailing newline — the contract
-    the byte-parity gates compare against.  Every response body the
-    server emits goes through this function.
+    the byte-parity gates compare against.  The server encodes every
+    body with it but a non-audit ``/explain`` and an ``/explain/batch``
+    (200 or 504 partial): those it joins from stored fragments
+    (:func:`explanation_body`, :func:`batch_body`), to the same bytes.
     """
     return (
         json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n"
@@ -219,43 +223,6 @@ def explanation_payload(
     if audit:
         payload["audit"] = explanation.to_dict()
     return payload
-
-
-#: ``Explanation.served`` entry of a body that was sent once, not kept.
-_SENT = object()
-
-
-def explanation_response(
-    explanation: Explanation, audit: bool = False
-) -> dict | bytes:
-    """The response to one served explanation: its payload, or its body.
-
-    A memoized explanation keeps its encoded body from its first memo
-    hit on.  The first time it is served (the miss that computed it) it
-    is only marked and its payload returned for the caller to encode;
-    the second time its body is encoded, kept and returned; every later
-    time the kept bytes are returned as they are.  So an explanation
-    served once keeps nothing, and one served again costs a lookup.
-    The bytes live on the explanation, so they leave with its memo
-    entry (evicted, or scoped out by an update) and equal
-    ``encode_body(explanation_payload(explanation, audit))``.
-    """
-    kept = explanation.served[audit]
-    if isinstance(kept, bytes):
-        return kept
-    payload = explanation_payload(explanation, audit)
-    if kept is None:
-        _keep(explanation, audit, _SENT)
-        return payload
-    body = encode_body(payload)
-    _keep(explanation, audit, body)
-    return body
-
-
-def _keep(explanation: Explanation, audit: bool, value: object) -> None:
-    served = list(explanation.served)
-    served[audit] = value
-    object.__setattr__(explanation, "served", tuple(served))
 
 
 def outcome_payload(outcome: BatchOutcome) -> dict:
@@ -283,6 +250,58 @@ def batch_payload(
         ),
         "results": [outcome_payload(outcome) for outcome in outcomes],
     }
+
+
+# ----------------------------------------------------------------------
+# Explanation bodies, joined from the fixed keys in sorted order, the
+# escaped query and what the binding escaped once
+# (``Explanation.fragments``, ``Explanation.paths_json``).  The payload
+# functions above, through ``encode_body``, stay the reference.
+# ----------------------------------------------------------------------
+
+_FORMAT = b'{"format": ' + json.dumps(SERVE_FORMAT).encode("utf-8") + b", "
+
+
+def _ok_fields(query: Fact, explanation: Explanation) -> bytes:
+    """``outcome_payload`` of a served query, without its braces."""
+    return b"".join((
+        b'"paths": ', explanation.paths_json,
+        b', "query": "', json_escaped(str(query)),
+        b'", "status": "ok", "text": "', b" ".join(explanation.fragments),
+        b'"',
+    ))
+
+
+def explanation_body(explanation: Explanation) -> bytes:
+    """``encode_body(explanation_payload(explanation))``, joined."""
+    return _FORMAT + _ok_fields(explanation.query, explanation) + b"}\n"
+
+
+def _entry(outcome: BatchOutcome) -> bytes:
+    if outcome.explanation is None:
+        return json.dumps(
+            outcome_payload(outcome), ensure_ascii=False, sort_keys=True
+        ).encode("utf-8")
+    return b"{" + _ok_fields(outcome.query, outcome.explanation) + b"}"
+
+
+def batch_body(
+    outcomes: Sequence[BatchOutcome], partial: bool = False
+) -> bytes:
+    """``encode_body(batch_payload(outcomes, partial))``, joined: an
+    entry that carries no explanation goes through the canonical
+    encoder."""
+    served = sum(1 for outcome in outcomes if outcome.ok)
+    missed = sum(
+        1 for outcome in outcomes
+        if outcome.status == BatchOutcome.STATUS_DEADLINE
+    )
+    return b"".join((
+        _FORMAT, b'"missed": %d, "results": [' % missed,
+        b", ".join([_entry(outcome) for outcome in outcomes]),
+        b'], "served": %d, "status": ' % served,
+        b'"partial"}\n' if partial else b'"ok"}\n',
+    ))
 
 
 def update_payload(outcome) -> dict:

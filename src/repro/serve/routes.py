@@ -6,9 +6,10 @@ single definition of that behaviour: a route-name → parser table plus
 one function per route turning a parsed request and a warm
 :class:`~repro.core.service.ExplanationSession` into an HTTP
 ``(status, payload)`` pair, or raising the caller's mistake as a
-:class:`~repro.datalog.errors.UserError`.  The payload builders are the
-ones in-process callers use (:mod:`repro.serve.protocol`), so served
-bytes are byte-identical to in-process serialization.
+:class:`~repro.datalog.errors.UserError`.  A payload is a dict the
+server encodes, or an explanation body already joined from its stored
+fragments (:mod:`repro.serve.protocol`); either way the bytes equal
+``encode_body`` of the payload in-process callers build.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .protocol import (
     BatchRequest,
     ExplainRequest,
     WhyNotRequest,
-    batch_payload,
+    batch_body,
     error_payload,
-    explanation_response,
+    explanation_body,
+    explanation_payload,
     parse_batch_request,
     parse_explain_request,
     parse_update_request,
@@ -65,9 +67,10 @@ def serve_explain(
             request.query, prefer_enhanced=request.prefer_enhanced
         )
         # Work that *finished* is returned even if the budget ran out
-        # meanwhile — computed results are never discarded.  A memo hit
-        # answers with the body the explanation kept (already bytes).
-        return 200, explanation_response(explanation, audit=request.audit)
+        # meanwhile — computed results are never discarded.
+        if request.audit:
+            return 200, explanation_payload(explanation, audit=True)
+        return 200, explanation_body(explanation)
     except DeadlineExceeded as error:
         metrics.incr("serve.deadline_exceeded")
         obs.flight_event("deadline_exceeded", where="explain")
@@ -80,7 +83,7 @@ def serve_batch(
     *,
     default_deadline_s: float,
     metrics: MetricsRegistry,
-) -> tuple[int, dict]:
+) -> tuple[int, bytes]:
     deadline = _deadline(request.deadline_s, default_deadline_s)
     outcomes = session.explain_batch(
         list(request.queries), deadline=deadline,
@@ -98,8 +101,8 @@ def serve_batch(
         )
         # 504 with a partial-result body: the served prefix rides along
         # so the client keeps every explanation the budget did cover.
-        return 504, batch_payload(outcomes, partial=True)
-    return 200, batch_payload(outcomes)
+        return 504, batch_body(outcomes, partial=True)
+    return 200, batch_body(outcomes)
 
 
 def serve_whynot(

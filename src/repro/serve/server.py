@@ -413,8 +413,8 @@ class ExplanationServer:
         payload: dict | bytes,
         extra: list[tuple[str, str]] | None = None,
     ) -> tuple[int, bytes, str, list[tuple[str, str]]]:
-        # A payload arrives as bytes when it is a body already encoded
-        # (a memo hit's kept body, protocol.explanation_response).
+        # A payload arrives as bytes when it is a body already joined
+        # (an explanation's, protocol.explanation_body / batch_body).
         if not isinstance(payload, bytes):
             payload = encode_body(payload)
         return status, payload, "application/json", extra or []

@@ -317,10 +317,10 @@ class TestEvictedParity:
     def test_an_evicted_answer_is_served_like_a_fresh_one(
         self, name, monkeypatch
     ):
-        """An LRU of one entry evicts every answer before it is asked
-        again, so the second pass is rendered from the composition memo
-        alone: text, paths and audit record must be byte-equal to a
-        fresh binding's."""
+        """A binding whose LRU holds one entry answers a second pass
+        from its composition memo alone (the LRU stores no explanation):
+        text, paths and audit record must be byte-equal to a fresh
+        binding's."""
         application, facts = BUNDLED[name]()
         result = reason(application.program, facts)
         program = application.compile(
@@ -347,7 +347,7 @@ class TestEvictedParity:
         for (query, index), before in first.items():
             again = evicting.explain(query, **flag_sets[index])
             expected = expected_answers[query, index]
-            assert again is not before
+            assert again is before
             assert again.text.encode() == expected.text.encode()
             assert again.paths_used() == expected.paths_used()
             assert json.dumps(again.to_dict()).encode() == \
@@ -579,10 +579,12 @@ class TestWorkCounts:
     def test_an_lru_miss_is_served_from_the_composition_memo(
         self, monkeypatch
     ):
-        # An LRU of 16 entries has evicted each of the chain's 820
-        # answers before the second pass asks it again; every lookup
-        # misses, and before the composition memo every miss mapped its
-        # spine and looked it up again (820 map_spine calls).
+        # An LRU of 16 entries evicted each of the chain's 820 answers
+        # before the second pass asked it again, and before the
+        # composition memo every miss mapped its spine and looked it up
+        # again (820 map_spine calls).  Now the composition memo answers
+        # every second ask (a hit of the explain region each) and the
+        # LRU stores no explanation at all.
         scenario = generators.control_chain(40)
         result = scenario.run()
         explainer = scenario.application.explainer(result, cache=LRUCache(16))
@@ -597,7 +599,8 @@ class TestWorkCounts:
         ]
         hits = explainer._explain_region.stats.hits
         second = [explainer.explain(query) for query in derived]
-        assert explainer._explain_region.stats.hits == hits
+        assert explainer._explain_region.stats.hits == hits + len(derived)
+        assert len(explainer._cache) == 0
         assert [counter["calls"] for counter in counters] == [0, 0, 0]
         assert second == first
 

@@ -176,9 +176,10 @@ class TestServingParity:
         assert explanation.side_explanations  # the D branch is narrated
 
     def test_explain_region_holds_top_level_answers_only(self):
-        """Side branches render below the LRU: each top-level (query,
-        options) is one entry and one lookup, however many side
-        branches its proof has."""
+        """Side branches render below the composition memo: each
+        top-level (query, options) is one composition and one counted
+        lookup, however many side branches its proof has, and the LRU
+        stores none of them."""
         from repro.datalog import fact
 
         application, result = self._side_branch_result()
@@ -192,8 +193,8 @@ class TestServingParity:
         for flags in asked + asked:
             explainer.explain(query, **flags)
         assert explainer.explain(query).side_explanations
-        entries = [key for key in cache.keys() if key[0] == "explain"]
-        assert len(entries) == len(asked)
+        assert [key for key in cache.keys() if key[0] == "explain"] == []
+        assert len(explainer._compositions) == len(asked)
         stats = explainer._explain_region.stats
         assert (stats.misses, stats.hits) == (len(asked), len(asked) + 1)
 

@@ -300,6 +300,25 @@ class TestFlightIntegration:
         assert record.counts["cache.explain.miss"] == 2
         assert record.counts["cache.explain.hit"] == 1
 
+    def test_an_explain_counts_its_composition_lookup(self):
+        # The explain region stores nothing: it counts the composition
+        # memo that answers, into the record and the region's series.
+        service = ExplanationService()
+        session = service.session(
+            company_control.build(), [company_control.own("A", "B", 0.6)]
+        )
+        recorder = obs.FlightRecorder()
+        with obs.observed(flight=recorder):
+            first = session.explain(fact("Control", "A", "B"))
+            again = session.explain(fact("Control", "A", "B"))
+        assert again is first
+        counts = [record.counts for record in recorder.records()]
+        assert counts == [{"cache.explain.miss": 1}, {"cache.explain.hit": 1}]
+        region = service.metrics_snapshot()["caches"]["explanation_cache"][
+            "regions"]["explain"]
+        assert (region["misses"], region["hits"]) == (1, 1)
+        assert len(service.explanation_cache) == 0
+
     def test_breaker_transitions_emit_flight_events(self):
         now = [0.0]
         breaker = CircuitBreaker(

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.apps import company_control, figures, generators
 from repro.core import ExplanationService, MappingError, TemplateMapper
+from repro.core import explain as core_explain, templates
+from repro.core.explain import Explainer
 from repro.datalog import parser
 from repro.io import dumps_database, loads_database, loads_facts, parse_fact
 from repro.core.service import Deadline, ExplanationSession
@@ -1075,6 +1077,38 @@ class TestByteParity:
                     parity_scenario.target.predicate,
                     ", ".join(f"Absentia{n}" for n in range(arity)),
                 )
+                # A batch with an underived query, a spent budget (the
+                # 504 partial) and the plain templates.
+                mixed = [*targets, parse_fact(absent)]
+                for queries, deadline_s, enhanced, wanted in (
+                    (mixed, 30.0, True, 200),
+                    (targets, 0, True, 504),
+                    (mixed, 30.0, False, 200),
+                ):
+                    status, _headers, served = _request(
+                        instance, "POST", "/explain/batch",
+                        {"queries": [str(query) for query in queries],
+                         "deadline_s": deadline_s,
+                         "prefer_enhanced": enhanced},
+                    )
+                    assert status == wanted
+                    expected = encode_body(batch_payload(
+                        session.explain_batch(
+                            queries, deadline=Deadline(deadline_s),
+                            prefer_enhanced=enhanced,
+                        ),
+                        partial=wanted == 504,
+                    ))
+                    assert served == expected, (deadline_s, enhanced)
+                for query in targets:
+                    status, _headers, served = _request(
+                        instance, "POST", "/explain",
+                        {"query": str(query), "prefer_enhanced": False},
+                    )
+                    assert status == 200
+                    assert served == encode_body(explanation_payload(
+                        session.explain(query, prefer_enhanced=False)
+                    ))
                 status, _headers, served = _request(
                     instance, "POST", "/whynot", {"query": absent}
                 )
@@ -1118,10 +1152,25 @@ def _bench_s_graph():
         del sys.modules[spec.name]
 
 
-class TestKeptBodies:
-    """Clock-free cost of a memo-hit ``/explain``: no tokenizer pass, and
-    the body encoded once more when it is kept, never per request.  The
-    kept bytes are always the direct serialization of the explanation
+def _count_method(monkeypatch, owner, name: str) -> list:
+    """Count calls to the method ``owner.name``."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestJoinedBodies:
+    """Clock-free cost of a served explanation: its body is joined from
+    fragments the binding escaped once, so no explanation request runs
+    the canonical encoder, a fact composed before composes nothing, and
+    a segment is escaped once however many proofs contain it.  The
+    joined bytes are always the direct serialization of the explanation
     the current binding gives."""
 
     @pytest.fixture()
@@ -1144,9 +1193,11 @@ class TestKeptBodies:
         finally:
             service.shutdown()
 
-    def test_repeats_skip_the_tokenizer_and_encode_twice(
+    def test_repeats_skip_the_tokenizer_and_the_encoder(
         self, fresh, scenario, monkeypatch
     ):
+        # Before bodies were joined, five repeats encoded twice (the
+        # miss, then the body kept on the first hit).
         instance, _mirror = fresh
         tokenized = _count_calls_to(monkeypatch, parser, "_tokenize")
         encoded = _count_calls_to(monkeypatch, protocol, "encode_body")
@@ -1158,7 +1209,31 @@ class TestKeptBodies:
             assert status == 200
             bodies.add(served)
         assert len(bodies) == 1
-        assert (len(tokenized), len(encoded)) == (0, 2)
+        assert (len(tokenized), len(encoded)) == (0, 0)
+
+    @pytest.mark.parametrize("enhanced", [True, False])
+    def test_a_batch_runs_no_encoder(
+        self, fresh, scenario, monkeypatch, enhanced
+    ):
+        # Before, every 200 batch encoded its whole payload once.
+        instance, mirror = fresh
+        queries = [
+            query for query in mirror.answers(scenario.target.predicate)
+            if mirror.result.chase_result.is_derived(query)
+        ]
+        encoded = _count_calls_to(monkeypatch, protocol, "encode_body")
+        for _ in range(2):
+            status, _headers, served = _request(
+                instance, "POST", "/explain/batch",
+                {"queries": [str(query) for query in queries],
+                 "prefer_enhanced": enhanced},
+            )
+            assert status == 200
+        assert encoded == []
+        monkeypatch.undo()
+        assert served == encode_body(batch_payload(mirror.explain_batch(
+            queries, deadline=Deadline(30.0), prefer_enhanced=enhanced,
+        )))
 
     @pytest.mark.parametrize("audit", [False, True])
     def test_every_serve_is_the_direct_serialization(
@@ -1168,7 +1243,7 @@ class TestKeptBodies:
         expected = encode_body(explanation_payload(
             mirror.explain(scenario.target), audit=audit
         ))
-        for _ in range(4):  # the miss, the first hit, kept bytes twice
+        for _ in range(4):  # the miss, then memo hits
             status, _headers, served = _request(
                 instance, "POST", "/explain",
                 {"query": str(scenario.target), "audit": audit},
@@ -1195,36 +1270,50 @@ class TestKeptBodies:
                 retracts=[parse_fact(f) for f in delta.get("retracts", ())],
             )
             encoded = _count_calls_to(monkeypatch, protocol, "encode_body")
+            composed = _count_method(monkeypatch, Explainer, "_compose")
             status, _headers, served = _request(
                 instance, "POST", "/explain", query
             )
             assert status == wanted
-            # The new binding's explanation is a miss: encoded afresh.
-            assert len(encoded) == 1
+            # The 404 body is encoded; the new binding's explanation is
+            # composed afresh and joined, never encoded.
+            assert len(encoded) == (wanted == 404)
+            assert bool(composed) == (wanted == 200)
             monkeypatch.undo()
         assert served == encode_body(
             explanation_payload(mirror.explain(scenario.target))
         )
 
-    def test_an_all_miss_walk_keeps_no_body(self, monkeypatch):
+    def test_a_sweep_escapes_each_segment_once(self, monkeypatch):
+        """Two passes over bench ``S`` in batches of 16, as serve-sweep
+        sends them: the first escapes each rendered segment once, the
+        second escapes and composes nothing."""
         graph = _bench_s_graph()
         pool = WorkerPool.from_database(
             company_control.build(), loads_facts("\n".join(graph.facts))
         )
+        batches = [
+            _body({"queries": graph.derived[start:start + 16]})
+            for start in range(0, len(graph.derived), 16)
+        ]
         try:
+            escaped = _count_method(monkeypatch, core_explain, "json_escaped")
+            rendered = _count_method(
+                monkeypatch, templates.ExplanationTemplate, "instantiate"
+            )
+            composed = _count_method(monkeypatch, Explainer, "_compose")
             encoded = _count_calls_to(monkeypatch, protocol, "encode_body")
-            for fact in graph.derived:
-                status, payload = pool.serve("explain", _body({"query": fact}))
-                assert status == 200 and isinstance(payload, dict)
-            assert encoded == []
-            kept = [
-                fact for fact in graph.derived
-                if any(
-                    isinstance(entry, bytes)
-                    for entry in pool.session.explain(parse_fact(fact)).served
-                )
-            ]
-            assert kept == []
+            for body in batches:
+                status, payload = pool.serve("explain_batch", body)
+                assert status == 200 and isinstance(payload, bytes)
+            segments = len(pool.session.explainer._segment_memo)
+            assert segments > 0
+            assert len(escaped) == len(rendered) == segments
+            assert len(composed) >= len(graph.derived)
+            del escaped[:], composed[:]
+            for body in batches:
+                pool.serve("explain_batch", body)
+            assert (len(escaped), len(composed), len(encoded)) == (0, 0, 0)
         finally:
             pool.shutdown()
 

@@ -92,6 +92,12 @@ class Explanation:
     #: :attr:`paths` as a JSON array, encoded once.
     paths_json: bytes = field(kw_only=True, compare=False, repr=False)
 
+    def __hash__(self) -> int:
+        # The derived hash would hash ``segments``, whose matches hold
+        # dicts.  Equal explanations have equal queries, so this agrees
+        # with ``==``.
+        return hash(self.query)
+
     @property
     def text(self) -> str:
         """The side branches' texts, then the spine's segments', joined

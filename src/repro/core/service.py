@@ -195,12 +195,12 @@ class ExplanationSession:
         return self.result.answers(predicate)
 
     def explain(self, query: Fact, **options) -> Explanation:
+        metrics = self.service.metrics
         with obs.flight_record(
-            "explain", query=str(query),
-            fingerprint=self.compiled.fingerprint,
-        ), _Timed(self.service.metrics, "explain"):
+            "explain", query=query, fingerprint=self.compiled.fingerprint,
+        ), _Timed(metrics, "explain"):
             explanation = self.explainer.explain(query, **options)
-        self.service.metrics.incr("explanations")
+        metrics.incr("explanations")
         return explanation
 
     def explain_batch(
@@ -279,8 +279,7 @@ class ExplanationSession:
         scope so an updated session never serves stale reports.
         """
         with obs.flight_record(
-            "why_not", query=str(query),
-            fingerprint=self.compiled.fingerprint,
+            "why_not", query=query, fingerprint=self.compiled.fingerprint,
         ), _Timed(self.service.metrics, "why_not"):
             answer = self._whynot_region.get_or_create(
                 (

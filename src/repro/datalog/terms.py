@@ -113,7 +113,9 @@ def is_ground(term: Term) -> bool:
     return not isinstance(term, Variable)
 
 
-_BARE_CONSTANT_RE_SOURCE = r"[A-Z][A-Za-z0-9_]*"
+#: A string constant the parser reads back bare: compiled once, since
+#: every rendered fact runs it once per constant.
+_bare_constant = re.compile(r"[A-Z][A-Za-z0-9_]*").fullmatch
 
 
 def term_syntax(term: Term) -> str:
@@ -125,7 +127,7 @@ def term_syntax(term: Term) -> str:
     variables render as themselves.
     """
     if isinstance(term, Constant) and isinstance(term.value, str):
-        if re.fullmatch(_BARE_CONSTANT_RE_SOURCE, term.value):
+        if _bare_constant(term.value):
             return term.value
         return f'"{term.value}"'
     return str(term)

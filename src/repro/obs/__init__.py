@@ -95,29 +95,44 @@ def phase(name: str):
     return record.phase(name)
 
 
-@contextmanager
+class _Joined:
+    """A served request's open record, joined by the work it runs: the
+    work's ``with`` leaves the record open."""
+
+    __slots__ = ("record",)
+
+    def __init__(self, record: FlightRecord):
+        self.record = record
+
+    def __enter__(self) -> FlightRecord:
+        return self.record
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
 def flight_record(
     kind: str,
-    query: str | None = None,
+    query: object | None = None,
     fingerprint: str | None = None,
     **attrs,
 ):
-    """The flight record one unit of service work reports into.
+    """The flight record one unit of service work reports into (a
+    context manager).
 
     When the calling context already has a record open — a served
     request, whose id the client holds as ``X-Query-Id`` — the work
     joins it: identity and attributes land on that record and no child
     is opened, so one request leaves one record.  Otherwise a record of
     ``kind`` is opened (the shared no-op one while recording is off).
+    ``query`` may be the fact itself: a record renders it when read.
     """
     current = _active_flight.current()
     if current is not None:
-        yield current.set(query=query, fingerprint=fingerprint, **attrs)
-        return
-    with _active_flight.record(
+        return _Joined(current.set(query=query, fingerprint=fingerprint, **attrs))
+    return _active_flight.record(
         kind, query=query, fingerprint=fingerprint, **attrs
-    ) as record:
-        yield record
+    )
 
 
 def flight_event(kind: str, **data) -> None:

@@ -81,7 +81,7 @@ class FlightRecord:
         recorder: "FlightRecorder",
         query_id: str,
         kind: str,
-        query: str | None = None,
+        query: object | None = None,
         fingerprint: str | None = None,
         parent_id: str | None = None,
         **attrs: Any,
@@ -134,7 +134,9 @@ class FlightRecord:
         ``query`` and ``fingerprint`` are special-cased (and ignored when
         ``None``) so identity can be filled in once the work resolves it:
         the compile fingerprint after compilation, the query when session
-        work joins a served request's record.
+        work joins a served request's record.  ``query`` may be any
+        object, the fact itself included: :meth:`to_dict` renders it
+        with ``str``, so a record nobody reads renders nothing.
         """
         with self._lock:
             query = attrs.pop("query", None)
@@ -157,7 +159,7 @@ class FlightRecord:
             return {
                 "query_id": self.query_id,
                 "kind": self.kind,
-                "query": self.query,
+                "query": None if self.query is None else str(self.query),
                 "fingerprint": self.fingerprint,
                 "parent": self.parent_id,
                 "start_s": round(self.start_s, 9),
@@ -280,7 +282,7 @@ class FlightRecorder:
     def record(
         self,
         kind: str,
-        query: str | None = None,
+        query: object | None = None,
         query_id: str | None = None,
         fingerprint: str | None = None,
         **attrs: Any,

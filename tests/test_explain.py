@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import generators
+from repro.apps import figures, generators
 from repro.core.explain import Explainer
 from repro.core.validation import completeness_ratio
 from repro.datalog.atoms import fact
@@ -88,6 +88,25 @@ class TestDeterministicBaseline:
         text = figure8_explainer.deterministic_explanation(fact("Default", "C"))
         constants = figure8_explainer.proof_constants(fact("Default", "C"))
         assert completeness_ratio(text, constants) == 1.0
+
+
+class TestExplanationHash:
+    def test_equal_explanations_hash_equal(self):
+        # The derived hash hashed segments, whose matches hold dicts:
+        # hash() of any explanation raised TypeError.
+        explanations = []
+        for _ in range(2):
+            scenario = figures.figure15_instance()
+            result = scenario.application.reason(scenario.database)
+            explainer = Explainer(result, scenario.application.glossary)
+            explanations.append(explainer.explain(scenario.target))
+        first, second = explanations
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert second in {first}
+        assert {first: "kept"}[second] == "kept"
 
 
 class TestSideBranchRecursion:

@@ -5,10 +5,12 @@ served bodies and direct in-process serialization."""
 
 import http.client
 import importlib.util
+import itertools
 import json
 import logging
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -23,6 +25,7 @@ from repro.apps import company_control, figures, generators
 from repro.core import ExplanationService, MappingError, TemplateMapper
 from repro.core import explain as core_explain, templates
 from repro.core.explain import Explainer
+from repro.datalog.atoms import Atom
 from repro.datalog import parser
 from repro.io import dumps_database, loads_database, loads_facts, parse_fact
 from repro.core.service import Deadline, ExplanationSession
@@ -641,6 +644,404 @@ class TestHeadFraming:
         # uncaught, it dropped the connection unanswered and uncounted.
         error = self._rejected(server, data, caplog)
         assert "exceeds" in error
+
+
+def _raw_post(path: bytes, payload: dict, line_end: bytes = b"\r\n") -> bytes:
+    """One POST as raw bytes, its head lines ended by ``line_end``."""
+    body = _body(payload)
+    head = line_end.join((
+        b"POST " + path + b" HTTP/1.1", b"Host: test",
+        b"Content-Type: application/json",
+        b"Content-Length: %d" % len(body),
+    ))
+    return head + line_end * 2 + body
+
+
+def _read_answers(raw: socket.socket, count: int) -> list[tuple]:
+    """``count`` answers off one connection, in order: (status, the
+    head fields a client reads, whether X-Query-Id is there, body)."""
+    reader = raw.makefile("rb")
+    answers = []
+    try:
+        for _ in range(count):
+            status = int(reader.readline().split()[1])
+            fields: dict[str, str] = {}
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                name, _sep, value = line.decode("latin-1").partition(":")
+                fields[name.strip().lower()] = value.strip()
+            body = reader.read(int(fields["content-length"]))
+            answers.append((
+                status,
+                tuple(fields.get(name) for name in (
+                    "content-type", "content-length", "connection",
+                )),
+                "x-query-id" in fields,
+                body,
+            ))
+    finally:
+        reader.close()
+    return answers
+
+
+@pytest.fixture(scope="module")
+def pipeline(server, scenario):
+    """A keep-alive stream of requests and the answers each gets when
+    it is written alone and answered before the next is sent."""
+    target = str(scenario.target)
+    absent = "Control(Absentia0, Absentia1)"
+    requests = [
+        _raw_post(b"/explain", {"query": target}),
+        _raw_post(b"/explain/batch", {"queries": [target, absent]}),
+        _raw_post(b"/explain", {"query": absent}),              # 404
+        _raw_post(b"/explain/batch",                            # 504
+                  {"queries": [target] * 2, "deadline_s": 0}),
+        _raw_post(b"/explain", {"query": target, "prefer_enhanced": False},
+                  line_end=b"\n"),                               # bare LF
+        _raw_post(b"/whynot", {"query": absent}),                # off-loop
+        _raw_post(b"/explain", {"query": target}),
+    ]
+    with socket.create_connection(
+        (server.host, server.port), timeout=30
+    ) as raw:
+        alone = []
+        for request in requests:
+            raw.sendall(request)
+            alone.extend(_read_answers(raw, 1))
+    assert [answer[0] for answer in alone] == [200, 200, 404, 504, 200, 200, 200]
+    return b"".join(requests), alone
+
+
+class TestPipelinedFraming:
+    """The framer's law: however a keep-alive stream of requests is cut
+    into writes, from one byte per write to the whole pipeline in one,
+    each request is answered in order with the status, head fields and
+    body bytes it gets when written alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.one_of(
+        st.just([1]),
+        st.just([1 << 20]),
+        st.lists(st.integers(min_value=1, max_value=600),
+                 min_size=1, max_size=12),
+    ))
+    @example(sizes=[1])
+    @example(sizes=[1 << 20])
+    def test_any_cut_answers_like_one_request_per_write(
+        self, server, pipeline, sizes
+    ):
+        stream, alone = pipeline
+        with socket.create_connection(
+            (server.host, server.port), timeout=30
+        ) as raw:
+            start = 0
+            for index in itertools.count():
+                if start >= len(stream):
+                    break
+                end = start + sizes[index % len(sizes)]
+                raw.sendall(stream[start:end])
+                start = end
+            assert _read_answers(raw, len(alone)) == alone
+
+
+class TestWriteBackpressure:
+    def test_a_client_that_reads_late_is_answered_in_order(
+        self, server, scenario, monkeypatch
+    ):
+        # The answers outgrow every buffer between the server and a
+        # client that reads none of them yet: the transport pauses the
+        # connection, which then neither reads nor frames until the
+        # client drains it.
+        from repro.serve.server import _Connection
+
+        made = _Connection.connection_made
+
+        def small_send_buffer(connection, transport):
+            # Keep the kernel from taking the whole stream of answers.
+            transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            made(connection, transport)
+
+        monkeypatch.setattr(_Connection, "connection_made", small_send_buffer)
+        pauses = _count_method(monkeypatch, _Connection, "pause_writing")
+        queries = [str(query) for query in sorted(
+            server.pool.session.answers("Control"), key=str
+        )]
+        alone = []
+        with socket.create_connection(
+            (server.host, server.port), timeout=30
+        ) as raw:
+            for query in queries:
+                raw.sendall(_raw_post(b"/explain", {"query": query}))
+                alone.extend(_read_answers(raw, 1))
+        rounds = 2_000 // len(queries) + 1
+        stream = b"".join(
+            _raw_post(b"/explain", {"query": query}) for query in queries
+        ) * rounds
+        with socket.socket() as raw:
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            raw.settimeout(60)
+            raw.connect((server.host, server.port))
+            sender = threading.Thread(target=raw.sendall, args=(stream,))
+            sender.start()
+            _wait_until(lambda: pauses)
+            answers = _read_answers(raw, len(alone) * rounds)
+            sender.join(30)
+        assert answers == alone * rounds
+
+
+#: The most one read of the selector transport hands a protocol.
+_TRANSPORT_READ_BYTES = 256 * 1024
+
+
+class TestReadBackpressure:
+    def test_a_pipelining_client_that_reads_is_buffered_within_bounds(
+        self, server, scenario, monkeypatch
+    ):
+        # The client sends 4 MiB of pipelined requests as fast as the
+        # kernel takes them and reads every answer as it comes. A read
+        # brings up to 256 KiB and a loop turn serves one 16 KiB
+        # request, so without a bound the server's buffer would grow
+        # towards the whole stream.
+        from repro.serve.server import _MAX_BUFFERED_BYTES, _Connection
+
+        peak = [0]
+        received = _Connection.data_received
+
+        def measured(connection, data):
+            received(connection, data)
+            peak[0] = max(peak[0], len(connection.framer.buffer))
+
+        monkeypatch.setattr(_Connection, "data_received", measured)
+        body = _body({"query": str(scenario.target)}) + b" " * 16_000
+        request = (
+            b"POST /explain HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body
+        )
+        count = (4 << 20) // len(request)
+        with socket.create_connection(
+            (server.host, server.port), timeout=60
+        ) as raw:
+            raw.sendall(request)
+            (alone,) = _read_answers(raw, 1)
+            sender = threading.Thread(
+                target=raw.sendall, args=(request * count,)
+            )
+            sender.start()
+            answers = _read_answers(raw, count)
+            sender.join(30)
+        assert answers == [alone] * count
+        assert alone[0] == 200
+        assert 0 < peak[0] <= _MAX_BUFFERED_BYTES + _TRANSPORT_READ_BYTES
+
+
+class TestHeadScan:
+    def test_a_head_that_trickles_in_is_parsed_once(
+        self, server, monkeypatch
+    ):
+        # Each header line is parsed once, when its line end is in, not
+        # again on every read that leaves the head unfinished.
+        from repro.serve import server as server_module
+
+        reads = _count_method(
+            monkeypatch, server_module._Connection, "data_received"
+        )
+        parsed = _count_method(monkeypatch, server_module, "_header_field")
+        filler = b"".join(
+            b"X-Filler-%02d: %s\r\n" % (index, b"v" * 1000)
+            for index in range(63)
+        )
+        head = (
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n" + filler
+            + b"\r\n"
+        )
+        with socket.create_connection(
+            (server.host, server.port), timeout=30
+        ) as raw:
+            raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for start in range(0, len(head), 512):
+                raw.sendall(head[start:start + 512])
+                time.sleep(0.002)
+            answer = b""
+            while chunk := raw.recv(65536):
+                answer += chunk
+        assert answer.startswith(b"HTTP/1.1 200 ")
+        assert len(reads) > 8   # the head did arrive in pieces
+        assert len(parsed) == 64
+
+
+def _wait_until(condition, timeout_s: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _asyncio_errors(caplog) -> list[str]:
+    return [
+        record.getMessage() for record in caplog.records
+        if record.name == "asyncio" and record.levelno >= logging.ERROR
+    ]
+
+
+class TestTeardown:
+    """A client may go away at any point of a request; the server
+    answers nobody, logs nothing, counts no error and serves on."""
+
+    @pytest.fixture()
+    def fresh(self, scenario, snapshot):
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(
+                slo_period_s=60.0, slo_interval_requests=10_000,
+            ),
+            llm=None,
+        )
+        with instance.run_in_thread():
+            yield instance
+
+    @staticmethod
+    def _hang_up(raw: socket.socket, reset: bool) -> None:
+        if reset:  # an RST instead of a FIN
+            raw.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        raw.close()
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["fin", "rst"])
+    @pytest.mark.parametrize("data", [
+        b"POST /explain HTTP/1.1\r\nHost: te",
+        b"POST /explain HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"query\"",
+    ], ids=["mid-head", "mid-body"])
+    def test_a_client_gone_mid_request(
+        self, fresh, scenario, caplog, data, reset
+    ):
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            raw = socket.create_connection((fresh.host, fresh.port), timeout=30)
+            _wait_until(lambda: len(fresh._connections) == 1)
+            raw.sendall(data)
+            self._hang_up(raw, reset)
+            _wait_until(lambda: not fresh._connections)
+            status, _headers, _data = _request(
+                fresh, "POST", "/explain", {"query": str(scenario.target)}
+            )
+        assert status == 200
+        assert _asyncio_errors(caplog) == []
+        assert fresh.metrics.counter_value("serve.errors") == 0
+        assert fresh.metrics.counter_value("serve.requests") == 1
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["fin", "rst"])
+    def test_a_client_gone_while_its_whynot_runs(
+        self, fresh, scenario, caplog, monkeypatch, reset
+    ):
+        entered, release = threading.Event(), threading.Event()
+        why_not = ExplanationSession.why_not
+
+        def blocking(session, *args, **kwargs):
+            entered.set()
+            assert release.wait(30)
+            return why_not(session, *args, **kwargs)
+
+        monkeypatch.setattr(ExplanationSession, "why_not", blocking)
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            raw = socket.create_connection((fresh.host, fresh.port), timeout=30)
+            raw.sendall(_raw_post(
+                b"/whynot", {"query": "Control(Absentia0, Absentia1)"}
+            ))
+            assert entered.wait(30)
+            self._hang_up(raw, reset)
+            release.set()
+            # Served, and its answer dropped with the connection, which
+            # reads (and so sees the hang-up) once the search is done.
+            _wait_until(
+                lambda: fresh.metrics.counter_value("serve.ok") == 1
+                and not fresh._connections
+            )
+            status, _headers, _data = _request(
+                fresh, "POST", "/explain", {"query": str(scenario.target)}
+            )
+        assert status == 200
+        assert _asyncio_errors(caplog) == []
+        assert fresh.metrics.counter_value("serve.errors") == 0
+        assert fresh.admission.depth == 0
+
+    def test_stop_returns_with_idle_keep_alive_connections_open(
+        self, scenario, snapshot, caplog
+    ):
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(slo_period_s=60.0), llm=None,
+        )
+        handle = instance.run_in_thread()
+        sockets = [
+            socket.create_connection((instance.host, instance.port), timeout=30)
+            for _ in range(3)
+        ]
+        try:
+            with caplog.at_level(logging.DEBUG, logger="asyncio"):
+                for raw in sockets:  # keep-alive, answered, now idle
+                    raw.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                    ((status, (_type, _length, connection), _qid, _body),) = (
+                        _read_answers(raw, 1)
+                    )
+                    assert (status, connection) == (200, "keep-alive")
+                started = time.monotonic()
+                handle.stop(timeout_s=20)
+                assert time.monotonic() - started < 20
+            assert not handle.thread.is_alive()
+            for raw in sockets:  # the server closed its end
+                assert raw.recv(1) == b""
+            assert _asyncio_errors(caplog) == []
+        finally:
+            for raw in sockets:
+                raw.close()
+
+
+class TestHotPathBookkeeping:
+    """Clock-free cost of a memo-hit ``/explain``: one flight record per
+    request, and the query rendered once (for its body) at most."""
+
+    def test_memo_hits_close_one_record_and_render_the_query_once(
+        self, scenario, snapshot, monkeypatch
+    ):
+        instance = ExplanationServer(
+            scenario.application, snapshot=snapshot,
+            config=ServeConfig(
+                slo_period_s=60.0, slo_interval_requests=10_000,
+            ),
+            llm=None,
+        )
+        requests = 20
+        payload = {"query": str(scenario.target)}
+        with instance.run_in_thread():
+            connection = http.client.HTTPConnection(
+                instance.host, instance.port, timeout=30
+            )
+            try:
+                status, _headers, first = _request(
+                    instance, "POST", "/explain", payload,
+                    connection=connection,
+                )
+                assert status == 200  # composed: later asks are memo hits
+                closed = len(instance.flight)
+                renders = _count_method(monkeypatch, Atom, "__str__")
+                query_ids = set()
+                for _ in range(requests):
+                    status, headers, data = _request(
+                        instance, "POST", "/explain", payload,
+                        connection=connection,
+                    )
+                    assert (status, data) == (200, first)
+                    query_ids.add(headers["X-Query-Id"])
+                rendered = len(renders)
+                monkeypatch.undo()
+            finally:
+                connection.close()
+            records = instance.flight.records()[closed:]
+        assert len(records) == requests
+        assert {record.query_id for record in records} == query_ids
+        assert all("explain" in record.phases for record in records)
+        assert rendered <= requests
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Unit tests for repro.datalog.terms."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.datalog.terms import (
     Constant,
@@ -9,6 +13,7 @@ from repro.datalog.terms import (
     Variable,
     is_ground,
     make_term,
+    term_syntax,
 )
 
 
@@ -97,3 +102,26 @@ class TestMakeTerm:
     def test_rejects_unsupported_types(self):
         with pytest.raises(TypeError):
             make_term([1, 2])
+
+
+class TestTermSyntaxDecision:
+    """A string constant renders bare exactly when the parser reads the
+    bare spelling back as that constant: ``[A-Z][A-Za-z0-9_]*``, ASCII
+    only (the classes are code-point ranges)."""
+
+    @settings(max_examples=300)
+    @given(st.text())
+    @example("")
+    @example("_")
+    @example("_Bank")
+    @example("9Lives")
+    @example("Ärzte")         # a non-ASCII capital
+    @example("Bankß")         # a non-ASCII letter after an ASCII capital
+    @example("B٣")            # a non-ASCII digit
+    @example("IrishBank")
+    @example("Bank\n")        # fullmatch, not match-up-to-newline
+    def test_bare_exactly_when_the_pattern_matches(self, value):
+        bare = term_syntax(Constant(value)) == value
+        assert bare == bool(re.fullmatch(r"[A-Z][A-Za-z0-9_]*", value))
+        if not bare:
+            assert term_syntax(Constant(value)) == f'"{value}"'
